@@ -29,8 +29,8 @@ fn bench_mappers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("TopoLB+Refine", p), &p, |b, _| {
             b.iter(|| RefineTopoLb::new(TopoLb::default()).map(&tasks, &topo))
         });
-        // Hierarchical (semi-distributed) multisection variant: the §6
-        // future-work scalability point.
+        // Hierarchical (semi-distributed) variant: the §6 future-work
+        // scalability point.
         let hier = HierMapper::for_torus(&topo).expect("factorable torus");
         group.bench_with_input(BenchmarkId::new("HierMapper", p), &p, |b, _| {
             b.iter(|| hier.map(&tasks, &topo))

@@ -169,7 +169,7 @@ fn ablation_hierarchical(full: bool) {
         ]);
     }
     print_table(
-        "Ablation 5: flat TopoLB vs hierarchical multisection mapping — hpb (runtime)",
+        "Ablation 5: flat TopoLB vs hierarchical mapping — hpb (runtime)",
         &["p", "TopoLB", "HierMapper"],
         &rows,
     );

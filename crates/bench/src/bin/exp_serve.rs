@@ -27,9 +27,7 @@ use topomap_lb::LbDatabase;
 use topomap_serve::client::Client;
 use topomap_serve::proto::{MapRequest, Response, ServerStats};
 use topomap_serve::server::{spawn_ephemeral, ServeConfig};
-use topomap_serve::specs::{
-    hier_mapper_from_plan, parse_hier_plan, parse_mapper, parse_pattern, parse_topology,
-};
+use topomap_serve::specs::{parse_pattern, parse_topology, MapperSpec};
 
 /// One request shape in the mixed workload.
 #[derive(Clone, Serialize)]
@@ -128,12 +126,9 @@ fn direct_mapping(s: &Scenario) -> Vec<usize> {
     let par = Parallelism::serial();
     let parsed = parse_topology(s.topology).unwrap();
     let topo = parsed.as_topology();
-    let mapper: Box<dyn topomap_core::Mapper> = if s.mapper == "hier" {
-        let plan = parse_hier_plan(s.topology, topo, s.hierarchy, None).unwrap();
-        Box::new(hier_mapper_from_plan(&plan, par))
-    } else {
-        parse_mapper(s.mapper, s.seed, par).unwrap()
-    };
+    let mapper = MapperSpec::parse(Some(s.mapper), None, s.hierarchy, None)
+        .and_then(|spec| spec.build_on(s.topology, topo, s.seed, par))
+        .unwrap();
     let tasks = database_for(s).to_task_graph();
     mapper.map(&tasks, topo).as_slice().to_vec()
 }

@@ -189,31 +189,14 @@ pub fn cmd_map(args: &Args) -> Result<String, String> {
     let tasks = tgio::load(args.required("tasks")?).map_err(|e| e.to_string())?;
     let seed: u64 = args.parsed_or("seed", 0)?;
     let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
-    let hier = args.optional("hierarchy");
-    let mapper = if hier.is_some() || args.optional("mapper") == Some("hier") {
-        if let Some(other) = args.optional("mapper").filter(|&m| m != "hier") {
-            return Err(format!(
-                "--hierarchy selects the hierarchical mapper; drop '--mapper {other}' \
-                 (or spell it '--mapper hier')"
-            ));
-        }
-        if args.optional("init").is_some() {
-            return Err("--init only applies to '--mapper refine'".into());
-        }
-        specs::parse_hier_mapper(
-            topo_spec,
-            topo.as_topology(),
-            hier,
-            args.optional("hier-dist"),
-            par,
-        )?
-    } else {
-        if args.optional("hier-dist").is_some() {
-            return Err("--hier-dist needs --hierarchy (or --mapper hier)".into());
-        }
-        specs::parse_mapper_with_init(args.required("mapper")?, args.optional("init"), seed, par)?
-    };
     let t = topo.as_topology();
+    let mapper = specs::MapperSpec::parse(
+        args.optional("mapper"),
+        args.optional("init"),
+        args.optional("hierarchy"),
+        args.optional("hier-dist"),
+    )?
+    .build_on(topo_spec, t, seed, par)?;
     if tasks.num_tasks() > t.num_nodes() {
         return Err(format!(
             "{} tasks need partitioning onto {} processors first; \
@@ -274,7 +257,8 @@ pub fn cmd_eval(args: &Args) -> Result<String, String> {
 /// through the packet simulator under the given mapping.
 pub fn cmd_simulate(args: &Args) -> Result<String, String> {
     let obs_opts = ObsOpts::from_args(args)?;
-    let topo = specs::parse_topology(args.required("topology")?)?;
+    let topo_spec = args.required("topology")?;
+    let topo = specs::parse_topology(topo_spec)?;
     let routed = topo.as_routed()?;
     let tasks = tgio::load(args.required("tasks")?).map_err(|e| e.to_string())?;
     let refine_contention = args.flag("refine-contention");
@@ -294,7 +278,12 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
             }
             let seed: u64 = args.parsed_or("seed", 0)?;
             let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
-            let m = specs::parse_mapper(init_spec, seed, par)?;
+            let m = specs::MapperSpec::parse(Some(init_spec), None, None, None)?.build_on(
+                topo_spec,
+                topo.as_topology(),
+                seed,
+                par,
+            )?;
             if tasks.num_tasks() > routed.num_nodes() {
                 return Err(format!(
                     "{} tasks need partitioning onto {} processors first",
@@ -721,7 +710,7 @@ mod tests {
             "4:4:4",
         ]))
         .unwrap_err();
-        assert!(err.contains("--mapper"), "{err}");
+        assert!(err.contains("drop mapper 'topolb'"), "{err}");
         let err = cmd_map(&args(&[
             "--topology",
             "torus:8x8",
@@ -733,7 +722,7 @@ mod tests {
             "1:2:3",
         ]))
         .unwrap_err();
-        assert!(err.contains("--hierarchy"), "{err}");
+        assert!(err.contains("hier-dist needs a hierarchy"), "{err}");
     }
 
     #[test]
@@ -816,11 +805,30 @@ mod tests {
         ]);
         let out = cmd_simulate(&args_with_profile(&full)).unwrap();
         assert!(out.contains("contention refine:"), "{out}");
+        // Every mapper name is an init, `hier` (auto arities over the
+        // machine) included: one table, not a second name list.
+        let hier: Vec<&str> = full
+            .iter()
+            .map(|&a| if a == "sfc" { "hier" } else { a })
+            .collect();
+        let out = cmd_simulate(&args_with_profile(&hier)).unwrap();
+        assert!(out.contains("avg hops:           1.000"), "{out}");
         // --init and --mapping together are rejected.
         let mut both = base.to_vec();
         both.extend(["--mapping", "/tmp/nope.json", "--refine-contention"]);
         let err = cmd_simulate(&args_with_profile(&both)).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn usage_lists_every_mapper() {
+        let mappers = USAGE
+            .split_once("  mapper:")
+            .and_then(|(_, rest)| rest.split_once("  threads:"))
+            .expect("USAGE has a mapper section")
+            .0;
+        let listed: Vec<&str> = mappers.split('|').map(str::trim).collect();
+        assert_eq!(listed, specs::MapperSpec::NAMES);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hierarchical multisection mapping — the paper's future-work direction
+//! Hierarchical mapping — the paper's future-work direction
 //! (§6: "a distributed approach toward keeping communication localized in
 //! a neighborhood may be needed for scalability"; hybrid semi-distributed
 //! approaches) implemented over an explicit hardware hierarchy.
@@ -6,13 +6,12 @@
 //! [`HierMapper`] decomposes one `p`-processor mapping problem down a
 //! [`Hierarchy`] `H = a1:…:al`:
 //!
-//! 1. **Descent** groups tasks into innermost containers, either
-//!    bottom-up ([`Descent::Coarsen`], the default: heavy-edge-matching
-//!    coarsening capped at `a1`, then an incremental TopoLB + realized
-//!    -cost polish places the cluster graph on the leaf blocks) or
-//!    top-down ([`Descent::Multisection`]: `ai`-way splits per level with
-//!    sibling placement, so the expensive outer cuts are minimized
-//!    first).
+//! 1. **Grouping** collects tasks into innermost containers bottom-up:
+//!    heavy-edge-matching coarsening capped at `a1`, then an incremental
+//!    TopoLB + realized-cost polish places the cluster graph on the leaf
+//!    blocks. Clusters are compact by construction and the coarse
+//!    placement reuses the paper's strongest kernel at 1/a1 of the
+//!    problem size.
 //! 2. **Leaf sub-mapping**: each innermost container (≤ `a1` tasks on
 //!    `a1` processors) is an independent table-driven [`Unit`] job —
 //!    attraction-ordered greedy growth plus local improvement sweeps —
@@ -33,25 +32,8 @@
 
 use crate::par::Executor;
 use crate::{obs, EstimationOrder, Mapper, Mapping, Parallelism, TopoLb};
-use topomap_partition::Multisection;
 use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{CachedTopology, Hierarchy, NodeId, Topology, Torus};
-
-/// How tasks are grouped into innermost containers before the parallel
-/// leaf sub-mappings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Descent {
-    /// Bottom-up (default): heavy-edge-matching coarsening with cluster
-    /// size capped at `a1`, then one serial incremental TopoLB maps the
-    /// `p/a1` clusters onto the leaf-block representatives. Clusters are
-    /// compact by construction and the coarse placement reuses the
-    /// paper's strongest kernel at 1/a1 of the problem size.
-    Coarsen,
-    /// Top-down k-way multisection ([`Multisection`]): split into `ai`
-    /// parts per level (outermost cuts first), then place siblings and
-    /// propagate terminals per level.
-    Multisection,
-}
 
 /// Recursive partition-and-map over an explicit hardware hierarchy, with
 /// the leaf sub-mappings dispatched in parallel (deterministically).
@@ -63,8 +45,6 @@ pub struct HierMapper {
     /// Machine node at each hierarchy position (`None` = identity — the
     /// machine is numbered hierarchically already, e.g. a fat-tree).
     pub pe_order: Option<Vec<NodeId>>,
-    /// Leaf-grouping scheme.
-    pub descent: Descent,
     /// Cross-leaf Jacobi swap passes after the leaf sub-mappings.
     pub refine_passes: usize,
     /// Intra-leaf refine sweeps inside each leaf job.
@@ -81,7 +61,6 @@ impl HierMapper {
         HierMapper {
             hier,
             pe_order: None,
-            descent: Descent::Coarsen,
             refine_passes: 4,
             leaf_refine_passes: 2,
             par: Parallelism::default(),
@@ -407,209 +386,6 @@ impl HierMapper {
         // Cluster `cl` sits on slot (= leaf index) `assign[cl]`.
         cluster_of.iter().map(|&cl| assign[cl]).collect()
     }
-
-    /// Multisection descent + per-level sibling placement. Returns the
-    /// leaf index of every task (leaf `g` owns positions
-    /// `[g·a1, (g+1)·a1)`).
-    fn partition_to_leaves(&self, tasks: &TaskGraph, topo: &dyn Topology) -> Vec<usize> {
-        let _span = obs::span("hier.partition");
-        let n = tasks.num_tasks();
-        let arities = self.hier.arities();
-        let ms = Multisection::new(arities.to_vec());
-        let mut group_of = vec![0usize; n];
-        let mut num_groups = 1usize;
-        let prof = obs::enabled();
-        for level in (1..arities.len()).rev() {
-            let lvl_span = prof.then(|| obs::span(&format!("hier.partition.l{level}")));
-            group_of = ms.split_level(tasks, &group_of, num_groups, level);
-            let a = arities[level];
-            // Positions covered by one child slot at this level.
-            let child_block = self.hier.block(level - 1);
-            self.place_siblings(tasks, topo, &mut group_of, num_groups, a, child_block);
-            num_groups *= a;
-            self.propagate_terminals(tasks, topo, &mut group_of, num_groups, a, child_block);
-            if prof {
-                obs::counter_add(&format!("hier.level.{level}.groups"), num_groups as u64);
-            }
-            drop(lvl_span);
-        }
-        group_of
-    }
-
-    /// Relabel the `a` children of every parent group so that heavily
-    /// communicating siblings land on nearby child slots: a serial TopoLB
-    /// over the slot-representative processors (first machine node of
-    /// each child block), per parent.
-    fn place_siblings(
-        &self,
-        tasks: &TaskGraph,
-        topo: &dyn Topology,
-        group_of: &mut [usize],
-        num_parents: usize,
-        a: usize,
-        child_block: usize,
-    ) {
-        if a == 1 {
-            return;
-        }
-        // Cross-child edge weight per parent, one pass over all edges.
-        let mut mats = vec![0f64; num_parents * a * a];
-        for (u, v, w) in tasks.edges() {
-            let (gu, gv) = (group_of[u], group_of[v]);
-            if gu / a == gv / a && gu != gv {
-                let parent = gu / a;
-                let (ju, jv) = (gu % a, gv % a);
-                mats[parent * a * a + ju * a + jv] += w;
-                mats[parent * a * a + jv * a + ju] += w;
-            }
-        }
-        let inner = TopoLb::with_parallelism(EstimationOrder::Second, Parallelism::serial());
-        let mut perm_of_parent: Vec<Option<Vec<usize>>> = vec![None; num_parents];
-        for parent in 0..num_parents {
-            let mat = &mats[parent * a * a..(parent + 1) * a * a];
-            if mat.iter().all(|&w| w == 0.0) {
-                continue; // nothing to localize; keep slot order
-            }
-            let mut b = TaskGraph::builder(a);
-            for j in 0..a {
-                for k in (j + 1)..a {
-                    let w = mat[j * a + k];
-                    if w > 0.0 {
-                        b.add_comm(j, k, w);
-                    }
-                }
-            }
-            let part_graph = b.build();
-            let reps: Vec<NodeId> = (0..a)
-                .map(|s| self.pe((parent * a + s) * child_block))
-                .collect();
-            let slots = Restriction { topo, nodes: &reps };
-            let m = inner.map(&part_graph, &slots);
-            perm_of_parent[parent] = Some((0..a).map(|j| m.proc_of(j)).collect());
-        }
-        for g in group_of.iter_mut() {
-            let parent = *g / a;
-            if let Some(perm) = &perm_of_parent[parent] {
-                *g = parent * a + perm[*g % a];
-            }
-        }
-    }
-
-    /// Terminal propagation (Dunlop–Kernighan): after a level's split,
-    /// the cut only counted edges *inside* each parent — a boundary task
-    /// may sit in the wrong child relative to its neighbors in other
-    /// groups. Greedily move such tasks to the sibling child whose block
-    /// is cheapest against all their neighbors' blocks (every group
-    /// charged at its block-origin processor), most negative gain first,
-    /// capped at `child_block` tasks per child. Deterministic: fixed
-    /// scan order, strict-improvement ties to the lowest child id.
-    fn propagate_terminals(
-        &self,
-        tasks: &TaskGraph,
-        topo: &dyn Topology,
-        group_of: &mut [usize],
-        num_groups: usize,
-        a: usize,
-        child_block: usize,
-    ) {
-        if a == 1 {
-            return;
-        }
-        let mut sizes = vec![0usize; num_groups];
-        for &g in group_of.iter() {
-            sizes[g] += 1;
-        }
-        let gpos = |g: usize| self.pe(g * child_block);
-        // Exact change of the proxy objective for moving `t` into child
-        // `c` (its own group counted at `c`; everyone else where they
-        // currently are, a neighbor in `c` becoming distance 0).
-        let cost_at = |group_of: &[usize], t: TaskId, c: usize| -> f64 {
-            tasks
-                .neighbors(t)
-                .map(|(u, w)| w * topo.distance(gpos(c), gpos(group_of[u])) as f64)
-                .sum()
-        };
-        for _sweep in 0..4 {
-            // Best sibling child for every boundary task.
-            let mut wishes: Vec<(f64, TaskId, usize)> = Vec::new();
-            for (t, &g) in group_of.iter().enumerate() {
-                if !tasks.neighbors(t).any(|(u, _)| group_of[u] != g) {
-                    continue; // interior task; no move can help
-                }
-                let cur = cost_at(group_of, t, g);
-                let parent = g / a;
-                let mut best = (cur, g);
-                for c in parent * a..(parent + 1) * a {
-                    if c != g {
-                        let alt = cost_at(group_of, t, c);
-                        if alt < best.0 - 1e-12 {
-                            best = (alt, c);
-                        }
-                    }
-                }
-                if best.1 != g {
-                    wishes.push((best.0 - cur, t, best.1));
-                }
-            }
-            wishes.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap().then(x.1.cmp(&y.1)));
-            let mut changed = 0usize;
-            // Moves, where a child has slack (tasks < processors).
-            let mut unplaced: Vec<(TaskId, usize)> = Vec::new();
-            for &(_, t, c) in &wishes {
-                let g = group_of[t];
-                if g == c {
-                    continue; // satisfied by an earlier exchange
-                }
-                if sizes[c] < child_block {
-                    group_of[t] = c;
-                    sizes[g] -= 1;
-                    sizes[c] += 1;
-                    changed += 1;
-                } else {
-                    unplaced.push((t, c));
-                }
-            }
-            // Exchanges: pair a task wanting c1 -> c2 with one wanting
-            // c2 -> c1 (both lists already sorted most-eager first) and
-            // swap when the exact combined delta is an improvement.
-            let mut by_pair: std::collections::BTreeMap<
-                (usize, usize),
-                (Vec<TaskId>, Vec<TaskId>),
-            > = std::collections::BTreeMap::new();
-            for (t, c) in unplaced {
-                let g = group_of[t];
-                if g == c {
-                    continue;
-                }
-                let e = by_pair.entry((g.min(c), g.max(c))).or_default();
-                if g < c {
-                    e.0.push(t);
-                } else {
-                    e.1.push(t);
-                }
-            }
-            for ((c1, c2), (xs, ys)) in by_pair {
-                for (&x, &y) in xs.iter().zip(ys.iter()) {
-                    if group_of[x] != c1 || group_of[y] != c2 {
-                        continue; // stale
-                    }
-                    let before = cost_at(group_of, x, c1) + cost_at(group_of, y, c2);
-                    group_of[x] = c2;
-                    group_of[y] = c1;
-                    let after = cost_at(group_of, x, c2) + cost_at(group_of, y, c1);
-                    if after - before < -1e-12 {
-                        changed += 1;
-                    } else {
-                        group_of[x] = c1;
-                        group_of[y] = c2;
-                    }
-                }
-            }
-            if changed == 0 {
-                break;
-            }
-        }
-    }
 }
 
 /// Auto-chosen hierarchy arities for `p` processors: an innermost level of
@@ -891,7 +667,8 @@ impl Unit {
 }
 
 /// A sub-machine: the metric of `topo` restricted to `nodes` (local id
-/// `i` is machine node `nodes[i]`). What the leaf TopoLB runs against.
+/// `i` is machine node `nodes[i]`). What the coarse-placement TopoLB runs
+/// against.
 struct Restriction<'a> {
     topo: &'a dyn Topology,
     nodes: &'a [NodeId],
@@ -938,10 +715,7 @@ impl Mapper for HierMapper {
         let leaves = p / a1;
 
         // --- 1. group tasks into innermost containers ---
-        let leaf_of = match self.descent {
-            Descent::Coarsen => self.coarsen_to_leaves(tasks, topo),
-            Descent::Multisection => self.partition_to_leaves(tasks, topo),
-        };
+        let leaf_of = self.coarsen_to_leaves(tasks, topo);
 
         // --- 2. independent leaf sub-mappings on the pool ---
         let members: Vec<Vec<TaskId>> = {

@@ -70,7 +70,7 @@ pub use contention::{ContentionRefine, ContentionReport, SimObservation};
 pub use estimation::EstimationOrder;
 pub use genetic::GeneticMap;
 pub use geom::{synthesize_coords, Curve, GeomError, RcbMap, SfcMap};
-pub use hierarchy::{auto_arities, Descent, HierMapper};
+pub use hierarchy::{auto_arities, HierMapper};
 pub use linear::LinearOrderMap;
 pub use optimal::IdentityMap;
 pub use par::{Parallelism, Threads};

@@ -27,18 +27,12 @@
 //! assert!(part.imbalance() < 1.15); // near-balanced group sizes
 //! ```
 
-mod bisection;
 mod greedy;
-pub mod greedygrow;
 mod multilevel;
-pub mod multisection;
 mod random;
 
-pub use bisection::RecursiveBisection;
 pub use greedy::GreedyLoad;
-pub use greedygrow::GreedyGrow;
 pub use multilevel::MultilevelKWay;
-pub use multisection::{enforce_capacities, weighted_leaf_cut, Multisection};
 pub use random::RandomPartition;
 
 use topomap_taskgraph::TaskGraph;

@@ -44,7 +44,7 @@ use crate::proto::{
     encode_response, write_frame, ErrorKind, FrameError, MapRequest, Request, Response,
     ServerStats, PROTO_VERSION,
 };
-use crate::specs::{hier_mapper_from_plan, parse_mapper_with_init};
+use crate::specs::MapperSpec;
 
 /// How often blocked threads wake to poll the stop flag.
 const POLL: Duration = Duration::from_millis(25);
@@ -568,24 +568,6 @@ fn validate_database(db: &topomap_lb::LbDatabase) -> Result<(), (ErrorKind, Stri
     Ok(())
 }
 
-/// Rough wall-clock estimate for a mapper spec on an n-task, p-processor
-/// job, used only by the fast-lane decision. The quadratic greedy
-/// mappers touch ~n·p candidate cells at a couple of nanoseconds each;
-/// `refine` multiplies that by its sweep passes; the search heuristics
-/// by their population/schedule factor. The near-linear lanes (sfc, rcb,
-/// linear, identity, random) never trip the estimate.
-fn estimated_cost(mapper: &str, n: usize, p: usize) -> Duration {
-    const CELL_NS: u64 = 2;
-    let cells = (n as u64).saturating_mul(p as u64);
-    let ns = match mapper {
-        "topolb" | "topolb-first" | "topolb-third" | "topocentlb" => cells.saturating_mul(CELL_NS),
-        "refine" => cells.saturating_mul(CELL_NS * 4),
-        "anneal" | "genetic" => cells.saturating_mul(CELL_NS * 8),
-        _ => (n as u64).saturating_mul(200),
-    };
-    Duration::from_nanos(ns)
-}
-
 /// Resolve specs through the caches, run the kernel, score the mapping.
 fn map_job(
     req: &MapRequest,
@@ -607,54 +589,38 @@ fn map_job(
         1,
     );
 
-    let hierarchical = req.hierarchy.is_some() || req.mapper == "hier";
-    let (mapper, hier_cache_hit): (Box<dyn Mapper>, Option<bool>) = if hierarchical {
-        if req.mapper != "hier" {
-            return Err(bad_spec(format!(
-                "a hierarchy selects the hierarchical mapper; drop mapper '{}' \
-                 (or spell it 'hier')",
-                req.mapper
-            )));
+    // Every combination rule is checked before a hierarchy plan is built
+    // (and cached) for the request.
+    let spec = MapperSpec::parse(
+        Some(&req.mapper),
+        req.init.as_deref(),
+        req.hierarchy.as_deref(),
+        req.hier_dist.as_deref(),
+    )
+    .map_err(bad_spec)?;
+    let plan = match spec.hier_specs() {
+        Some((arities, dists)) => {
+            let _sp = obs::span("serve.hier-plan");
+            let (plan, hit) = shared
+                .caches
+                .hier_plan(&req.topology, &oracle, arities, dists)
+                .map_err(bad_spec)?;
+            obs::counter_add(
+                if hit {
+                    "serve.hier.hit"
+                } else {
+                    "serve.hier.miss"
+                },
+                1,
+            );
+            Some((plan, hit))
         }
-        let _sp = obs::span("serve.hier-plan");
-        let (plan, hit) = shared
-            .caches
-            .hier_plan(
-                &req.topology,
-                &oracle,
-                req.hierarchy.as_deref(),
-                req.hier_dist.as_deref(),
-            )
-            .map_err(bad_spec)?;
-        obs::counter_add(
-            if hit {
-                "serve.hier.hit"
-            } else {
-                "serve.hier.miss"
-            },
-            1,
-        );
-        (
-            Box::new(hier_mapper_from_plan(&plan, shared.par)),
-            Some(hit),
-        )
-    } else {
-        if req.hier_dist.is_some() {
-            return Err(bad_spec(
-                "hier_dist needs a hierarchy (or mapper 'hier')".to_string(),
-            ));
-        }
-        (
-            parse_mapper_with_init(&req.mapper, req.init.as_deref(), req.seed, shared.par)
-                .map_err(bad_spec)?,
-            None,
-        )
+        None => None,
     };
-    if hierarchical && req.init.is_some() {
-        return Err(bad_spec(
-            "init only applies to the 'refine' mapper, not hierarchies".to_string(),
-        ));
-    }
+    let hier_cache_hit = plan.as_ref().map(|&(_, hit)| hit);
+    let mapper = spec
+        .build(req.seed, shared.par, plan.as_ref().map(|(p, _)| &**p))
+        .map_err(bad_spec)?;
 
     validate_database(&req.database)?;
     let tasks = req.database.to_task_graph();
@@ -676,11 +642,12 @@ fn map_job(
     // Hilbert SFC mapper — a worse-but-on-time answer instead of a
     // guaranteed Deadline error. Coordinate-bearing workloads get their
     // real geometry; others fall back to the BFS-layering embedding.
+    let hierarchical = matches!(spec, MapperSpec::Hier { .. });
     let fast_lane_used = if req.fast_lane.unwrap_or(false) && !hierarchical {
         match deadline {
             Some(d) => {
                 let remaining = d.saturating_duration_since(Instant::now());
-                estimated_cost(&req.mapper, tasks.num_tasks(), oracle.num_nodes()) > remaining
+                spec.estimated_cost(tasks.num_tasks(), oracle.num_nodes()) > remaining
             }
             None => false,
         }

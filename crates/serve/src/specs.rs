@@ -6,8 +6,9 @@
 //! |------|----------|
 //! | topology | `torus:8x8`, `mesh:4x4x4`, `hypercube:6`, `ring:16`, `star:9`, `crossbar:8`, `fattree:4:3`, `dragonfly:4:8` |
 //! | pattern | `stencil2d:16x16`, `stencil3d:8x8x8`, `pstencil2d:8x8` (periodic), `leanmd:64`, `ring:32`, `all2all:16`, `butterfly:64`, `transpose:8`, `sweep2d:6x6`, `tree:32`, `random:100:4` |
-//! | mapper | `random`, `topolb`, `topolb-first`, `topolb-third`, `topocentlb`, `refine`, `identity`, `linear`, `anneal`, `genetic`, `hier` |
+//! | mapper | every name in [`MapperSpec::NAMES`]: `topolb`, `refine`, `hier`, `sfc`, … (an unknown name's error lists them all) |
 
+use std::time::Duration;
 use topomap_core::{
     auto_arities, Curve, EstimationOrder, GeneticMap, HierMapper, IdentityMap, LinearOrderMap,
     Mapper, Parallelism, RandomMap, RcbMap, RefineTopoLb, SfcMap, SimulatedAnnealingMap,
@@ -311,89 +312,231 @@ pub fn hier_mapper_from_plan(plan: &HierPlan, par: Parallelism) -> HierMapper {
     mapper.with_parallelism(par)
 }
 
-/// Build a [`HierMapper`] from hierarchy specs: [`parse_hier_plan`] +
-/// [`hier_mapper_from_plan`] in one call (the CLI path; the server
-/// splits them to cache the plan).
-pub fn parse_hier_mapper(
-    topo_spec: &str,
-    topo: &dyn Topology,
-    hier_spec: Option<&str>,
-    dist_spec: Option<&str>,
-    par: Parallelism,
-) -> Result<Box<dyn Mapper>, String> {
-    let plan = parse_hier_plan(topo_spec, topo, hier_spec, dist_spec)?;
-    Ok(Box::new(hier_mapper_from_plan(&plan, par)))
+/// A mapper request parsed once: which mapper, and how it composes with a
+/// warm start or a hardware hierarchy. The CLI flags and the wire fields
+/// (`mapper`, `init`, `hierarchy`, `hier_dist`) both resolve through
+/// [`MapperSpec::parse`], so every combination rule and every mapper name
+/// lives here and nowhere else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MapperSpec {
+    Random,
+    TopoLb(EstimationOrder),
+    TopoCentLb,
+    /// RefineTopoLB over `init`'s mapping (a plain `refine` starts from
+    /// second-order TopoLB).
+    Refine {
+        init: Box<MapperSpec>,
+    },
+    Identity,
+    Linear,
+    Anneal,
+    Genetic,
+    Sfc(Curve),
+    Rcb,
+    /// The hierarchical mapper; the raw `H` / `D` specs are resolved
+    /// against the machine by [`parse_hier_plan`] (`None` = auto-chosen
+    /// arities / distances derived from the machine).
+    Hier {
+        arities: Option<String>,
+        dists: Option<String>,
+    },
 }
 
-/// Resolve a mapper spec. `par` configures the deterministic parallel
-/// execution layer for the mappers that support it.
-pub fn parse_mapper(spec: &str, seed: u64, par: Parallelism) -> Result<Box<dyn Mapper>, String> {
-    match spec {
-        "random" => Ok(Box::new(RandomMap::new(seed))),
-        "topolb" => Ok(Box::new(TopoLb {
-            par,
-            ..TopoLb::default()
-        })),
-        "topolb-first" => Ok(Box::new(TopoLb::with_parallelism(
-            EstimationOrder::First,
-            par,
-        ))),
-        "topolb-third" => Ok(Box::new(TopoLb::with_parallelism(
-            EstimationOrder::Third,
-            par,
-        ))),
-        "topocentlb" => Ok(Box::new(TopoCentLb)),
-        "refine" => Ok(Box::new(RefineTopoLb::with_parallelism(
-            TopoLb {
+/// Writes [`MapperSpec::NAMES`] and `MapperSpec::from_name` from one list
+/// of `name => spec` rows, so the two cannot drift.
+macro_rules! mapper_table {
+    ($($name:literal => $spec:expr,)*) => {
+        /// Every mapper name, in the order help text lists them.
+        pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+        /// Resolve a bare mapper name.
+        fn from_name(name: &str) -> Result<MapperSpec, String> {
+            Ok(match name {
+                $($name => $spec,)*
+                other => {
+                    return Err(format!(
+                        "unknown mapper '{other}' (try {})",
+                        Self::NAMES.join("/")
+                    ))
+                }
+            })
+        }
+    };
+}
+
+impl MapperSpec {
+    mapper_table! {
+        "random" => MapperSpec::Random,
+        "topolb" => MapperSpec::TopoLb(EstimationOrder::Second),
+        "topolb-first" => MapperSpec::TopoLb(EstimationOrder::First),
+        "topolb-third" => MapperSpec::TopoLb(EstimationOrder::Third),
+        "topocentlb" => MapperSpec::TopoCentLb,
+        "refine" => MapperSpec::Refine {
+            init: Box::new(MapperSpec::TopoLb(EstimationOrder::Second)),
+        },
+        "identity" => MapperSpec::Identity,
+        "linear" => MapperSpec::Linear,
+        "anneal" => MapperSpec::Anneal,
+        "genetic" => MapperSpec::Genetic,
+        "hier" => MapperSpec::Hier {
+            arities: None,
+            dists: None,
+        },
+        "sfc" => MapperSpec::Sfc(Curve::Hilbert),
+        "sfc-morton" => MapperSpec::Sfc(Curve::Morton),
+        "rcb" => MapperSpec::Rcb,
+    }
+
+    /// Resolve the four request fields (the CLI flags of the same
+    /// names). A hierarchy selects `hier` (the mapper name may then be
+    /// omitted); `init` warm-starts `refine` and nothing else (the
+    /// near-linear geometric mappers make good inits: same final quality,
+    /// far fewer accepted passes); `hier_dist` needs a hierarchy.
+    pub fn parse(
+        mapper: Option<&str>,
+        init: Option<&str>,
+        hierarchy: Option<&str>,
+        hier_dist: Option<&str>,
+    ) -> Result<MapperSpec, String> {
+        if hierarchy.is_some() || mapper == Some("hier") {
+            if let Some(other) = mapper.filter(|&m| m != "hier") {
+                return Err(format!(
+                    "a hierarchy selects the hierarchical mapper; drop mapper '{other}' \
+                     (or spell it 'hier')"
+                ));
+            }
+            if init.is_some() {
+                return Err("init only applies to the 'refine' mapper, not hierarchies".into());
+            }
+            return Ok(MapperSpec::Hier {
+                arities: hierarchy.map(str::to_string),
+                dists: hier_dist.map(str::to_string),
+            });
+        }
+        if hier_dist.is_some() {
+            return Err("hier-dist needs a hierarchy (or mapper 'hier')".into());
+        }
+        let name =
+            mapper.ok_or("no mapper given: name one, or give a hierarchy (it selects 'hier')")?;
+        let Some(init) = init else {
+            return Self::from_name(name);
+        };
+        if name != "refine" {
+            return Err(format!(
+                "--init only applies to the 'refine' mapper (got '{name}')"
+            ));
+        }
+        let init = Self::from_name(init).map_err(|e| format!("bad --init mapper: {e}"))?;
+        Ok(MapperSpec::Refine {
+            init: Box::new(init),
+        })
+    }
+
+    /// The raw `H` / `D` specs the mapper (or its warm start) needs
+    /// resolved into a [`HierPlan`]; `None` = no hierarchy involved.
+    pub fn hier_specs(&self) -> Option<(Option<&str>, Option<&str>)> {
+        match self {
+            MapperSpec::Hier { arities, dists } => Some((arities.as_deref(), dists.as_deref())),
+            MapperSpec::Refine { init } => init.hier_specs(),
+            _ => None,
+        }
+    }
+
+    /// Instantiate the mapper. `par` configures the deterministic
+    /// parallel execution layer for the mappers that support it; `plan`
+    /// is the resolved [`hier_specs`](Self::hier_specs) — from
+    /// [`parse_hier_plan`] in the CLI, the LRU in the server.
+    pub fn build(
+        &self,
+        seed: u64,
+        par: Parallelism,
+        plan: Option<&HierPlan>,
+    ) -> Result<Box<dyn Mapper>, String> {
+        Ok(match self {
+            MapperSpec::Random => Box::new(RandomMap::new(seed)),
+            MapperSpec::TopoLb(order) => Box::new(TopoLb::with_parallelism(*order, par)),
+            MapperSpec::TopoCentLb => Box::new(TopoCentLb),
+            MapperSpec::Refine { init } => Box::new(RefineTopoLb::with_parallelism(
+                init.build(seed, par, plan)?,
                 par,
-                ..TopoLb::default()
-            },
-            par,
-        ))),
-        "identity" => Ok(Box::new(IdentityMap)),
-        "linear" => Ok(Box::new(LinearOrderMap::bfs())),
-        "anneal" => Ok(Box::new(SimulatedAnnealingMap {
-            par,
-            ..SimulatedAnnealingMap::new(seed)
-        })),
-        "genetic" => Ok(Box::new(GeneticMap {
-            par,
-            ..GeneticMap::new(seed)
-        })),
-        "sfc" => Ok(Box::new(SfcMap::with_parallelism(Curve::Hilbert, par))),
-        "sfc-morton" => Ok(Box::new(SfcMap::with_parallelism(Curve::Morton, par))),
-        "rcb" => Ok(Box::new(RcbMap::with_parallelism(par))),
-        other => Err(format!(
-            "unknown mapper '{other}' (try random/topolb/topolb-first/topolb-third/\
-             topocentlb/refine/identity/linear/anneal/genetic/sfc/sfc-morton/rcb)"
-        )),
+            )),
+            MapperSpec::Identity => Box::new(IdentityMap),
+            MapperSpec::Linear => Box::new(LinearOrderMap::bfs()),
+            MapperSpec::Anneal => Box::new(SimulatedAnnealingMap {
+                par,
+                ..SimulatedAnnealingMap::new(seed)
+            }),
+            MapperSpec::Genetic => Box::new(GeneticMap {
+                par,
+                ..GeneticMap::new(seed)
+            }),
+            MapperSpec::Sfc(curve) => Box::new(SfcMap::with_parallelism(*curve, par)),
+            MapperSpec::Rcb => Box::new(RcbMap::with_parallelism(par)),
+            MapperSpec::Hier { .. } => Box::new(hier_mapper_from_plan(
+                plan.ok_or("mapper 'hier' needs the machine: resolve a hierarchy plan first")?,
+                par,
+            )),
+        })
+    }
+
+    /// [`build`](Self::build) on a plan derived from the machine itself
+    /// (the uncached path: CLI, experiments, tests).
+    pub fn build_on(
+        &self,
+        topo_spec: &str,
+        topo: &dyn Topology,
+        seed: u64,
+        par: Parallelism,
+    ) -> Result<Box<dyn Mapper>, String> {
+        let plan = self
+            .hier_specs()
+            .map(|(h, d)| parse_hier_plan(topo_spec, topo, h, d))
+            .transpose()?;
+        self.build(seed, par, plan.as_ref())
+    }
+
+    /// Rough wall-clock estimate on an n-task, p-processor job, used only
+    /// by the server's fast-lane decision. The quadratic greedy mappers
+    /// touch ~n·p candidate cells; `refine` multiplies that by its sweep
+    /// passes; the search heuristics by their population/schedule
+    /// factor. The near-linear mappers never trip the estimate.
+    pub fn estimated_cost(&self, n: usize, p: usize) -> Duration {
+        // `core.topolb.ns_per_cell` of the repo benchmark
+        // (benchmark/README.md): 15 on `place_weighted` (the generic f64
+        // kernel), 2.2 on `place_uniform`. One constant, the slower
+        // kernel's: under-estimating lets a job miss its deadline,
+        // over-estimating only swaps in the SFC lane early.
+        const CELL_NS: u64 = 15;
+        let cells = (n as u64).saturating_mul(p as u64);
+        let ns = match self {
+            MapperSpec::TopoLb(_) | MapperSpec::TopoCentLb => cells.saturating_mul(CELL_NS),
+            MapperSpec::Refine { .. } => cells.saturating_mul(CELL_NS * 4),
+            MapperSpec::Anneal | MapperSpec::Genetic => cells.saturating_mul(CELL_NS * 8),
+            MapperSpec::Random
+            | MapperSpec::Identity
+            | MapperSpec::Linear
+            | MapperSpec::Sfc(_)
+            | MapperSpec::Rcb
+            | MapperSpec::Hier { .. } => (n as u64).saturating_mul(200),
+        };
+        Duration::from_nanos(ns)
     }
 }
 
-/// Resolve a mapper spec with an optional warm-start: `--init I` turns
-/// `refine` into a refinement of mapper `I`'s output instead of the
-/// default cold TopoLB start (the near-linear geometric mappers make
-/// good inits: same final quality, far fewer accepted passes). Only the
-/// `refine` spec accepts an init.
+/// Resolve and build a bare mapper name ([`MapperSpec::parse`] +
+/// [`MapperSpec::build`] without a machine, so no `hier`).
+pub fn parse_mapper(spec: &str, seed: u64, par: Parallelism) -> Result<Box<dyn Mapper>, String> {
+    parse_mapper_with_init(spec, None, seed, par)
+}
+
+/// [`parse_mapper`] with an optional warm start for `refine`.
 pub fn parse_mapper_with_init(
     spec: &str,
     init: Option<&str>,
     seed: u64,
     par: Parallelism,
 ) -> Result<Box<dyn Mapper>, String> {
-    match init {
-        None => parse_mapper(spec, seed, par),
-        Some(init_spec) => {
-            if spec != "refine" {
-                return Err(format!(
-                    "--init only applies to the 'refine' mapper (got '{spec}')"
-                ));
-            }
-            let inner = parse_mapper(init_spec, seed, par)
-                .map_err(|e| format!("bad --init mapper: {e}"))?;
-            Ok(Box::new(RefineTopoLb::with_parallelism(inner, par)))
-        }
-    }
+    MapperSpec::parse(Some(spec), init, None, None)?.build(seed, par, None)
 }
 
 #[cfg(test)]
@@ -469,29 +612,68 @@ mod tests {
         assert!(per.num_edges() > open.num_edges());
     }
 
+    /// Walks [`MapperSpec::NAMES`]: a mapper added to the table is
+    /// parsed, built, run and priced here without touching this test.
     #[test]
     fn mapper_specs_parse() {
-        for spec in [
-            "random",
-            "topolb",
-            "topolb-first",
-            "topolb-third",
-            "topocentlb",
-            "refine",
-            "identity",
-            "linear",
-            "anneal",
-            "genetic",
-            "sfc",
-            "sfc-morton",
-            "rcb",
-        ] {
-            assert!(
-                parse_mapper(spec, 1, Parallelism::default()).is_ok(),
-                "{spec}"
-            );
+        let par = Parallelism::default();
+        let machine = parse_topology("torus:4x4").unwrap();
+        let topo = machine.as_topology();
+        let tasks = parse_pattern("stencil2d:4x4", 1024.0, 1).unwrap();
+        let unknown = MapperSpec::parse(Some("bogus"), None, None, None).unwrap_err();
+        for &name in MapperSpec::NAMES {
+            let spec = MapperSpec::parse(Some(name), None, None, None)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mapper = spec
+                .build_on("torus:4x4", topo, 1, par)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!mapper.name().is_empty(), "{name}");
+            let mut seen = [false; 16];
+            for &proc in mapper.map(&tasks, topo).as_slice() {
+                assert!(!std::mem::replace(&mut seen[proc], true), "{name}: {proc}");
+            }
+            assert!(!spec.estimated_cost(16, 16).is_zero(), "{name}");
+            assert!(unknown.contains(name), "'{name}' missing from: {unknown}");
         }
-        assert!(parse_mapper("bogus", 1, Parallelism::default()).is_err());
+    }
+
+    #[test]
+    fn combination_rules_live_in_parse() {
+        let hier = |h: Option<&str>, d: Option<&str>| MapperSpec::Hier {
+            arities: h.map(str::to_string),
+            dists: d.map(str::to_string),
+        };
+        // A hierarchy selects `hier`, with or without the name.
+        let parse = MapperSpec::parse;
+        assert_eq!(
+            parse(None, None, Some("4:4"), None),
+            Ok(hier(Some("4:4"), None))
+        );
+        assert_eq!(
+            parse(Some("hier"), None, Some("4:4"), Some("1:2")),
+            Ok(hier(Some("4:4"), Some("1:2")))
+        );
+        assert_eq!(parse(Some("hier"), None, None, None), Ok(hier(None, None)));
+        for (mapper, init, h, d, needle) in [
+            (
+                Some("topolb"),
+                None,
+                Some("4:4"),
+                None,
+                "drop mapper 'topolb'",
+            ),
+            (Some("hier"), Some("sfc"), None, None, "not hierarchies"),
+            (Some("topolb"), None, None, Some("1:2"), "needs a hierarchy"),
+            (None, None, None, None, "no mapper given"),
+        ] {
+            let err = parse(mapper, init, h, d).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
+        // Without a machine there is no plan to build `hier` on.
+        let err = parse_mapper("hier", 1, Parallelism::default())
+            .err()
+            .expect("hier needs a machine");
+        assert!(err.contains("needs the machine"), "{err}");
     }
 
     #[test]
@@ -519,28 +701,28 @@ mod tests {
     #[test]
     fn hier_mapper_specs_parse() {
         let par = Parallelism::default();
+        let name = |spec: &str, topo: &ParsedTopology, h: Option<&str>, d: Option<&str>| {
+            let plan = parse_hier_plan(spec, topo.as_topology(), h, d)
+                .unwrap_or_else(|e| panic!("{h:?}: {e}"));
+            hier_mapper_from_plan(&plan, par).name()
+        };
         // Torus gets a factored block layout; auto arities when omitted.
         let torus = parse_topology("torus:8x8").unwrap();
         for h in [Some("4:4:4"), Some("16:4"), None] {
-            let m = parse_hier_mapper("torus:8x8", torus.as_topology(), h, None, par)
-                .unwrap_or_else(|e| panic!("{h:?}: {e}"));
-            assert!(m.name().starts_with("HierMapper("), "{}", m.name());
+            let n = name("torus:8x8", &torus, h, None);
+            assert!(n.starts_with("HierMapper("), "{n}");
         }
         // Fat-trees (and any non-grid machine) take the identity layout.
         let ft = parse_topology("fattree:2:3").unwrap();
-        let m =
-            parse_hier_mapper("fattree:2:3", ft.as_topology(), Some("2:2:2"), None, par).unwrap();
-        assert_eq!(m.name(), "HierMapper(2:2:2)");
+        assert_eq!(
+            name("fattree:2:3", &ft, Some("2:2:2"), None),
+            "HierMapper(2:2:2)"
+        );
         // Explicit distance ladder.
-        let m = parse_hier_mapper(
-            "fattree:2:3",
-            ft.as_topology(),
-            Some("2:2:2"),
-            Some("1:10:100"),
-            par,
-        )
-        .unwrap();
-        assert_eq!(m.name(), "HierMapper(2:2:2)");
+        assert_eq!(
+            name("fattree:2:3", &ft, Some("2:2:2"), Some("1:10:100")),
+            "HierMapper(2:2:2)"
+        );
     }
 
     #[test]
@@ -557,7 +739,6 @@ mod tests {
 
     #[test]
     fn malformed_hierarchy_specs_rejected() {
-        let par = Parallelism::default();
         let torus = parse_topology("torus:8x8").unwrap();
         for (h, d, needle) in [
             // Zero-arity level.
@@ -573,10 +754,8 @@ mod tests {
             // Decreasing distances.
             ("4:4:4", Some("10:5:1"), "non-decreasing"),
         ] {
-            let err = match parse_hier_mapper("torus:8x8", torus.as_topology(), Some(h), d, par) {
-                Ok(_) => panic!("H={h} D={d:?} should fail"),
-                Err(e) => e,
-            };
+            let err = parse_hier_plan("torus:8x8", torus.as_topology(), Some(h), d)
+                .expect_err("malformed spec");
             assert!(err.contains(needle), "H={h} D={d:?}: {err}");
         }
     }

@@ -454,6 +454,23 @@ fn fast_lane_rescues_deadline_and_warm_start_serves() {
         other => panic!("{other:?}"),
     }
 
+    // Opted in with budget to spare: the lane stays closed, says so, and
+    // the requested mapper's own answer comes back.
+    let mut roomy = request_for(&SCENARIOS[0], 22);
+    roomy.fast_lane = Some(true);
+    roomy.deadline_ms = Some(60_000);
+    match client.map(roomy).unwrap() {
+        Response::MapOk {
+            fast_lane_used,
+            proc_of_task,
+            ..
+        } => {
+            assert_eq!(fast_lane_used, Some(false));
+            assert_eq!(proc_of_task, direct_mapping(&SCENARIOS[0]));
+        }
+        other => panic!("{other:?}"),
+    }
+
     // Warm start over the wire: refine(init=sfc) matches the direct run.
     let mut warm = request_for(&SCENARIOS[0], 23);
     warm.mapper = "refine".to_string();

@@ -302,12 +302,6 @@ impl Hierarchy {
         &self.dists
     }
 
-    /// Processors per level-`i` container (0-based level index:
-    /// `block(0) = a1`).
-    pub fn block(&self, level: usize) -> usize {
-        self.prefix[level]
-    }
-
     /// The `H` spec string, e.g. `"4:8:16"`.
     pub fn shape_spec(&self) -> String {
         join_seq(&self.arities)

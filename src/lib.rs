@@ -54,10 +54,10 @@ pub use topomap_topology as topology;
 pub mod prelude {
     pub use topomap_core::metrics::{hop_bytes, hops_per_byte};
     pub use topomap_core::{
-        synthesize_coords, ContentionRefine, ContentionReport, Curve, Descent, EstimationOrder,
-        GeneticMap, GeomError, HierMapper, IdentityMap, LinearOrderMap, Mapper, Mapping,
-        Parallelism, RandomMap, RcbMap, RefineTopoLb, SfcMap, SimObservation,
-        SimulatedAnnealingMap, Threads, TopoCentLb, TopoLb,
+        synthesize_coords, ContentionRefine, ContentionReport, Curve, EstimationOrder, GeneticMap,
+        GeomError, HierMapper, IdentityMap, LinearOrderMap, Mapper, Mapping, Parallelism,
+        RandomMap, RcbMap, RefineTopoLb, SfcMap, SimObservation, SimulatedAnnealingMap, Threads,
+        TopoCentLb, TopoLb,
     };
     pub use topomap_netsim::{
         contention_oracle, NetworkConfig, SimReport, SimStats, Simulation, Trace,

@@ -50,6 +50,34 @@ fn topology_for(idx: usize, min_nodes: usize) -> Box<dyn Topology> {
     }
 }
 
+/// The four hierarchy families: each pairs a machine with a hierarchy
+/// over >= 25 slots (factored torus, factored mesh, fat-tree, identity
+/// layout over an arbitrary metric).
+fn hier_family(family: usize) -> (Box<dyn Topology>, HierMapper) {
+    match family {
+        0 => {
+            let t = Torus::torus_2d(8, 8);
+            let h = HierMapper::for_torus_with(&t, &[4, 4, 4]).unwrap();
+            (Box::new(t), h)
+        }
+        1 => {
+            let t = Torus::mesh(&[6, 6]);
+            let h = HierMapper::for_torus_with(&t, &[6, 6]).unwrap();
+            (Box::new(t), h)
+        }
+        2 => {
+            let ft = FatTree::new(2, 5);
+            let h = HierMapper::new(Hierarchy::from_fattree(&ft));
+            (Box::new(ft), h)
+        }
+        _ => {
+            let ring = GraphTopology::ring(32);
+            let h = HierMapper::new(Hierarchy::identity_over(&ring, &[4, 4, 2]).unwrap());
+            (Box::new(ring), h)
+        }
+    }
+}
+
 const ORDERS: [EstimationOrder; 3] = [
     EstimationOrder::First,
     EstimationOrder::Second,
@@ -118,49 +146,19 @@ proptest! {
         prop_assert!(after <= before + 1e-9, "{before} -> {after} at {threads} threads");
     }
 
-    /// HierMapper: both descent schemes fan leaf sub-mappings (and the
-    /// cross-leaf refinement units) onto the pool; results must be
-    /// bit-identical to the serial run on every hierarchy family.
+    /// HierMapper fans leaf sub-mappings (and the cross-leaf refinement
+    /// units) onto the pool; results must be bit-identical to the serial
+    /// run on every hierarchy family.
     #[test]
     fn hier_mapper_parallel_matches_serial(
         g in arb_task_graph(),
         family in 0usize..4,
-        multisection in any::<bool>(),
     ) {
-        // Each family pairs a machine with a hierarchy over >= 25 slots.
-        let (topo, base): (Box<dyn Topology>, HierMapper) = match family {
-            0 => {
-                let t = Torus::torus_2d(8, 8);
-                let h = HierMapper::for_torus_with(&t, &[4, 4, 4]).unwrap();
-                (Box::new(t), h)
-            }
-            1 => {
-                let t = Torus::mesh(&[6, 6]);
-                let h = HierMapper::for_torus_with(&t, &[6, 6]).unwrap();
-                (Box::new(t), h)
-            }
-            2 => {
-                let ft = FatTree::new(2, 5);
-                let h = HierMapper::new(Hierarchy::from_fattree(&ft));
-                (Box::new(ft), h)
-            }
-            _ => {
-                let ring = GraphTopology::ring(32);
-                let h = HierMapper::new(Hierarchy::identity_over(&ring, &[4, 4, 2]).unwrap());
-                (Box::new(ring), h)
-            }
-        };
-        let mut base = base;
-        if multisection {
-            base.descent = Descent::Multisection;
-        }
+        let (topo, base) = hier_family(family);
         let serial = base.clone().with_parallelism(Parallelism::serial()).map(&g, topo.as_ref());
         for threads in [2, 8] {
             let par = base.clone().with_parallelism(eager(threads)).map(&g, topo.as_ref());
-            prop_assert_eq!(
-                &serial, &par,
-                "family {}, multisection {}, {} threads", family, multisection, threads
-            );
+            prop_assert_eq!(&serial, &par, "family {}, {} threads", family, threads);
         }
     }
 
@@ -273,6 +271,28 @@ fn stress_repeated_parallel_runs_are_identical() {
             want,
             "run {run} diverged from the serial reference"
         );
+    }
+}
+
+/// The hierarchy descent's hop-bytes on one fixed graph per family,
+/// captured at the last commit that still carried a second (top-down)
+/// descent: deleting that fork must not move a bit of what the
+/// bottom-up descent produces, at any thread count.
+#[test]
+fn hier_mapper_hop_bytes_match_goldens() {
+    const GOLDEN: [f64; 4] = [
+        31467.737943903616,
+        30145.090032042215,
+        108111.5729258356,
+        51732.321376173444,
+    ];
+    for (family, want) in GOLDEN.into_iter().enumerate() {
+        let (topo, base) = hier_family(family);
+        let g = gen::random_graph(24, 3.0, 1.0, 1000.0, 7 + family as u64);
+        for par in [Parallelism::serial(), eager(8)] {
+            let m = base.clone().with_parallelism(par).map(&g, topo.as_ref());
+            assert_eq!(hop_bytes(&g, topo.as_ref(), &m), want, "family {family}");
+        }
     }
 }
 
