@@ -23,40 +23,23 @@
 //! - the profiled run records `contention.sims > 0` and a
 //!   `contention.refine` span, stamped as `PROFILE_contention.json`.
 //!
-//! Results land in `BENCH_contention.json`.
-//!
 //! Run: `cargo run -p topomap-bench --release --bin exp_contention [--threads N]`
 
-use serde::Serialize;
 use topomap_bench::print_table;
-use topomap_core::metrics::hops_per_byte;
 use topomap_core::{obs, ContentionRefine, Mapper, Mapping, Parallelism, RefineTopoLb, TopoLb};
 use topomap_netsim::config::NicModel;
 use topomap_netsim::{contention_oracle, trace, NetworkConfig, Simulation, Trace};
 use topomap_taskgraph::{gen, TaskGraph};
 use topomap_topology::{Dragonfly, RoutedTopology, Torus};
 
-#[derive(Serialize)]
 struct Row {
     scenario: String,
     machine: String,
-    tasks: usize,
     hb_makespan_ms: f64,
     contention_makespan_ms: f64,
     improvement_pct: f64,
-    iterations: usize,
     sims_run: usize,
     accepted: usize,
-    hb_hpb: f64,
-    contention_hpb: f64,
-}
-
-#[derive(Serialize)]
-struct ContentionBench {
-    schema: u32,
-    threads: usize,
-    rows: Vec<Row>,
-    profiled_sims: u64,
 }
 
 fn threads_arg() -> usize {
@@ -174,15 +157,11 @@ fn run_scenario(sc: &Scenario, par: Parallelism) -> Row {
     Row {
         scenario: sc.name.to_string(),
         machine: topo.name(),
-        tasks: sc.tasks.num_tasks(),
         hb_makespan_ms: hb_stats.completion_ns as f64 / 1e6,
         contention_makespan_ms: report.final_makespan_ns as f64 / 1e6,
         improvement_pct: report.improvement_pct(),
-        iterations: report.iterations,
         sims_run: report.sims_run,
         accepted: report.accepted,
-        hb_hpb: hops_per_byte(&sc.tasks, topo, &hb),
-        contention_hpb: hops_per_byte(&sc.tasks, topo, &refined),
     }
 }
 
@@ -250,19 +229,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let bench = ContentionBench {
-        schema: 1,
-        threads,
-        rows,
-        profiled_sims,
-    };
-    std::fs::write(
-        "BENCH_contention.json",
-        serde_json::to_string_pretty(&bench).expect("serialize BENCH_contention"),
-    )
-    .unwrap_or_else(|e| panic!("write BENCH_contention.json: {e}"));
-
-    for r in &bench.rows {
+    for r in &rows {
         assert!(
             r.contention_makespan_ms <= r.hb_makespan_ms + 1e-9,
             "{}: contention-refined {:.3} ms worse than hop-bytes-refined {:.3} ms",
@@ -271,11 +238,11 @@ fn main() {
             r.hb_makespan_ms
         );
     }
-    let degraded = &bench.rows[0];
+    let degraded = &rows[0];
     assert!(
         degraded.improvement_pct >= 5.0,
         "degraded-torus row gained only {:.2}% (< 5%)",
         degraded.improvement_pct
     );
-    println!("\nContention refinement gate PASSED (BENCH_contention.json).");
+    println!("\nContention refinement gate PASSED.");
 }

@@ -18,11 +18,8 @@
 //!   (no geometry — the BFS-layering fallback synthesizes it) both
 //!   geometric mappers still beat random placement.
 //!
-//! Results land in `BENCH_geom.json` (one serde-serialized document).
-//!
 //! Run: `cargo run -p topomap-bench --release --bin exp_geom [--threads N]`
 
-use serde::Serialize;
 use std::time::Instant;
 use topomap_bench::{f3, print_table};
 use topomap_core::metrics::hops_per_byte;
@@ -51,25 +48,20 @@ fn best_of_3(f: impl Fn() -> Mapping) -> (f64, Mapping) {
     (best, m)
 }
 
-#[derive(Serialize)]
 struct MapperRecord {
     mapper: String,
     ms: f64,
     hpb: f64,
 }
 
-#[derive(Serialize)]
 struct SizeRecord {
     p: usize,
-    workload: String,
     topolb_ms: f64,
     topolb_hpb: f64,
     mappers: Vec<MapperRecord>,
 }
 
-#[derive(Serialize)]
 struct WarmStart {
-    workload: String,
     cold_ms: f64,
     cold_hpb: f64,
     cold_accepted: usize,
@@ -80,34 +72,14 @@ struct WarmStart {
     warm_passes: u64,
 }
 
-#[derive(Serialize)]
 struct NetsimRecord {
     mapper: String,
     completion_ms: f64,
 }
 
-#[derive(Serialize)]
 struct LeanMdRecord {
     mapper: String,
     hpb: f64,
-}
-
-#[derive(Serialize)]
-struct SmokeRecord {
-    mapper: String,
-    ms: f64,
-    hpb: f64,
-}
-
-#[derive(Serialize)]
-struct GeomBench {
-    schema: u32,
-    threads: usize,
-    sizes: Vec<SizeRecord>,
-    warm_start: WarmStart,
-    netsim_1024: Vec<NetsimRecord>,
-    leanmd_1024: Vec<LeanMdRecord>,
-    smoke_16384: Vec<SmokeRecord>,
 }
 
 fn threads_arg() -> usize {
@@ -160,7 +132,6 @@ fn size_record(
     }
     SizeRecord {
         p,
-        workload: workload.to_string(),
         topolb_ms: flat_secs * 1e3,
         topolb_hpb: flat_hpb,
         mappers,
@@ -218,7 +189,7 @@ fn main() {
     // On a coordinate-bearing workload the geometric seed must match the
     // cold pipeline's quality in no more refinement passes / accepted
     // exchanges, while skipping the quadratic seeding cost entirely.
-    let warm_pipeline = |workload: &str, tasks: &TaskGraph, topo: &dyn Topology| {
+    let warm_pipeline = |tasks: &TaskGraph, topo: &dyn Topology| {
         let seeded_refine = |seed: &dyn Mapper| {
             let run = || {
                 let mut m = seed.map(tasks, topo);
@@ -245,7 +216,6 @@ fn main() {
         let sfc = SfcMap::with_parallelism(Curve::Hilbert, par);
         let (warm_secs, (warm_m, warm_accepted, warm_passes)) = seeded_refine(&sfc);
         WarmStart {
-            workload: workload.to_string(),
             cold_ms: cold_secs * 1e3,
             cold_hpb: hops_per_byte(tasks, topo, &cold_m),
             cold_accepted,
@@ -256,11 +226,8 @@ fn main() {
             warm_passes,
         }
     };
-    let warm_start = warm_pipeline(
-        "pstencil2d:32x32",
-        &gen::stencil2d(32, 32, 1024.0, true),
-        &topo_1024,
-    );
+    // The periodic variant of the 1024 stencil (`pstencil2d:32x32`).
+    let warm_start = warm_pipeline(&gen::stencil2d(32, 32, 1024.0, true), &topo_1024);
     println!(
         "\nwarm start (1024): cold RefineTopoLB hpb {} in {} pass(es), {} accepts, {:.2} ms; \
          sfc-seeded hpb {} in {} pass(es), {} accepts, {:.2} ms",
@@ -346,7 +313,7 @@ fn main() {
     let mut smoke_16384 = Vec::new();
     for mapper in geometric_mappers(par) {
         let (secs, m) = best_of_3(|| mapper.map(&tasks, &topo));
-        smoke_16384.push(SmokeRecord {
+        smoke_16384.push(MapperRecord {
             mapper: mapper.name(),
             ms: secs * 1e3,
             hpb: hops_per_byte(&tasks, &topo, &m),
@@ -361,23 +328,8 @@ fn main() {
         );
     }
 
-    let bench = GeomBench {
-        schema: 1,
-        threads,
-        sizes,
-        warm_start,
-        netsim_1024,
-        leanmd_1024,
-        smoke_16384,
-    };
-    std::fs::write(
-        "BENCH_geom.json",
-        serde_json::to_string_pretty(&bench).expect("serialize BENCH_geom"),
-    )
-    .unwrap_or_else(|e| panic!("write BENCH_geom.json: {e}"));
-
     // ---- Gates (all fatal; CI runs this binary as a check) ----
-    let r4096 = &bench.sizes[1];
+    let r4096 = &sizes[1];
     for m in &r4096.mappers {
         assert!(
             m.ms <= r4096.topolb_ms / 10.0,
@@ -387,7 +339,7 @@ fn main() {
             r4096.topolb_ms
         );
     }
-    for r in &bench.sizes {
+    for r in &sizes {
         for m in &r.mappers {
             assert!(
                 m.hpb <= 1.5 * r.topolb_hpb,
@@ -399,7 +351,7 @@ fn main() {
             );
         }
     }
-    let ws = &bench.warm_start;
+    let ws = &warm_start;
     assert!(
         ws.warm_hpb <= ws.cold_hpb * (1.0 + 1e-9),
         "warm start lost quality: sfc-seeded {:.4} > cold {:.4}",
@@ -418,8 +370,7 @@ fn main() {
     // both pipelines (the seeding speedup itself is gated per-size above),
     // so a wall comparison would only measure host noise.
     let sim_of = |name: &str| {
-        bench
-            .netsim_1024
+        netsim_1024
             .iter()
             .find(|r| r.mapper.starts_with(name))
             .unwrap()
@@ -432,8 +383,7 @@ fn main() {
         sim_of("TopoLB")
     );
     let lm_of = |name: &str| {
-        bench
-            .leanmd_1024
+        leanmd_1024
             .iter()
             .find(|r| r.mapper.starts_with(name))
             .unwrap()
@@ -447,7 +397,7 @@ fn main() {
             lm_of("Random")
         );
     }
-    for r in &bench.smoke_16384 {
+    for r in &smoke_16384 {
         let bound = if r.mapper.starts_with("SFC(Hilbert)") {
             1.0 + 1e-9
         } else {
@@ -460,5 +410,5 @@ fn main() {
             r.hpb
         );
     }
-    println!("\nGeometric fast-path gate PASSED (BENCH_geom.json).");
+    println!("\nGeometric fast-path gate PASSED.");
 }

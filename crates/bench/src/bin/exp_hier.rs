@@ -19,11 +19,8 @@
 //!   pool has more than one thread (the leaf phase really fanned out),
 //!   stamped as `PROFILE_hier_4096.json`.
 //!
-//! Results land in `BENCH_hier.json` (one serde-serialized document).
-//!
 //! Run: `cargo run -p topomap-bench --release --bin exp_hier [--threads N]`
 
-use serde::Serialize;
 use std::time::Instant;
 use topomap_bench::{f3, print_table};
 use topomap_core::metrics::hops_per_byte;
@@ -57,26 +54,13 @@ fn best_of_3(f: impl Fn() -> Mapping) -> (f64, Mapping) {
     (best, m)
 }
 
-#[derive(Serialize)]
 struct SizeRecord {
     p: usize,
-    threads: usize,
     flat_topolb_ms: f64,
     hier_ms: f64,
-    speedup: f64,
     flat_refine_hpb: f64,
     hier_hpb: f64,
     hpb_ratio: f64,
-}
-
-#[derive(Serialize)]
-struct HierBench {
-    schema: u32,
-    threads: usize,
-    sizes: Vec<SizeRecord>,
-    smoke_16384_ms: f64,
-    naive_576_unit_ms: f64,
-    parallel_regions: u64,
 }
 
 fn threads_arg() -> usize {
@@ -133,10 +117,8 @@ fn main() {
         ]);
         sizes.push(SizeRecord {
             p,
-            threads,
             flat_topolb_ms: flat_secs * 1e3,
             hier_ms: hier_secs * 1e3,
-            speedup: flat_secs / hier_secs,
             flat_refine_hpb: refine_hpb,
             hier_hpb,
             hpb_ratio: hier_hpb / refine_hpb,
@@ -192,28 +174,14 @@ fn main() {
         parallel_regions,
     );
 
-    let bench = HierBench {
-        schema: 1,
-        threads,
-        sizes,
-        smoke_16384_ms: smoke_secs * 1e3,
-        naive_576_unit_ms: unit * 1e3,
-        parallel_regions,
-    };
-    std::fs::write(
-        "BENCH_hier.json",
-        serde_json::to_string_pretty(&bench).expect("serialize BENCH_hier"),
-    )
-    .unwrap_or_else(|e| panic!("write BENCH_hier.json: {e}"));
-
-    let r4096 = &bench.sizes[1];
+    let r4096 = &sizes[1];
     assert!(
         r4096.hier_ms <= r4096.flat_topolb_ms / 3.0,
         "HierMapper lost its headline: {:.1} ms > flat {:.1} ms / 3 at 4096",
         r4096.hier_ms,
         r4096.flat_topolb_ms
     );
-    for r in &bench.sizes {
+    for r in &sizes {
         assert!(
             r.hpb_ratio <= 1.15,
             "hop-bytes regressed at p={}: hier {:.3} > 1.15 x refine {:.3}",
@@ -234,5 +202,5 @@ fn main() {
             "multi-threaded run never engaged the pool (par.regions.parallel = 0)"
         );
     }
-    println!("\nHierarchical mapping gate PASSED (BENCH_hier.json).");
+    println!("\nHierarchical mapping gate PASSED.");
 }

@@ -1,11 +1,11 @@
 //! Profiled smoke run: exercise every mapper family and one simulator
 //! run with the observability layer armed, validate the reports (span
 //! tree with at least three phases, non-zero counters), and stamp them
-//! as `PROFILE_<name>.json` next to the `BENCH_*.json` baselines.
+//! as `PROFILE_<name>.json` in the working directory (gitignored).
 //!
-//! This is the bench-side consumer of `topomap_core::obs`: the perf PRs
-//! that the ROADMAP queues up will diff these profiles to see where a
-//! change moved time, the same way BENCH_*.json anchors wall-clock.
+//! This is the bench-side consumer of `topomap_core::obs`: perf PRs diff
+//! these profiles to see where a change moved time; wall-clock numbers
+//! come from the benchmark (`benchmark/README.md`).
 //!
 //! Run: `cargo run -p topomap-bench --release --bin exp_profile [--full]`
 
@@ -106,7 +106,7 @@ fn main() {
     println!(
         "\nSimulated completion under the profiled TopoLB mapping: {:.3} ms;\n\
          every report validated (>= 3 phases, non-zero counters) and written\n\
-         next to the BENCH_*.json baselines.",
+         to the working directory.",
         stats.completion_ms()
     );
 }

@@ -8,8 +8,8 @@
 //! 576-node case is this host's unit of "pre-optimization work". The
 //! incremental kernel must map the 7.1x-larger 4096-node machine within
 //! 3x that unit. At the seed the production kernel itself took the
-//! oracle's ballpark on 576 nodes (~27.5 ms, `BENCH_par_vs_serial.json`
-//! TopoLB/576), and a kernel that slid back onto the quadratic cliff
+//! oracle's ballpark on 576 nodes (~27.5 ms, TopoLB/576 as measured at
+//! PR 6), and a kernel that slid back onto the quadratic cliff
 //! would pay ~50x the unit at 4096 — the gate fails loudly long before
 //! that.
 //!

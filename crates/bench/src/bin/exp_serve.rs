@@ -12,13 +12,13 @@
 //!   handful of machines, thousands of requests);
 //! - the server's own counters agree with the client-side tallies.
 //!
-//! Results land in `BENCH_serve.json`: throughput (requests/s) and
-//! client-observed p50/p99 latency, plus the server's final counters.
+//! Prints throughput (requests/s), client-observed p50/p99 latency and
+//! the server's final counters; the layered numbers are the benchmark's
+//! (`benchmark/README.md`, workloads `serve_small` / `serve_large`).
 //!
 //! Run: `cargo run -p topomap-bench --release --bin exp_serve
 //!       [--requests N] [--clients N] [--workers N] [--threads N]`
 
-use serde::Serialize;
 use std::thread;
 use std::time::Instant;
 use topomap_bench::{f2, print_table};
@@ -30,7 +30,6 @@ use topomap_serve::server::{spawn_ephemeral, ServeConfig};
 use topomap_serve::specs::{parse_pattern, parse_topology, MapperSpec};
 
 /// One request shape in the mixed workload.
-#[derive(Clone, Serialize)]
 struct Scenario {
     topology: &'static str,
     mapper: &'static str,
@@ -143,34 +142,6 @@ fn arg(name: &str, default: usize) -> usize {
                 .unwrap_or_else(|_| panic!("{name} takes an integer"))
         })
         .unwrap_or(default)
-}
-
-#[derive(Serialize)]
-struct StatsRecord {
-    requests: u64,
-    ok: u64,
-    busy: u64,
-    errors: u64,
-    oracle_hits: u64,
-    oracle_misses: u64,
-    hier_hits: u64,
-    hier_misses: u64,
-    oracle_hit_rate: f64,
-}
-
-#[derive(Serialize)]
-struct ServeBench {
-    schema: u32,
-    requests: usize,
-    clients: usize,
-    workers: usize,
-    threads: usize,
-    elapsed_s: f64,
-    throughput_rps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    stats: StatsRecord,
-    scenarios: Vec<Scenario>,
 }
 
 fn percentile(sorted_us: &[u64], p: f64) -> u64 {
@@ -294,35 +265,6 @@ fn main() {
         ],
     );
 
-    let bench = ServeBench {
-        schema: 1,
-        requests,
-        clients,
-        workers,
-        threads,
-        elapsed_s: elapsed,
-        throughput_rps: throughput,
-        p50_us: p50,
-        p99_us: p99,
-        stats: StatsRecord {
-            requests: final_stats.requests,
-            ok: final_stats.ok,
-            busy: final_stats.busy,
-            errors: final_stats.errors,
-            oracle_hits: final_stats.oracle_hits,
-            oracle_misses: final_stats.oracle_misses,
-            hier_hits: final_stats.hier_hits,
-            hier_misses: final_stats.hier_misses,
-            oracle_hit_rate: hit_rate,
-        },
-        scenarios: SCENARIOS.to_vec(),
-    };
-    std::fs::write(
-        "BENCH_serve.json",
-        serde_json::to_string_pretty(&bench).expect("serialize BENCH_serve"),
-    )
-    .unwrap_or_else(|e| panic!("write BENCH_serve.json: {e}"));
-
     // The gate. Bit-identity already asserted per response above.
     assert_eq!(
         total_ok, requests as u64,
@@ -340,5 +282,5 @@ fn main() {
         final_stats.hier_hits > 0,
         "hierarchy-plan cache never hit despite repeated hier requests"
     );
-    println!("\nMapping service gate PASSED (BENCH_serve.json).");
+    println!("\nMapping service gate PASSED.");
 }

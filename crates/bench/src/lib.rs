@@ -18,8 +18,19 @@
 //! | `exp_fig9`   | Figure 9 (completion time vs bandwidth) |
 //! | `exp_fig10_11` | Figures 10–11 (BlueGene 3D-torus/mesh iteration times) |
 //! | `exp_ablation` | our ablations (estimation order, refine passes, partitioner) |
+//! | `exp_physopt` | physical optimization (simulated-annealing / genetic search) vs the heuristics |
+//! | `exp_routing` | deterministic vs adaptive routing under the same mappings |
 //! | `exp_profile` | profiled smoke run: stamps `PROFILE_*.json` traces |
+//! | `exp_scaling` | gate: 4096-PE TopoLB within 3x the naive 576-PE unit |
+//! | `exp_hier`    | gate: HierMapper <= flat TopoLB / 3 at 4096 PEs, hop-bytes within 15% |
+//! | `exp_geom`    | gate: SFC / RCB <= TopoLB / 10 at 4096 PEs, warm start, 16384 smoke |
+//! | `exp_serve`   | gate: served mappings bit-identical to direct runs under load |
+//! | `exp_contention` | gate: contention-refined makespan never worse, >= 5% on a degraded torus |
 //! | `run_all`    | everything above in sequence |
+//!
+//! The gates assert and print; they write no result files. Timings with
+//! host, threads and revision attached come from the repo's benchmark
+//! (`benchmark/README.md`, `bash benchmark/run.sh`).
 
 use std::fmt::Write as _;
 

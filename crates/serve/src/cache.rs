@@ -1,11 +1,9 @@
-//! Dependency-free LRU cache and cache-key fingerprinting.
+//! Dependency-free LRU cache.
 //!
 //! The server amortizes two expensive artifacts across requests: the
 //! O(p²) distance-oracle matrix of each topology and the hierarchy
-//! factorization of each (topology, hierarchy) pair. Both are keyed by a
-//! [`Fingerprint`] — a 64-bit FNV-1a hash over the *sorted* `name=value`
-//! pairs of the spec, so the key is stable no matter which order a
-//! client (or a future wire format) lists the fields in.
+//! factorization of each (topology, hierarchy) pair. Both are keyed by
+//! the trimmed spec strings themselves (`crate::oracle`).
 //!
 //! The cache is a plain `HashMap` plus a monotonic recency stamp;
 //! eviction scans for the minimum stamp. That is O(len) per insert at
@@ -16,37 +14,6 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-
-/// A 64-bit cache key derived from spec strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Fingerprint(pub u64);
-
-impl Fingerprint {
-    /// Fingerprint a set of `name=value` pairs. Pairs are sorted by name
-    /// (then value) before hashing, so the result does not depend on the
-    /// order the caller lists the fields in; names and values are
-    /// length-prefixed so concatenation ambiguities ("ab"+"c" vs
-    /// "a"+"bc") cannot collide structurally.
-    pub fn of_pairs(pairs: &[(&str, &str)]) -> Fingerprint {
-        let mut sorted: Vec<(&str, &str)> = pairs.to_vec();
-        sorted.sort_unstable();
-        // FNV-1a, 64-bit.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for (name, value) in sorted {
-            eat(&(name.len() as u64).to_le_bytes());
-            eat(name.as_bytes());
-            eat(&(value.len() as u64).to_le_bytes());
-            eat(value.as_bytes());
-        }
-        Fingerprint(h)
-    }
-}
 
 /// A least-recently-used cache with hit/miss counters.
 ///
@@ -70,10 +37,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             hits: 0,
             misses: 0,
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     pub fn len(&self) -> usize {
@@ -128,28 +91,18 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.insert(k, (v, self.tick));
     }
 
-    /// `get` or build-and-insert. Returns the value and whether it was a
-    /// cache hit.
-    pub fn get_or_insert_with(&mut self, k: K, build: impl FnOnce() -> V) -> (V, bool) {
-        if let Some(v) = self.get(&k) {
-            return (v, true);
-        }
-        let v = build();
-        self.insert(k, v.clone());
-        (v, false)
-    }
-
-    /// Like [`Self::get_or_insert_with`] but the builder may fail; a
-    /// failed build caches nothing and counts only the miss.
+    /// `get`, or build the value from its key and insert it. Returns the
+    /// value and whether it was a cache hit; a failed build caches
+    /// nothing and counts only the miss.
     pub fn try_get_or_insert_with<E>(
         &mut self,
         k: K,
-        build: impl FnOnce() -> Result<V, E>,
+        build: impl FnOnce(&K) -> Result<V, E>,
     ) -> Result<(V, bool), E> {
         if let Some(v) = self.get(&k) {
             return Ok((v, true));
         }
-        let v = build()?;
+        let v = build(&k)?;
         self.insert(k, v.clone());
         Ok((v, false))
     }
@@ -198,42 +151,26 @@ mod tests {
         c.insert("a", 1);
         assert_eq!(c.get(&"a"), None);
         assert!(c.is_empty());
-        let (v, hit) = c.get_or_insert_with("a", || 7);
-        assert_eq!((v, hit), (7, false));
+        let r: Result<_, ()> = c.try_get_or_insert_with("a", |_| Ok(7));
+        assert_eq!(r, Ok((7, false)));
     }
 
     #[test]
     fn get_or_insert_counts_hit_second_time() {
         let mut c = LruCache::new(4);
-        let (v, hit) = c.get_or_insert_with("k", || 5);
-        assert_eq!((v, hit), (5, false));
-        let (v, hit) = c.get_or_insert_with("k", || unreachable!());
-        assert_eq!((v, hit), (5, true));
+        let r: Result<_, ()> = c.try_get_or_insert_with("k", |_| Ok(5));
+        assert_eq!(r, Ok((5, false)));
+        let r: Result<_, ()> = c.try_get_or_insert_with("k", |_| unreachable!());
+        assert_eq!(r, Ok((5, true)));
     }
 
     #[test]
     fn failed_build_caches_nothing() {
         let mut c: LruCache<&str, i32> = LruCache::new(4);
-        let r: Result<_, String> = c.try_get_or_insert_with("k", || Err("nope".into()));
+        let r: Result<_, String> = c.try_get_or_insert_with("k", |_| Err("nope".into()));
         assert!(r.is_err());
         assert!(c.is_empty());
-        let r: Result<_, String> = c.try_get_or_insert_with("k", || Ok(3));
+        let r: Result<_, String> = c.try_get_or_insert_with("k", |_| Ok(3));
         assert_eq!(r.unwrap(), (3, false));
-    }
-
-    #[test]
-    fn fingerprint_ignores_pair_order() {
-        let a = Fingerprint::of_pairs(&[("topology", "torus:8x8"), ("hierarchy", "4:4:4")]);
-        let b = Fingerprint::of_pairs(&[("hierarchy", "4:4:4"), ("topology", "torus:8x8")]);
-        assert_eq!(a, b);
-        let c = Fingerprint::of_pairs(&[("topology", "torus:8x8"), ("hierarchy", "4:4:2")]);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn fingerprint_length_prefixing_blocks_concat_collisions() {
-        let a = Fingerprint::of_pairs(&[("ab", "c")]);
-        let b = Fingerprint::of_pairs(&[("a", "bc")]);
-        assert_ne!(a, b);
     }
 }

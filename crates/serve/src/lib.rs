@@ -14,8 +14,7 @@
 //!
 //! - [`proto`] — length-prefixed JSON frames, the request/response
 //!   schema, and the structured error taxonomy;
-//! - [`cache`] — a dependency-free LRU with hit/miss counters plus
-//!   order-insensitive spec fingerprinting;
+//! - [`cache`] — a dependency-free LRU with hit/miss counters;
 //! - [`oracle`] — the cached distance oracles ([`oracle::DistOracle`])
 //!   and hierarchy plans;
 //! - [`specs`] — the single parser for topology/pattern/mapper/hierarchy
@@ -56,7 +55,7 @@ pub mod proto;
 pub mod server;
 pub mod specs;
 
-pub use cache::{Fingerprint, LruCache};
+pub use cache::LruCache;
 pub use client::{Client, ClientError};
 pub use oracle::{DistOracle, OracleCaches};
 pub use proto::{

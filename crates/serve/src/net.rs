@@ -4,7 +4,6 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -18,13 +17,13 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// Set (or clear) the read timeout; used by the server to poll its
-    /// stop flag between frames.
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+    /// Switch between blocking and nonblocking I/O; the server clears the
+    /// flag its nonblocking listener may have passed on.
+    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.set_read_timeout(dur),
+            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
             #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(dur),
+            Stream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 }

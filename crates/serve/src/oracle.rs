@@ -5,144 +5,40 @@
 //! queries, and a hierarchy request additionally pays an O(p·levels)
 //! factorization. [`OracleCaches`] amortizes both across requests:
 //!
-//! * a [`DistOracle`] — a self-contained dense all-pairs distance matrix
-//!   (the standalone sibling of `topomap_topology::CachedTopology`, which
-//!   wraps a concrete `T`; the server needs an owned, type-erased value
-//!   it can share between worker threads) — keyed by the topology-spec
-//!   fingerprint;
+//! * a [`DistOracle`] — the dense all-pairs distance matrix of the parsed
+//!   machine — keyed by the trimmed topology spec;
 //! * a [`HierPlan`] (validated hierarchy + machine block layout) keyed by
-//!   the (topology, hierarchy, dist) spec fingerprint.
+//!   the trimmed (topology, hierarchy, dist) specs.
 //!
-//! Both caches hand out `Arc`s, so a hit costs a pointer bump while the
-//! matrix itself is shared between all in-flight requests.
+//! The specs are the keys themselves, not a hash of them, so two machines
+//! can never share an entry. Both caches hand out `Arc`s, so a hit costs
+//! a pointer bump while the matrix itself is shared between all in-flight
+//! requests.
 
 use std::sync::{Arc, Mutex};
 
-use topomap_topology::{NodeId, Topology};
+use topomap_topology::{CachedTopology, Topology};
 
-use crate::cache::{Fingerprint, LruCache};
+use crate::cache::LruCache;
 use crate::specs::{parse_hier_plan, parse_topology, HierPlan};
 
-/// A self-contained all-pairs distance oracle over `p` processors.
-///
-/// Implements [`Topology`] by table lookup; `distance`,
-/// `sum_distance_from`, `diameter`, and `distances_into` are all O(1) or
-/// a straight row gather, bit-identical to the topology it was built
-/// from (the `Topology` contract requires overrides to agree exactly
-/// with the defaults, so mapping through the oracle yields the same
-/// result as mapping through the original machine).
-#[derive(Debug, Clone)]
-pub struct DistOracle {
-    name: String,
-    n: usize,
-    dist: Vec<u32>,
-    row_sums: Vec<u64>,
-    diameter: u32,
-    /// Per-node physical coordinates, captured only when every node of
-    /// the source machine reports them (geometric mappers need the full
-    /// point set or none at all).
-    coords: Option<Vec<[f64; 3]>>,
-}
+/// The all-pairs distance oracle of a parsed machine: `distance`,
+/// `sum_distance_from`, `diameter` and `distances_into` are table
+/// lookups; name and node coordinates come from the machine itself.
+pub type DistOracle = CachedTopology<Box<dyn Topology>>;
 
-impl DistOracle {
-    /// Precompute the matrix with O(p²) `inner.distance` calls.
-    pub fn build(inner: &dyn Topology) -> Self {
-        let n = inner.num_nodes();
-        let mut dist = vec![0u32; n * n];
-        let mut row_sums = vec![0u64; n];
-        let mut diameter = 0u32;
-        for a in 0..n {
-            let mut sum = 0u64;
-            for b in 0..n {
-                let d = inner.distance(a, b);
-                dist[a * n + b] = d;
-                sum += d as u64;
-                diameter = diameter.max(d);
-            }
-            row_sums[a] = sum;
-        }
-        let coords = (0..n).map(|v| inner.node_coords(v)).collect();
-        DistOracle {
-            name: inner.name(),
-            n,
-            dist,
-            row_sums,
-            diameter,
-            coords,
-        }
-    }
-
-    /// Memory held by the oracle, in bytes.
-    pub fn matrix_bytes(&self) -> usize {
-        self.dist.len() * std::mem::size_of::<u32>()
-            + self.row_sums.len() * std::mem::size_of::<u64>()
-    }
-}
-
-impl Topology for DistOracle {
-    fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        self.dist[a * self.n + b]
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn diameter(&self) -> u32 {
-        self.diameter
-    }
-
-    fn sum_distance_from(&self, node: NodeId) -> u64 {
-        self.row_sums[node]
-    }
-
-    fn distances_into(&self, from: NodeId, targets: &[NodeId], out: &mut Vec<u32>) {
-        let row = &self.dist[from * self.n..(from + 1) * self.n];
-        out.clear();
-        out.extend(targets.iter().map(|&t| row[t]));
-    }
-
-    fn node_coords(&self, node: NodeId) -> Option<[f64; 3]> {
-        self.coords.as_ref().map(|cs| cs[node])
-    }
-}
-
-/// Cache-key derivation (documented in DESIGN.md §9): fingerprints are
-/// FNV-1a over sorted, length-prefixed `name=value` pairs of the
-/// *trimmed* spec strings, so key identity tracks spec identity — not
-/// field order, not surrounding whitespace.
-pub fn oracle_key(topo_spec: &str) -> Fingerprint {
-    Fingerprint::of_pairs(&[("kind", "oracle"), ("topology", topo_spec.trim())])
-}
-
-/// Cache key for a hierarchy plan. Omitted specs hash as their semantic
-/// defaults (`auto` arities, `derived` distances) — distinct from any
-/// explicit spelling, which keeps an explicit `--hierarchy 4:4:4` from
-/// aliasing the auto-chosen plan even when they happen to coincide.
-pub fn hier_plan_key(
-    topo_spec: &str,
-    hier_spec: Option<&str>,
-    dist_spec: Option<&str>,
-) -> Fingerprint {
-    Fingerprint::of_pairs(&[
-        ("kind", "hier-plan"),
-        ("topology", topo_spec.trim()),
-        ("hierarchy", hier_spec.map_or("\u{0}auto", str::trim)),
-        ("dist", dist_spec.map_or("\u{0}derived", str::trim)),
-    ])
-}
+/// Key of a hierarchy plan: trimmed (topology, hierarchy, dist) specs.
+/// An omitted spec is `None`, distinct from every explicit spelling — an
+/// explicit `--hierarchy 4:4:4` never aliases the auto-chosen plan even
+/// when the two coincide.
+type PlanKey = (String, Option<String>, Option<String>);
 
 /// The server-side cache pair with interior locking. Lock scope covers
 /// the build, so concurrent requests for the same cold key build once
 /// and the rest hit.
 pub struct OracleCaches {
-    oracles: Mutex<LruCache<Fingerprint, Arc<DistOracle>>>,
-    plans: Mutex<LruCache<Fingerprint, Arc<HierPlan>>>,
+    oracles: Mutex<LruCache<String, Arc<DistOracle>>>,
+    plans: Mutex<LruCache<PlanKey, Arc<HierPlan>>>,
 }
 
 /// Hit/miss counters for both caches, as sampled by `Stats` requests.
@@ -168,14 +64,12 @@ impl OracleCaches {
     /// Returns the oracle and whether it was a cache hit. A malformed
     /// spec caches nothing and fails with the parser's message.
     pub fn oracle(&self, topo_spec: &str) -> Result<(Arc<DistOracle>, bool), String> {
-        let key = oracle_key(topo_spec);
-        self.oracles
-            .lock()
-            .unwrap()
-            .try_get_or_insert_with(key, || {
-                let parsed = parse_topology(topo_spec.trim())?;
-                Ok(Arc::new(DistOracle::build(parsed.as_topology())))
-            })
+        let spec = topo_spec.trim().to_string();
+        let mut oracles = self.oracles.lock().unwrap();
+        oracles.try_get_or_insert_with(spec, |spec| {
+            let machine = parse_topology(spec)?.into_topology();
+            Ok(Arc::new(DistOracle::new(machine)))
+        })
     }
 
     /// Fetch (or derive) the hierarchy plan for a (topology, hierarchy,
@@ -187,14 +81,11 @@ impl OracleCaches {
         hier_spec: Option<&str>,
         dist_spec: Option<&str>,
     ) -> Result<(Arc<HierPlan>, bool), String> {
-        let key = hier_plan_key(topo_spec, hier_spec, dist_spec);
-        self.plans.lock().unwrap().try_get_or_insert_with(key, || {
-            let plan = parse_hier_plan(
-                topo_spec.trim(),
-                oracle,
-                hier_spec.map(str::trim),
-                dist_spec.map(str::trim),
-            )?;
+        let own = |spec: &str| spec.trim().to_string();
+        let key = (own(topo_spec), hier_spec.map(own), dist_spec.map(own));
+        let mut plans = self.plans.lock().unwrap();
+        plans.try_get_or_insert_with(key, |(topo, hier, dist)| {
+            let plan = parse_hier_plan(topo, oracle, hier.as_deref(), dist.as_deref())?;
             Ok(Arc::new(plan))
         })
     }
@@ -220,7 +111,7 @@ mod tests {
     fn oracle_matches_source_topology() {
         let parsed = parse_topology("torus:4x4").unwrap();
         let t = parsed.as_topology();
-        let o = DistOracle::build(t);
+        let o = DistOracle::new(parse_topology("torus:4x4").unwrap().into_topology());
         assert_eq!(o.num_nodes(), 16);
         assert_eq!(o.name(), t.name());
         assert_eq!(o.diameter(), t.diameter());
@@ -230,7 +121,7 @@ mod tests {
                 assert_eq!(o.distance(a, b), t.distance(a, b), "d({a},{b})");
             }
         }
-        assert_eq!(o.matrix_bytes(), 16 * 16 * 4 + 16 * 8);
+        assert_eq!(o.cache_bytes(), 16 * 16 * 4 + 16 * 8);
         // Geometry must survive the oracle: SFC/RCB mappers read node
         // coordinates through the same `Topology` handle.
         for a in 0..16 {
@@ -241,8 +132,7 @@ mod tests {
 
     #[test]
     fn oracle_reports_no_coords_when_machine_has_none() {
-        let parsed = parse_topology("fattree:2:3").unwrap();
-        let o = DistOracle::build(parsed.as_topology());
+        let o = DistOracle::new(parse_topology("fattree:2:3").unwrap().into_topology());
         assert_eq!(o.node_coords(0), None);
     }
 

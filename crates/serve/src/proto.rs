@@ -98,17 +98,29 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
     Ok(())
 }
 
+/// Fill `buf` unless the stream ends first; returns the bytes read.
+/// `Interrupted` is retried, as `read_exact` does.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
 /// Read one frame's payload. `Ok(None)` is a clean end-of-stream (the
 /// peer closed between frames); EOF anywhere else is `Truncated`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => return Err(FrameError::Truncated { expected: 4, got }),
-            n => got += n,
-        }
+    match read_full(r, &mut len_buf)? {
+        0 => return Ok(None),
+        4 => {}
+        got => return Err(FrameError::Truncated { expected: 4, got }),
     }
     let declared = u32::from_be_bytes(len_buf);
     if declared > MAX_FRAME_BYTES {
@@ -119,12 +131,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     }
     let expected = declared as usize;
     let mut payload = vec![0u8; expected];
-    let mut got = 0;
-    while got < expected {
-        match r.read(&mut payload[got..])? {
-            0 => return Err(FrameError::Truncated { expected, got }),
-            n => got += n,
-        }
+    let got = read_full(r, &mut payload)?;
+    if got < expected {
+        return Err(FrameError::Truncated { expected, got });
     }
     Ok(Some(payload))
 }
@@ -406,6 +415,37 @@ mod tests {
             }) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// Yields `Interrupted` once, then one byte per call.
+    struct Trickle {
+        bytes: std::vec::IntoIter<u8>,
+        interrupted: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            Ok(self.bytes.next().map_or(0, |b| {
+                buf[0] = b;
+                1
+            }))
+        }
+    }
+
+    #[test]
+    fn interrupted_and_byte_at_a_time_reads_still_frame() {
+        let payload = encode_request(&Request::Ping);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload).unwrap();
+        let mut r = Trickle {
+            bytes: bytes.into_iter(),
+            interrupted: false,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
+        assert!(read_frame(&mut r).unwrap().is_none(), "then a clean EOF");
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //! ## Shutdown
 //!
 //! `ServerHandle::stop()` (or a `Shutdown` request, or SIGINT in the
-//! CLI) flips one stop flag. The acceptor stops accepting, handlers
-//! refuse new jobs with `ShuttingDown`, and workers finish every job
-//! already queued — a drain, not an abort — before `join()` returns the
-//! final stats.
+//! CLI) flips one stop flag, under the queue lock so no idle worker can
+//! miss the wake-up. The acceptor stops accepting, handlers refuse new
+//! jobs with `ShuttingDown`, and workers finish every job already queued
+//! — a drain, not an abort — before `join()` returns the final stats.
+//! Handlers block in `proto::read_frame` and end with their client; the
+//! drain does not wait for them.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
@@ -41,12 +43,12 @@ use std::path::PathBuf;
 use crate::net::Stream;
 use crate::oracle::OracleCaches;
 use crate::proto::{
-    encode_response, write_frame, ErrorKind, FrameError, MapRequest, Request, Response,
+    encode_response, read_frame, write_frame, ErrorKind, MapRequest, Request, Response,
     ServerStats, PROTO_VERSION,
 };
 use crate::specs::MapperSpec;
 
-/// How often blocked threads wake to poll the stop flag.
+/// How often the acceptor wakes to look at the stop flag.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Where the server listens.
@@ -122,6 +124,16 @@ impl Shared {
         self.stop.load(Ordering::SeqCst)
     }
 
+    /// Flip the stop flag and wake every idle worker. The flag flips
+    /// under the queue lock: a worker decides to wait while holding that
+    /// lock, so it either sees the flag or is already waiting when the
+    /// notification is sent — never in between.
+    fn request_stop(&self) {
+        let _q = self.queue.lock().unwrap();
+        self.stop.store(true, Ordering::SeqCst);
+        self.not_empty.notify_all();
+    }
+
     fn stats(&self) -> ServerStats {
         let c = self.caches.counters();
         ServerStats {
@@ -165,8 +177,7 @@ impl ServerHandle {
     /// Flip the stop flag: stop accepting, refuse new jobs, let workers
     /// drain the queue.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.not_empty.notify_all();
+        self.shared.request_stop();
     }
 
     /// Snapshot the live counters.
@@ -278,101 +289,26 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
             Ok(stream) => {
                 let shared = Arc::clone(shared);
                 // Handlers are detached: they live as long as their
-                // client (or until the stop flag lets their read poll
-                // expire), and hold no state the drain depends on.
+                // client and hold no state the drain depends on.
                 let _ = thread::Builder::new()
                     .name("serve-conn".to_string())
                     .spawn(move || handle_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
+            // Nothing pending (`WouldBlock`) or a transient accept failure.
             Err(_) => thread::sleep(POLL),
         }
     }
 }
 
-/// Read one frame, polling the stop flag while idle *between* frames.
-/// Once a frame has begun, timeouts retry (bytes already consumed stay
-/// in our buffer) so a slow client cannot corrupt framing; if the server
-/// is stopping, mid-frame patience is bounded before giving up.
-fn read_frame_polled(stream: &mut Stream, shared: &Shared) -> Result<Option<Vec<u8>>, FrameError> {
-    use std::io::Read;
-    let mut first = [0u8; 1];
-    loop {
-        if shared.stopping() {
-            return Ok(None);
-        }
-        match stream.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let mut len_buf = [first[0], 0, 0, 0];
-    read_exact_retry(stream, &mut len_buf[1..], shared, 1)?;
-    let declared = u32::from_be_bytes(len_buf);
-    if declared > crate::proto::MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge {
-            declared,
-            max: crate::proto::MAX_FRAME_BYTES,
-        });
-    }
-    let mut payload = vec![0u8; declared as usize];
-    read_exact_retry(stream, &mut payload, shared, 4)?;
-    Ok(Some(payload))
-}
-
-/// `read_exact` that retries timeouts. While the server is running the
-/// patience is unbounded; once it is stopping, at most ~2s more.
-fn read_exact_retry(
-    stream: &mut Stream,
-    buf: &mut [u8],
-    shared: &Shared,
-    already: usize,
-) -> Result<(), FrameError> {
-    use std::io::Read;
-    let mut got = 0;
-    let mut stopping_polls = 0u32;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(FrameError::Truncated {
-                    expected: already + buf.len(),
-                    got: already + got,
-                })
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stopping() {
-                    stopping_polls += 1;
-                    if stopping_polls > 80 {
-                        return Err(FrameError::Truncated {
-                            expected: already + buf.len(),
-                            got: already + got,
-                        });
-                    }
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
-}
-
 fn handle_connection(mut stream: Stream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL));
+    // Some platforms hand accepted sockets the listener's nonblocking flag.
+    if stream.set_nonblocking(false).is_err() {
+        return;
+    }
     loop {
-        let payload = match read_frame_polled(&mut stream, shared) {
+        let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
-            // Clean EOF or shutdown: close the connection.
+            // Clean EOF: the client hung up between frames.
             Ok(None) => return,
             // Framing is unrecoverable (truncation, oversized, I/O):
             // drop the connection rather than guess at resync.
@@ -404,8 +340,7 @@ fn dispatch(req: Request, shared: &Arc<Shared>) -> Response {
             stats: shared.stats(),
         },
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.not_empty.notify_all();
+            shared.request_stop();
             Response::ShutdownAck
         }
         Request::Map { req } => submit_map(req, shared),
@@ -417,14 +352,6 @@ fn submit_map(req: MapRequest, shared: &Arc<Shared>) -> Response {
     shared.counters.requests.fetch_add(1, Ordering::Relaxed);
     obs::counter_add("serve.requests", 1);
     let id = req.id;
-    if shared.stopping() {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return Response::Error {
-            id,
-            kind: ErrorKind::ShuttingDown,
-            message: "server is draining; no new jobs accepted".to_string(),
-        };
-    }
     let deadline = req
         .deadline_ms
         .or(shared.default_deadline_ms)
@@ -432,7 +359,7 @@ fn submit_map(req: MapRequest, shared: &Arc<Shared>) -> Response {
     let (tx, rx) = mpsc::channel();
     {
         let mut q = shared.queue.lock().unwrap();
-        // Re-check under the queue lock: workers take their final
+        // Checked under the queue lock: workers take their final
         // "queue empty + stopping" decision under this same lock, so a
         // job enqueued here is guaranteed to be drained (never orphaned
         // after the last worker exits).
@@ -481,19 +408,14 @@ fn submit_map(req: MapRequest, shared: &Arc<Shared>) -> Response {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break Some(job);
-                }
-                if shared.stopping() {
-                    break None;
-                }
-                let (guard, _) = shared.not_empty.wait_timeout(q, POLL).unwrap();
-                q = guard;
-            }
-        };
+        let job = shared
+            .not_empty
+            .wait_while(shared.queue.lock().unwrap(), |q| {
+                q.is_empty() && !shared.stopping()
+            })
+            .unwrap()
+            .pop_front();
+        // Empty and stopping: the drain is complete.
         let Some(job) = job else { return };
         let response = run_job(&job, shared);
         // The handler may have gone away (client disconnect); the result

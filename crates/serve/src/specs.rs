@@ -45,6 +45,14 @@ impl ParsedTopology {
         }
     }
 
+    /// The machine as an owned metric, routing dropped.
+    pub fn into_topology(self) -> Box<dyn Topology> {
+        match self {
+            ParsedTopology::Routed(t) => t,
+            ParsedTopology::MetricOnly(t) => t,
+        }
+    }
+
     pub fn as_routed(&self) -> Result<&dyn RoutedTopology, String> {
         match self {
             ParsedTopology::Routed(t) => Ok(t.as_ref()),
@@ -235,7 +243,7 @@ pub fn parse_threads(spec: &str) -> Result<Parallelism, String> {
 /// machines get a factored `pe_order`; other machines use the identity
 /// layout). Deriving this costs an O(p·levels) factorization plus, for
 /// identity layouts, O(p) distance probes — the mapping server caches it
-/// keyed by the (topology, hierarchy, dist) spec fingerprint.
+/// keyed by the trimmed (topology, hierarchy, dist) specs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierPlan {
     pub hier: Hierarchy,

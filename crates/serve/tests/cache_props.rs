@@ -1,8 +1,11 @@
 //! Property tests for the LRU cache (checked against a naive
-//! recency-list model) and the spec fingerprint.
+//! recency-list model) and the exact spec keys of the server's caches.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use topomap_serve::cache::{Fingerprint, LruCache};
+use topomap_serve::cache::LruCache;
+use topomap_serve::oracle::OracleCaches;
 
 /// Reference model: a plain vector ordered least-recent first.
 struct Model {
@@ -48,20 +51,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<(bool, u32, u32)>> {
     proptest::collection::vec((any::<bool>(), 0u32..8, any::<u32>()), 1..80)
 }
 
-/// Deterministic pseudo-random permutation of `0..n` (the vendored
-/// proptest has no shuffle strategy): repeated LCG-seeded swaps.
-fn permute<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
-    let mut out = items.to_vec();
-    let mut s = seed | 1;
-    for i in (1..out.len()).rev() {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        out.swap(i, (s >> 33) as usize % (i + 1));
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -105,38 +94,31 @@ proptest! {
         }
         prop_assert!(cache.get(&probe).is_some(), "refreshed key was evicted");
     }
+}
 
-    /// Fingerprints are invariant under any reordering of the pairs and
-    /// sensitive to any single value change.
-    #[test]
-    fn fingerprint_stable_across_field_reordering(
-        fields in proptest::collection::vec((0u32..26, 0u32..1000), 1..8),
-        seed in any::<u64>(),
-        victim in any::<usize>(),
-    ) {
-        // Synthesize distinct field names a..z with numeric values.
-        let named: Vec<(String, String)> = fields
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, v))| {
-                (format!("{}{}", (b'a' + c as u8) as char, i), v.to_string())
-            })
-            .collect();
-        let as_pairs = |v: &[(String, String)]| -> Fingerprint {
-            let borrowed: Vec<(&str, &str)> =
-                v.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-            Fingerprint::of_pairs(&borrowed)
-        };
-        let original = as_pairs(&named);
-        prop_assert_eq!(as_pairs(&permute(&named, seed)), original);
-        // Rotations are reorderings too.
-        let mut rotated = named.clone();
-        rotated.rotate_left(seed as usize % named.len().max(1));
-        prop_assert_eq!(as_pairs(&rotated), original);
-        // Changing one value changes the fingerprint.
-        let mut tweaked = named.clone();
-        let vi = victim % tweaked.len();
-        tweaked[vi].1.push('x');
-        prop_assert_ne!(as_pairs(&tweaked), original);
+/// The caches key on the trimmed specs themselves: surrounding
+/// whitespace hits the same entry, any differing spec misses.
+#[test]
+fn exact_spec_keys_hit_across_whitespace_and_miss_across_specs() {
+    let caches = OracleCaches::new(8);
+    let (o, hit) = caches.oracle("torus:4x4").unwrap();
+    assert!(!hit);
+    let (o2, hit) = caches.oracle(" torus:4x4\t\n").unwrap();
+    assert!(hit && Arc::ptr_eq(&o, &o2));
+    for other in ["torus:4x4x1", "mesh:4x4", "torus:4x2x2"] {
+        let (o3, hit) = caches.oracle(other).unwrap();
+        assert!(!hit && !Arc::ptr_eq(&o, &o3), "{other} is another machine");
     }
+
+    let plan = |h: Option<&str>, d: Option<&str>| caches.hier_plan("torus:4x4", &o, h, d).unwrap();
+    let (p, hit) = plan(Some("4:4"), None);
+    assert!(!hit);
+    let (p2, hit) = caches
+        .hier_plan("  torus:4x4", &o, Some(" 4:4 "), None)
+        .unwrap();
+    assert!(hit && Arc::ptr_eq(&p, &p2));
+    assert!(!plan(Some("2:2:4"), None).1, "other arities");
+    assert!(!plan(None, None).1, "omitted is not any explicit spelling");
+    assert!(!plan(Some("4:4"), Some("1:2")).1, "explicit dist ladder");
+    assert!(plan(Some("4:4"), Some(" 1:2 ")).1);
 }
