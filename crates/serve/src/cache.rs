@@ -78,7 +78,18 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             return;
         }
         self.tick += 1;
-        if !self.map.contains_key(&k) && self.map.len() >= self.cap {
+        if !self.map.contains_key(&k) {
+            self.make_room();
+        }
+        self.map.insert(k, (v, self.tick));
+    }
+
+    /// Evict the least-recently-used entry if the cache is at capacity,
+    /// so that a new key can go in without another eviction. Called
+    /// *before* building a heavy value, it lets the victim's memory be
+    /// freed (and reused) ahead of the allocation that replaces it.
+    pub fn make_room(&mut self) {
+        if self.cap > 0 && self.map.len() >= self.cap {
             if let Some(victim) = self
                 .map
                 .iter()
@@ -88,7 +99,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
                 self.map.remove(&victim);
             }
         }
-        self.map.insert(k, (v, self.tick));
     }
 
     /// `get`, or build the value from its key and insert it. Returns the
@@ -143,6 +153,20 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&"a"), Some(10));
         assert_eq!(c.get(&"b"), None);
+    }
+
+    #[test]
+    fn make_room_evicts_the_lru_entry_only_at_capacity() {
+        let mut c = LruCache::new(2);
+        c.insert("a", 1);
+        c.make_room();
+        assert_eq!(c.len(), 1, "below capacity: nothing to evict");
+        c.insert("b", 2);
+        assert_eq!(c.get(&"a"), Some(1)); // b is now LRU
+        c.make_room();
+        assert_eq!(c.keys_by_recency(), ["a"]);
+        c.insert("c", 3); // goes into the room made: no second eviction
+        assert_eq!(c.keys_by_recency(), ["c", "a"]);
     }
 
     #[test]

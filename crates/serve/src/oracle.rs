@@ -66,10 +66,18 @@ impl OracleCaches {
     pub fn oracle(&self, topo_spec: &str) -> Result<(Arc<DistOracle>, bool), String> {
         let spec = topo_spec.trim().to_string();
         let mut oracles = self.oracles.lock().unwrap();
-        oracles.try_get_or_insert_with(spec, |spec| {
-            let machine = parse_topology(spec)?.into_topology();
-            Ok(Arc::new(DistOracle::new(machine)))
-        })
+        if let Some(hit) = oracles.get(&spec) {
+            return Ok((hit, true));
+        }
+        // The parse is the only step that can fail, and it comes first: a
+        // bad spec evicts nothing. The victim then goes before the new
+        // matrix is allocated, so the cache never holds `cap + 1` of them
+        // and the allocator can hand the freed block straight back.
+        let machine = parse_topology(&spec)?.into_topology();
+        oracles.make_room();
+        let oracle = Arc::new(DistOracle::new(machine));
+        oracles.insert(spec, Arc::clone(&oracle));
+        Ok((oracle, false))
     }
 
     /// Fetch (or derive) the hierarchy plan for a (topology, hierarchy,
@@ -163,6 +171,20 @@ mod tests {
             .hier_plan("torus:8x8", &o, Some("4:0:8"), None)
             .unwrap_err();
         assert!(err.contains("zero children"), "{err}");
+    }
+
+    #[test]
+    fn full_cache_evicts_the_lru_machine_but_not_for_a_bad_spec() {
+        let caches = OracleCaches::new(2);
+        caches.oracle("torus:2x2").unwrap();
+        caches.oracle("torus:3x3").unwrap();
+        assert!(caches.oracle("nope:3").is_err());
+        assert!(caches.oracle("torus:2x2").unwrap().1, "still cached");
+        assert!(caches.oracle("torus:3x3").unwrap().1, "still cached");
+        // A third machine takes the place of the least recently used one.
+        assert!(!caches.oracle("torus:4x4").unwrap().1);
+        assert!(caches.oracle("torus:3x3").unwrap().1);
+        assert!(!caches.oracle("torus:2x2").unwrap().1, "was evicted");
     }
 
     #[test]

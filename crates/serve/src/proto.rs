@@ -448,6 +448,106 @@ mod tests {
         assert!(read_frame(&mut r).unwrap().is_none(), "then a clean EOF");
     }
 
+    /// Accepts one byte per `write` call, after one `Interrupted`.
+    #[derive(Default)]
+    struct TrickleWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        interrupted: bool,
+    }
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(1);
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.calls += 1;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_deliver_the_exact_frame() {
+        for payload in [&b"x"[..], br#"{"Map":"not really"}"#] {
+            let mut w = TrickleWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(payload);
+            assert_eq!(w.bytes, frame);
+            assert_eq!(w.calls, frame.len(), "one byte per call");
+        }
+    }
+
+    #[test]
+    fn frames_round_trip_at_the_size_edges() {
+        for len in [0, 1, 3, 4, 5, 65_535, 65_536, MAX_FRAME_BYTES as usize] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &payload).unwrap();
+            assert_eq!(wire.len(), 4 + len);
+            let mut r = Cursor::new(wire);
+            assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&payload[..]));
+            assert!(read_frame(&mut r).unwrap().is_none());
+        }
+    }
+
+    /// The parser's string scan is linear in the payload. The scan it
+    /// replaced re-validated the rest of the payload once per character:
+    /// quadratic, about 20 s in release for this request.
+    #[test]
+    fn two_mebibyte_request_decodes_in_linear_time() {
+        let n = 16_384;
+        let mut db = LbDatabase::new(n);
+        db.loads
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, l)| *l = 1.0 + i as f64 / 7.0);
+        db.comm = (0..2 * n)
+            .map(|i| topomap_lb::CommRecord {
+                from: i % n,
+                to: (i * 31 + 1) % n,
+                bytes: 1024.0 + i as f64 / 3.0,
+                messages: i as u64,
+            })
+            .collect();
+        db.coords = Some(
+            (0..n)
+                .map(|i| [i as f64 / 3.0, 0.25, -(i as f64)])
+                .collect(),
+        );
+        let req = Request::Map {
+            req: MapRequest {
+                id: 1,
+                topology: "torus:128x128".into(),
+                mapper: "topolb".into(),
+                init: None,
+                fast_lane: None,
+                hierarchy: None,
+                hier_dist: None,
+                seed: 1,
+                deadline_ms: None,
+                database: db,
+            },
+        };
+        let payload = encode_request(&req);
+        assert!(
+            payload.len() >= 2 << 20,
+            "payload is {} bytes",
+            payload.len()
+        );
+        let started = std::time::Instant::now();
+        let decoded = decode_request(&payload).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(decoded, req);
+        assert!(elapsed.as_secs_f64() < 2.0, "decode took {elapsed:?}");
+    }
+
     #[test]
     fn oversized_frame_rejected_without_allocation() {
         let mut buf = Vec::new();

@@ -43,8 +43,8 @@ use std::path::PathBuf;
 use crate::net::Stream;
 use crate::oracle::OracleCaches;
 use crate::proto::{
-    encode_response, read_frame, write_frame, ErrorKind, MapRequest, Request, Response,
-    ServerStats, PROTO_VERSION,
+    decode_request, encode_response, read_frame, write_frame, ErrorKind, MapRequest, Request,
+    Response, ServerStats, PROTO_VERSION,
 };
 use crate::specs::MapperSpec;
 
@@ -306,15 +306,17 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>) {
         return;
     }
     loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
+        // The frame is freed once decoded: `dispatch` may block on a
+        // worker, and a large `Map` payload should not sit through that.
+        let request = match read_frame(&mut stream) {
+            Ok(Some(payload)) => decode_request(&payload),
             // Clean EOF: the client hung up between frames.
             Ok(None) => return,
             // Framing is unrecoverable (truncation, oversized, I/O):
             // drop the connection rather than guess at resync.
             Err(_) => return,
         };
-        let response = match crate::proto::decode_request(&payload) {
+        let response = match request {
             Ok(req) => dispatch(req, shared),
             Err(e) => Response::Error {
                 id: 0,
@@ -443,7 +445,19 @@ fn run_job(job: &Job, shared: &Shared) -> Response {
             };
         }
     }
-    match map_job(&job.req, job.deadline, shared) {
+    // Everything a request can make a worker do runs under this guard: a
+    // panic that escaped it would end the worker thread for good, and
+    // `workers` of those leave a pool that never answers another job.
+    let outcome = catch_unwind(AssertUnwindSafe(|| map_job(&job.req, job.deadline, shared)))
+        .unwrap_or_else(|p| {
+            let msg = p
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| p.downcast_ref::<&str>().copied())
+                .unwrap_or("no panic message");
+            Err((ErrorKind::Internal, format!("mapping job panicked: {msg}")))
+        });
+    match outcome {
         Ok(resp) => {
             tag_request(id, "ok");
             resp
@@ -484,6 +498,20 @@ fn validate_database(db: &topomap_lb::LbDatabase) -> Result<(), (ErrorKind, Stri
             return bad(format!(
                 "comm record {}→{} has invalid byte count {}",
                 r.from, r.to, r.bytes
+            ));
+        }
+    }
+    if let Some(coords) = &db.coords {
+        if coords.len() != n {
+            return bad(format!(
+                "coords cover {} objects but loads cover {n}",
+                coords.len()
+            ));
+        }
+        if let Some(i) = coords.iter().position(|c| !c.iter().all(|v| v.is_finite())) {
+            return bad(format!(
+                "object {i} has non-finite coordinate {:?}",
+                coords[i]
             ));
         }
     }
@@ -586,14 +614,7 @@ fn map_job(
     let started = Instant::now();
     let mapping = {
         let _sp = obs::span("serve.kernel");
-        catch_unwind(AssertUnwindSafe(|| mapper.map(&tasks, oracle.as_ref()))).map_err(|p| {
-            let msg = p
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| p.downcast_ref::<&str>().copied())
-                .unwrap_or("mapping kernel panicked");
-            (ErrorKind::Internal, format!("mapping kernel failed: {msg}"))
-        })?
+        mapper.map(&tasks, oracle.as_ref())
     };
     let elapsed_us = started.elapsed().as_micros() as u64;
 
