@@ -67,8 +67,8 @@ CONTENTION:
             improves (hop-bytes guarded within a slack). Prints the
             refined completion time; --out FILE writes the refined
             mapping. --sim-iters N caps total simulator runs (default
-            64); --threads parallelizes the hop-bytes guard (results are
-            identical for every setting).
+            64). The loop itself is serial; --threads applies to the
+            --init mapper only.
 
 OBSERVABILITY:
   --profile            print a span/counter summary after the run

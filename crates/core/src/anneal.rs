@@ -16,7 +16,6 @@
 //! against TopoLB.
 
 use crate::obs;
-use crate::par::{Executor, Parallelism};
 use crate::refine::swap_delta;
 use crate::{metrics, Mapper, Mapping, RandomMap};
 use rand::rngs::StdRng;
@@ -27,14 +26,17 @@ use topomap_topology::Topology;
 /// Simulated-annealing mapper over hop-bytes.
 ///
 /// Proposals and acceptance decisions draw from two *independent* RNG
-/// streams: one temperature step's worth of proposals is generated up
-/// front against the step's starting mapping, their deltas are evaluated
-/// in parallel against that frozen mapping, and the main thread then
-/// walks the batch in order — recomputing any delta whose tasks were
-/// dirtied by an earlier acceptance — drawing acceptance randomness as it
-/// goes. Splitting the streams is what makes the batch well-defined: the
-/// proposal sequence no longer depends on how many acceptance draws
-/// interleave, so the result is identical for every thread count.
+/// streams, and a temperature step's proposals are all drawn up front
+/// against the step's starting mapping (a relocation's target is free at
+/// that point, and void if an earlier acceptance fills it); the step then
+/// walks them in order, evaluating each against the live mapping. One
+/// stream and one proposal at a time would be the textbook loop, but the
+/// split defines *which* proposals a seed makes: changing it would change
+/// every mapping this type has returned, including the
+/// physical-optimization rows EXPERIMENTS.md cites. (The batch was
+/// introduced so a pool could evaluate a step's deltas; a step holds
+/// 100–400 deltas of O(δ) each, far less than a fork-join round trip
+/// costs, so the pool went and the sequence definition stayed.)
 #[derive(Debug, Clone)]
 pub struct SimulatedAnnealingMap {
     /// RNG seed (deterministic per seed).
@@ -48,9 +50,6 @@ pub struct SimulatedAnnealingMap {
     pub cooling: f64,
     /// Stop once temperature falls below this fraction of the initial.
     pub min_temp_fraction: f64,
-    /// Thread configuration for the batched delta evaluation
-    /// (result-invariant).
-    pub par: Parallelism,
 }
 
 impl Default for SimulatedAnnealingMap {
@@ -61,12 +60,11 @@ impl Default for SimulatedAnnealingMap {
             initial_temp_factor: 2.0,
             cooling: 0.95,
             min_temp_fraction: 1e-3,
-            par: Parallelism::default(),
         }
     }
 }
 
-/// One proposed exchange, generated against the batch-start mapping.
+/// One proposed exchange, generated against the step-start mapping.
 #[derive(Debug, Clone, Copy)]
 enum Proposal {
     Swap(usize, usize),
@@ -98,11 +96,10 @@ impl Mapper for SimulatedAnnealingMap {
         let p = topo.num_nodes();
         assert!(n <= p, "need at least as many processors as tasks");
         let _map_span = obs::span("anneal.map");
-        // Independent streams: proposals must not shift when acceptance
-        // draws are reordered by the batch walk (see the type docs).
+        // Independent streams: the proposal sequence does not depend on
+        // how many acceptance draws interleave (see the type docs).
         let mut prop_rng = StdRng::seed_from_u64(self.seed);
         let mut acc_rng = StdRng::seed_from_u64(self.seed ^ 0xACCE_0000);
-        let exec = Executor::new(self.par);
 
         // Seed from random placement (the classic SA setup; seeding from
         // TopoLB would conflate the comparison).
@@ -126,18 +123,9 @@ impl Mapper for SimulatedAnnealingMap {
         let mut temp = t0;
         let t_min = t0 * self.min_temp_fraction;
 
-        let wpi = 1 + 2 * tasks.num_edges() / n;
-        let mut dirty = vec![false; n];
-        let mark = |dirty: &mut Vec<bool>, t: usize| {
-            dirty[t] = true;
-            for (j, _) in tasks.neighbors(t) {
-                dirty[j] = true;
-            }
-        };
-
         while temp > t_min {
             // Generate one temperature step's proposals against the
-            // batch-start mapping.
+            // step-start mapping.
             let proposals: Vec<Proposal> = (0..self.moves_per_temp)
                 .map(|_| {
                     let a = prop_rng.gen_range(0..n);
@@ -163,29 +151,10 @@ impl Mapper for SimulatedAnnealingMap {
                 })
                 .collect();
 
-            // Parallel delta evaluation against the frozen mapping; each
-            // proposal is scored by exactly one worker.
-            let frozen = &m;
-            let chunks = exec.map_chunks(proposals.len(), wpi, |range| {
-                range
-                    .map(|i| proposal_delta(tasks, topo, frozen, proposals[i]))
-                    .collect::<Vec<_>>()
-            });
-            let mut deltas = Vec::with_capacity(proposals.len());
-            for c in chunks {
-                deltas.extend(c);
-            }
-
-            // Serial walk: revalidate stale deltas, draw acceptance.
-            for (i, &prop) in proposals.iter().enumerate() {
+            // Walk the batch in order against the live mapping.
+            for &prop in &proposals {
                 let delta = match prop {
-                    Proposal::Swap(a, b) => {
-                        if dirty[a] || dirty[b] {
-                            swap_delta(tasks, topo, &m, a, b)
-                        } else {
-                            deltas[i]
-                        }
-                    }
+                    Proposal::Swap(a, b) => swap_delta(tasks, topo, &m, a, b),
                     Proposal::Relocate(a, q) => {
                         // An earlier acceptance may have filled q; the
                         // proposal is then void (no acceptance draw).
@@ -193,11 +162,7 @@ impl Mapper for SimulatedAnnealingMap {
                             n_void += 1;
                             continue;
                         }
-                        if dirty[a] {
-                            move_cost(tasks, topo, &m, a, q)
-                        } else {
-                            deltas[i]
-                        }
+                        move_cost(tasks, topo, &m, a, q)
                     }
                 };
                 let accept = delta < 0.0 || acc_rng.gen_bool((-delta / temp).exp().min(1.0));
@@ -207,15 +172,8 @@ impl Mapper for SimulatedAnnealingMap {
                 if accept {
                     n_acc += 1;
                     match prop {
-                        Proposal::Swap(a, b) => {
-                            m.swap_tasks(a, b);
-                            mark(&mut dirty, a);
-                            mark(&mut dirty, b);
-                        }
-                        Proposal::Relocate(a, q) => {
-                            m.move_task(a, q);
-                            mark(&mut dirty, a);
-                        }
+                        Proposal::Swap(a, b) => m.swap_tasks(a, b),
+                        Proposal::Relocate(a, q) => m.move_task(a, q),
                     }
                     cur_hb += delta;
                     if cur_hb < best_hb {
@@ -226,7 +184,6 @@ impl Mapper for SimulatedAnnealingMap {
             }
             n_steps += 1;
             obs::series_push("anneal.hb", cur_hb);
-            dirty.fill(false);
             temp *= self.cooling;
         }
         obs::counter_add("anneal.proposals", n_steps * self.moves_per_temp as u64);
@@ -239,14 +196,6 @@ impl Mapper for SimulatedAnnealingMap {
 
     fn name(&self) -> String {
         "SimAnneal".to_string()
-    }
-}
-
-/// Delta of a proposal against a frozen mapping.
-fn proposal_delta(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, p: Proposal) -> f64 {
-    match p {
-        Proposal::Swap(a, b) => swap_delta(tasks, topo, m, a, b),
-        Proposal::Relocate(a, q) => move_cost(tasks, topo, m, a, q),
     }
 }
 

@@ -29,17 +29,16 @@
 //!   (under the same simulator).
 //! - Hop-bytes never exceeds `(1 + hb_slack)` × the per-iteration value
 //!   it started from: candidates failing the guard are never simulated.
-//! - The result is bit-identical at every thread count: only the
-//!   hop-bytes guard fans out (chunk results are merged in candidate
-//!   order), while hot-link ranking, candidate enumeration (`BTreeMap`
-//!   accumulation, stable sorts, first-strictly-better acceptance) and
-//!   the simulations themselves are serial and deterministic.
+//! - The loop is serial and deterministic: hot-link ranking, candidate
+//!   enumeration (`BTreeMap` accumulation, stable sorts), the hop-bytes
+//!   guard, first-strictly-better acceptance and the simulations
+//!   themselves.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::metrics;
 use crate::obs;
-use crate::par::{Executor, Parallelism};
+use crate::par::Parallelism;
 use crate::refine::{move_delta, swap_delta};
 use crate::Mapping;
 use topomap_taskgraph::{TaskGraph, TaskId};
@@ -131,7 +130,9 @@ pub struct ContentionRefine {
     /// are discarded before simulation. Trading a *bounded* amount of the
     /// proxy for real makespan is the point of the loop.
     pub hb_slack: f64,
-    /// Thread configuration for the hop-bytes guard fan-out.
+    /// Read by nothing (the guard is `max_candidates` deltas of O(δ) beside
+    /// dozens of simulations). `benchmark/src/cases.rs` builds this struct
+    /// with it; ROADMAP item 8(g) removes both.
     pub par: Parallelism,
 }
 
@@ -150,14 +151,6 @@ impl Default for ContentionRefine {
 }
 
 impl ContentionRefine {
-    /// Default parameters with an explicit thread configuration.
-    pub fn with_parallelism(par: Parallelism) -> Self {
-        ContentionRefine {
-            par,
-            ..Self::default()
-        }
-    }
-
     /// Refine `m` in place against the simulator `sim`; returns the run
     /// report. `sim` must be deterministic (same mapping → same
     /// observation) with ledgers in `topo.links()` order; routes used for
@@ -176,7 +169,6 @@ impl ContentionRefine {
     {
         let _span = obs::span("contention.refine");
         let prof = obs::enabled();
-        let exec = Executor::new(self.par);
         let links = topo.links();
 
         let mut sims_run = 0usize;
@@ -207,30 +199,15 @@ impl ContentionRefine {
                 break;
             }
 
-            // Hop-bytes guard, fanned over the candidate list. Chunk
-            // results are flattened in chunk (= candidate) order, so the
-            // survivor set is independent of the thread count.
+            // Hop-bytes guard: a candidate that regresses the proxy by
+            // more than the slack is never simulated.
             let hb = metrics::hop_bytes(tasks, topo, m);
             let slack = self.hb_slack * hb.max(1.0);
-            let deltas: Vec<f64> = exec
-                .map_chunks(cands.len(), tasks.num_tasks().max(1), |range| {
-                    range
-                        .map(|i| cands[i].hb_delta(tasks, topo, m))
-                        .collect::<Vec<f64>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
 
             // Simulated-makespan acceptance: try survivors in enumeration
             // order, keep the best strict improvement (ties → earliest).
             let mut best: Option<(u64, Exchange, SimObservation)> = None;
-            for (c, _) in cands
-                .iter()
-                .zip(&deltas)
-                .filter(|&(_, &d)| d <= slack)
-                .map(|(&c, &d)| (c, d))
-            {
+            for &c in cands.iter().filter(|c| c.hb_delta(tasks, topo, m) <= slack) {
                 if sims_run >= self.sim_budget {
                     break;
                 }

@@ -112,9 +112,6 @@ pub struct GenEstimationState<'a> {
     /// Row pool. `rows[slot][i]` = Σ over placed neighbors j of the owning
     /// task of `c · d(free[i], P(j))`, accumulated in placement order.
     rows: Vec<Vec<f64>>,
-    /// Per slot: the row entry dropped at the most recent free-list
-    /// shrink (feeds the subtraction fast path).
-    removed_val: Vec<f64>,
     free_slots: Vec<usize>,
     row_slot: Vec<usize>,
     /// Per-active-task FMin value / argmin processor / Σ fest over free.
@@ -131,7 +128,8 @@ pub struct GenEstimationState<'a> {
     dist_scratch: Vec<u32>,
     /// `0..p`, the target list for third-order full columns.
     all_ids: Vec<NodeId>,
-    /// Worker pool for the parallel scans (serial when 1 thread).
+    /// Fans out the third order's frontier-wide refold, the one step
+    /// whose items (whole rows) are independent; nothing else here does.
     exec: Executor,
 }
 
@@ -167,14 +165,14 @@ fn fold_stats(iter: impl Iterator<Item = (f64, NodeId)>) -> (f64, NodeId, f64) {
 
 impl<'a> GenEstimationState<'a> {
     pub fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, order: EstimationOrder) -> Self {
-        Self::with_parallelism(tasks, topo, order, Parallelism::default())
+        Self::with_executor(tasks, topo, order, Executor::new(Parallelism::default()))
     }
 
-    pub fn with_parallelism(
+    fn with_executor(
         tasks: &'a TaskGraph,
         topo: &'a dyn Topology,
         order: EstimationOrder,
-        par: Parallelism,
+        exec: Executor,
     ) -> Self {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
@@ -216,7 +214,6 @@ impl<'a> GenEstimationState<'a> {
             active: Vec::new(),
             active_pos: vec![NONE; n],
             rows: Vec::new(),
-            removed_val: Vec::new(),
             free_slots: Vec::new(),
             row_slot: vec![NONE; n],
             fmin: vec![0.0; n],
@@ -230,7 +227,7 @@ impl<'a> GenEstimationState<'a> {
                 EstimationOrder::Third => (0..p).collect(),
                 _ => Vec::new(),
             },
-            exec: Executor::new(par),
+            exec,
         }
     }
 
@@ -308,11 +305,6 @@ impl<'a> GenEstimationState<'a> {
     /// The next task to place: the max-gain frontier task (ties → lowest
     /// id) while the frontier is non-empty; otherwise the lowest-id virgin
     /// task (every virgin's gain is defined 0, so the id tie-break rules).
-    ///
-    /// Parallel: each worker scans a contiguous chunk of the active list;
-    /// (gain desc, id asc) is a total order, so the argmax is the same
-    /// wherever the chunk boundaries fall — bit-identical to the serial
-    /// scan.
     pub fn select_task(&self) -> TaskId {
         debug_assert!(!self.unassigned.is_empty());
         if self.active.is_empty() {
@@ -323,22 +315,10 @@ impl<'a> GenEstimationState<'a> {
             return c;
         }
         let flen = self.free.len() as f64;
-        let parts = self.exec.map_chunks(self.active.len(), 1, |range| {
-            let mut best_t = NONE;
-            let mut best_gain = f64::NEG_INFINITY;
-            for i in range {
-                let t = self.active[i];
-                let g = self.fsum[t] / flen - self.fmin[t];
-                if g > best_gain || (g == best_gain && t < best_t) {
-                    best_gain = g;
-                    best_t = t;
-                }
-            }
-            (best_gain, best_t)
-        });
         let mut best_t = NONE;
         let mut best_gain = f64::NEG_INFINITY;
-        for (g, t) in parts {
+        for &t in &self.active {
+            let g = self.fsum[t] / flen - self.fmin[t];
             if g > best_gain || (g == best_gain && t < best_t) {
                 best_gain = g;
                 best_t = t;
@@ -381,7 +361,6 @@ impl<'a> GenEstimationState<'a> {
             s
         } else {
             self.rows.push(Vec::new());
-            self.removed_val.push(0.0);
             self.rows.len() - 1
         }
     }
@@ -461,7 +440,7 @@ impl<'a> GenEstimationState<'a> {
         if self.order == EstimationOrder::Third {
             for &u in &self.active {
                 let s = self.row_slot[u];
-                self.removed_val[s] = self.rows[s].swap_remove(qi);
+                self.rows[s].swap_remove(qi);
             }
             self.assign_third_order(q, &nbrs);
             return;
@@ -480,50 +459,42 @@ impl<'a> GenEstimationState<'a> {
         // q, so FSum drops by the dropped entry and (FMin, argmin) survive
         // unless the argmin was q. A non-neighbor's row and weight are
         // untouched by the edge events below, so this pass commutes with
-        // them — the serial path fuses it with the row shrink (one pass
-        // over the frontier instead of two), the parallel path shrinks
-        // here and scans in workers after the edge events.
+        // them and is fused with the row shrink (one pass over the
+        // frontier instead of two).
         let factor_pre = match self.order {
             EstimationOrder::First => 0.0,
             _ => self.avg_all.avg(q),
         };
         let step = self.step;
-        if self.exec.threads() <= 1 {
-            let (mut full, mut fast) = (0u64, 0u64);
-            for i in 0..self.active.len() {
-                let u = self.active[i];
-                let s = self.row_slot[u];
-                let v = self.rows[s].swap_remove(qi);
-                if self.nbr_stamp[u] == step {
-                    continue; // handled by its edge event below
-                }
-                let wu = self.unassigned_wgt[u];
-                if self.fmin_proc[u] == q {
-                    let row = &self.rows[s];
-                    let (min, argmin, sum) = fold_stats(
-                        row[..flen]
-                            .iter()
-                            .zip(&self.avg_free[..flen])
-                            .zip(&self.free[..flen])
-                            .map(|((&r, &fq), &qq)| (r + wu * fq, qq)),
-                    );
-                    self.fmin[u] = min;
-                    self.fmin_proc[u] = argmin;
-                    self.fsum[u] = sum;
-                    full += 1;
-                } else {
-                    self.fsum[u] -= v + wu * factor_pre;
-                    fast += 1;
-                }
+        let (mut full, mut fast) = (0u64, 0u64);
+        for i in 0..self.active.len() {
+            let u = self.active[i];
+            let s = self.row_slot[u];
+            let v = self.rows[s].swap_remove(qi);
+            if self.nbr_stamp[u] == step {
+                continue; // handled by its edge event below
             }
-            obs::counter_add("estimation.fest_full_scan", full);
-            obs::counter_add("estimation.fest_incremental", fast);
-        } else {
-            for &u in &self.active {
-                let s = self.row_slot[u];
-                self.removed_val[s] = self.rows[s].swap_remove(qi);
+            let wu = self.unassigned_wgt[u];
+            if self.fmin_proc[u] == q {
+                let row = &self.rows[s];
+                let (min, argmin, sum) = fold_stats(
+                    row[..flen]
+                        .iter()
+                        .zip(&self.avg_free[..flen])
+                        .zip(&self.free[..flen])
+                        .map(|((&r, &fq), &qq)| (r + wu * fq, qq)),
+                );
+                self.fmin[u] = min;
+                self.fmin_proc[u] = argmin;
+                self.fsum[u] = sum;
+                full += 1;
+            } else {
+                self.fsum[u] -= v + wu * factor_pre;
+                fast += 1;
             }
         }
+        obs::counter_add("estimation.fest_full_scan", full);
+        obs::counter_add("estimation.fest_incremental", fast);
 
         // Edge events: fused row update + stats fold per unplaced
         // neighbor. Activations allocate a pooled row and write it on
@@ -591,49 +562,6 @@ impl<'a> GenEstimationState<'a> {
         }
         obs::counter_add("estimation.row_events", nbrs.len() as u64);
         obs::counter_add("estimation.fest_full_scan", full_scans);
-        if self.exec.threads() <= 1 {
-            return; // the fused pass above already did the subtraction
-        }
-        let this = &*self;
-        let wpi = 8;
-        let parts = this.exec.map_chunks(this.active.len(), wpi, |range| {
-            let mut out = Vec::with_capacity(range.len());
-            let (mut full, mut fast) = (0u64, 0u64);
-            for i in range {
-                let u = this.active[i];
-                if this.nbr_stamp[u] == step {
-                    continue; // handled by its edge event above
-                }
-                let s = this.row_slot[u];
-                let wu = this.unassigned_wgt[u];
-                let old = this.removed_val[s] + wu * factor_pre;
-                if this.fmin_proc[u] == q {
-                    let row = &this.rows[s];
-                    let (min, argmin, sum) = fold_stats(
-                        row[..flen]
-                            .iter()
-                            .zip(&this.avg_free[..flen])
-                            .zip(&this.free[..flen])
-                            .map(|((&r, &fq), &qq)| (r + wu * fq, qq)),
-                    );
-                    out.push((u, min, argmin, sum));
-                    full += 1;
-                } else {
-                    out.push((u, this.fmin[u], this.fmin_proc[u], this.fsum[u] - old));
-                    fast += 1;
-                }
-            }
-            obs::counter_add("estimation.fest_full_scan", full);
-            obs::counter_add("estimation.fest_incremental", fast);
-            out
-        });
-        for chunk in parts {
-            for (u, min, argmin, sum) in chunk {
-                self.fmin[u] = min;
-                self.fmin_proc[u] = argmin;
-                self.fsum[u] = sum;
-            }
-        }
     }
 
     /// Third-order tail of [`Self::assign`]: the free-set average changes
@@ -677,8 +605,11 @@ impl<'a> GenEstimationState<'a> {
             self.factor_free.push(self.sum_free[self.free[i]] / fdiv);
         }
 
+        // One item is one frontier row refolded over the free list, 2.5 ns
+        // an element (measured 2.3–2.5 at 1024–2048 PEs).
         let this = &*self;
-        let parts = this.exec.map_chunks(this.active.len(), flen + 1, |range| {
+        let row_ns = 5 * (flen + 1) / 2;
+        let parts = this.exec.map_chunks(this.active.len(), row_ns, |range| {
             range
                 .map(|i| {
                     let u = this.active[i];
@@ -789,11 +720,14 @@ impl<'a> EstimationState<'a> {
         order: EstimationOrder,
         par: Parallelism,
     ) -> Self {
+        // Built before the kernel is picked: `Executor::new` is where a
+        // profiled run records its thread configuration, and the integer
+        // kernel — which has no region to fan out — would otherwise leave
+        // a stencil's profile without it.
+        let exec = Executor::new(par);
         let inner = match uniform_kernel(tasks, topo, order) {
-            Some((c, k)) => Kernel::Uni(UniEstimationState::new(tasks, topo, c, k, par)),
-            None => Kernel::Gen(GenEstimationState::with_parallelism(
-                tasks, topo, order, par,
-            )),
+            Some((c, k)) => Kernel::Uni(UniEstimationState::new(tasks, topo, c, k)),
+            None => Kernel::Gen(GenEstimationState::with_executor(tasks, topo, order, exec)),
         };
         obs::counter_add(
             match inner {

@@ -44,7 +44,6 @@
 //! always pick the same path.
 
 use crate::obs;
-use crate::par::{Executor, Parallelism};
 use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{NodeId, Topology};
 
@@ -114,7 +113,6 @@ pub struct UniEstimationState<'a> {
     /// Positional d(free[i], q) gather of the most recent placement
     /// (feeds the edge folds).
     dist: Vec<u32>,
-    exec: Executor,
 }
 
 /// Lexicographic `(r, id)` min over a row and its positionally aligned
@@ -142,13 +140,7 @@ fn row_lexmin(row: &[u32], free: &[u32]) -> (u32, NodeId) {
 }
 
 impl<'a> UniEstimationState<'a> {
-    pub fn new(
-        tasks: &'a TaskGraph,
-        topo: &'a dyn Topology,
-        c: f64,
-        kfac: f64,
-        par: Parallelism,
-    ) -> Self {
+    pub fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, c: f64, kfac: f64) -> Self {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
         assert!(n <= p, "need at least as many processors as tasks");
@@ -185,7 +177,6 @@ impl<'a> UniEstimationState<'a> {
             nbr_stamp: vec![0; n],
             step: 0,
             dist: Vec::new(),
-            exec: Executor::new(par),
         }
     }
 
@@ -237,22 +228,10 @@ impl<'a> UniEstimationState<'a> {
             return c;
         }
         let flen = self.free.len() as f64;
-        let parts = self.exec.map_chunks(self.active.len(), 1, |range| {
-            let mut best_t = NONE;
-            let mut best_gain = f64::NEG_INFINITY;
-            for i in range {
-                let t = self.active[i];
-                let g = self.c * (self.sr[t] as f64 / flen - self.rmin[t] as f64);
-                if g > best_gain || (g == best_gain && t < best_t) {
-                    best_gain = g;
-                    best_t = t;
-                }
-            }
-            (best_gain, best_t)
-        });
         let mut best_t = NONE;
         let mut best_gain = f64::NEG_INFINITY;
-        for (g, t) in parts {
+        for &t in &self.active {
+            let g = self.c * (self.sr[t] as f64 / flen - self.rmin[t] as f64);
             if g > best_gain || (g == best_gain && t < best_t) {
                 best_gain = g;
                 best_t = t;
@@ -547,7 +526,7 @@ mod tests {
     fn integers_match_bruteforce_every_step() {
         let tasks = gen::stencil2d(4, 5, 100.0, false);
         let topo = Torus::torus_2d(5, 4);
-        let mut s = UniEstimationState::new(&tasks, &topo, 100.0, 1.5, Parallelism::serial());
+        let mut s = UniEstimationState::new(&tasks, &topo, 100.0, 1.5);
         for _ in 0..20 {
             let t = s.select_task();
             let q = s.best_proc(t);
@@ -574,7 +553,7 @@ mod tests {
     fn virgin_rule_lowest_id_lowest_proc() {
         let tasks = gen::ring(5, 7.0);
         let topo = Torus::torus_2d(3, 3);
-        let mut s = UniEstimationState::new(&tasks, &topo, 7.0, 2.0, Parallelism::serial());
+        let mut s = UniEstimationState::new(&tasks, &topo, 7.0, 2.0);
         assert_eq!(s.select_task(), 0, "lowest-id virgin first");
         assert_eq!(s.best_proc(0), 0, "constant factor ties break to lowest id");
     }

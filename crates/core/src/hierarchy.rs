@@ -35,6 +35,12 @@ use crate::{obs, EstimationOrder, Mapper, Mapping, Parallelism, TopoLb};
 use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{CachedTopology, Hierarchy, NodeId, Topology, Torus};
 
+/// Serial nanoseconds a [`Unit`] job costs per pair of its slots (greedy
+/// growth plus its sweeps), for the pool's cutoff: measured 45 on a 2-D
+/// stencil and 150–200 on a degree-6 random graph; the lower one is
+/// declared, so a region that fans out has at least the work it claims.
+const PAIR_NS: usize = 45;
+
 /// Recursive partition-and-map over an explicit hardware hierarchy, with
 /// the leaf sub-mappings dispatched in parallel (deterministically).
 #[derive(Debug, Clone)]
@@ -734,7 +740,8 @@ impl Mapper for HierMapper {
         // origin. Known before any leaf is mapped, so leaves can orient
         // themselves toward their neighbors without ordering constraints.
         let leaf_origin: Vec<NodeId> = (0..leaves).map(|g| self.pe(g * a1)).collect();
-        let placed: Vec<Vec<(TaskId, NodeId)>> = exec.map_chunks(leaves, a1 * a1, |range| {
+        let leaf_ns = PAIR_NS * a1 * a1;
+        let placed: Vec<Vec<(TaskId, NodeId)>> = exec.map_chunks(leaves, leaf_ns, |range| {
             let mut out = Vec::new();
             let mut local_of = vec![usize::MAX; n];
             for leaf in range.clone() {
@@ -864,7 +871,8 @@ impl Mapper for HierMapper {
                 let snapshot = proc_of.clone();
                 // Per chunk: (position updates, changed unit indices, swaps).
                 type RefineChunk = (Vec<(TaskId, NodeId)>, Vec<usize>, u64);
-                let rounds: Vec<RefineChunk> = exec.map_chunks(units.len(), 4 * a1 * a1, |range| {
+                let unit_ns = 4 * PAIR_NS * a1 * a1;
+                let rounds: Vec<RefineChunk> = exec.map_chunks(units.len(), unit_ns, |range| {
                     let mut updates = Vec::new();
                     let mut changed_units = Vec::new();
                     let mut swaps = 0u64;
@@ -1048,10 +1056,7 @@ mod tests {
         let machine = Torus::torus_2d(8, 8);
         let mk = |threads: usize| {
             let mut h = HierMapper::for_torus_with(&machine, &[4, 4, 4]).unwrap();
-            h.par = Parallelism {
-                threads: crate::Threads::Fixed(threads),
-                min_work: 1,
-            };
+            h.par = Parallelism::eager(threads);
             h.map(&tasks, &machine)
         };
         let serial = mk(1);

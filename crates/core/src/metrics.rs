@@ -44,8 +44,9 @@ pub fn hop_bytes_many_in(
     topo: &dyn Topology,
     maps: &[Mapping],
 ) -> Vec<f64> {
-    let wpi = 1 + tasks.num_edges();
-    let chunks = exec.map_chunks(maps.len(), wpi, |range| {
+    // One distance evaluation (25 ns) per edge per mapping.
+    let map_ns = 25 * tasks.num_edges();
+    let chunks = exec.map_chunks(maps.len(), map_ns, |range| {
         range
             .map(|i| hop_bytes(tasks, topo, &maps[i]))
             .collect::<Vec<_>>()

@@ -1,42 +1,48 @@
 //! Deterministic multi-threaded execution layer.
 //!
-//! Every parallel kernel in this crate is a *chunked scan with an
-//! order-independent reduction*: the index space is split into contiguous
-//! chunks, each worker produces a partial result for its chunk, and the
-//! caller combines the partials **in chunk order** with the same
-//! lowest-id tie-break the serial code uses. Because the combining
-//! operators (argmin/argmax with id tie-break, disjoint writes,
-//! per-item sums that never split one item's floating-point accumulation
-//! across workers) are invariant to where the chunk boundaries fall, the
-//! result is bit-identical to the serial scan for *every* thread count.
-//! That is the determinism guarantee the serial-equivalence test suite
-//! pins down.
+//! A parallel region is a *chunked map with an order-independent
+//! combination*: the index space is split into contiguous chunks, each
+//! worker produces the result for its chunk, and the caller combines the
+//! results **in chunk order** (concatenation, or the lowest index of a
+//! first hit). An item — a leaf of the hierarchy, a bisection, a mapping
+//! to score, a refinement candidate, a frontier row to refold — is always
+//! computed whole by one worker, so no floating-point sum is ever split
+//! and the result is bit-identical to the serial loop for *every* thread
+//! count. That is the guarantee `tests/parallel_equivalence.rs` pins.
 //!
-//! [`Parallelism`] is the user-facing knob (thread count + a work
-//! threshold below which regions run serial); [`Executor`] owns the
-//! worker pool for one mapping run. The pool is a fork-join broadcaster:
-//! workers park on a condvar between regions, so idle threads cost
-//! nothing, and one pool amortizes thread spawns over the O(p) parallel
-//! regions of a placement loop.
+//! Regions exist only where the items are independent sub-problems, never
+//! inside a greedy step's own scan; DESIGN.md §6 has the table of call
+//! sites and what each measured, and `exp_par` reproduces it.
+//!
+//! [`Parallelism`] is the user-facing knob (the thread count);
+//! [`Executor`] owns the worker pool for one mapping run. The pool is a
+//! fork-join broadcaster: workers park on a condvar between regions, and
+//! one pool amortizes thread spawns over the regions of a run. The first
+//! region that clears [`MIN_CHUNK_NS`] spawns it, so a run whose regions
+//! all stay below the cutoff never starts a thread.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::obs;
 
-/// Default serial-cutoff threshold: a region whose estimated elementary
-/// operation count (`len · work_per_item`) falls below this runs on the
-/// calling thread even when a pool exists — the fork-join handshake costs
-/// on the order of microseconds, so regions under a few thousand
-/// operations lose by parallelizing. Profiles distinguish the two serial
-/// causes: `par.regions.serial` (no pool at all) vs
-/// `par.regions.below_cutoff` (pool present, region too small), with
-/// `par.regions.parallel` counting the regions that actually fanned out.
-pub const DEFAULT_MIN_WORK: usize = 4096;
+/// The serial cutoff, per chunk: a region runs on the calling thread
+/// unless each thread's share of its estimated serial work
+/// (`len · ns_per_item / threads` nanoseconds) reaches this. It is over
+/// twice the round trip of an **empty** two-thread region on the
+/// benchmark host, 33–47 µs (`exp_par`), so a chunk does at least double
+/// the work of the handshake that delivers it and the smallest region
+/// that fans out takes about three quarters of its serial time — the
+/// "two threads beat one by 1.3×" bar each surviving call site was kept
+/// for. (Measured there: a two-thread region of `W` µs of serial adds
+/// takes `W/2 + 34` — 43 for 22, 76–78 for 85–97, 207–211 for 342–362.)
+/// Call sites state their estimates in one unit, with 25 ns per topology
+/// distance evaluation as the yardstick.
+const MIN_CHUNK_NS: usize = 100_000;
 
 /// Thread-count selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,24 +53,22 @@ pub enum Threads {
     Fixed(usize),
 }
 
-/// Parallelism configuration carried by every mapper.
-///
-/// `min_work` is an approximate count of elementary operations (distance
-/// evaluations, fest reads, gain compares) below which a region is not
-/// worth the fork-join handshake and runs on the calling thread. The
-/// serial fallback computes exactly the same result — see the module
-/// docs — so this is purely a performance knob.
+/// Parallelism configuration carried by every mapper: how many threads
+/// a region may fan out to. Which regions do is not configurable — a
+/// region below [`MIN_CHUNK_NS`] runs the same code on the calling
+/// thread and computes exactly the same result (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     pub threads: Threads,
-    pub min_work: usize,
+    /// Set only by [`Parallelism::eager`].
+    eager: bool,
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
         Parallelism {
             threads: Threads::Auto,
-            min_work: DEFAULT_MIN_WORK,
+            eager: false,
         }
     }
 }
@@ -72,17 +76,24 @@ impl Default for Parallelism {
 impl Parallelism {
     /// Force serial execution.
     pub fn serial() -> Self {
-        Parallelism {
-            threads: Threads::Fixed(1),
-            ..Default::default()
-        }
+        Self::fixed(1)
     }
 
     /// Use exactly `n` threads (0 is clamped to 1).
     pub fn fixed(n: usize) -> Self {
         Parallelism {
             threads: Threads::Fixed(n),
-            ..Default::default()
+            eager: false,
+        }
+    }
+
+    /// Test hook: `n` threads with the serial cutoff at zero, so the tiny
+    /// inputs of the equivalence suites take the threaded path too.
+    #[doc(hidden)]
+    pub fn eager(n: usize) -> Self {
+        Parallelism {
+            threads: Threads::Fixed(n),
+            eager: true,
         }
     }
 
@@ -121,28 +132,32 @@ fn chunk_range(len: usize, k: usize, i: usize) -> Range<usize> {
     start..end
 }
 
-/// Per-run executor: a resolved thread count plus (for >1 thread) a
-/// parked worker pool.
+/// Per-run executor: a resolved thread count plus, once a region has
+/// fanned out, a parked worker pool.
 pub struct Executor {
     threads: usize,
-    min_work: usize,
-    pool: Option<Pool>,
+    /// Estimated serial nanoseconds below which a region stays serial.
+    min_region_ns: usize,
+    pool: OnceLock<Pool>,
 }
 
 impl Executor {
+    /// Resolves the thread count and spawns nothing. Every mapper gets
+    /// here before it does any work, so this is also where a profiled run
+    /// records how it was configured.
     pub fn new(par: Parallelism) -> Self {
         let threads = par.resolved_threads();
-        let pool = (threads > 1).then(|| Pool::new(threads));
         if obs::enabled() {
             // Self-describing profiles: why par.* counters look serial on
             // a small host is visible in the artifact itself.
             obs::meta_set("par.threads", &threads.to_string());
             obs::meta_set("par.host_cores", &available_threads().to_string());
         }
+        let min_region_ns = if par.eager { 0 } else { MIN_CHUNK_NS * threads };
         Executor {
             threads,
-            min_work: par.min_work,
-            pool,
+            min_region_ns,
+            pool: OnceLock::new(),
         }
     }
 
@@ -153,13 +168,15 @@ impl Executor {
 
     /// Run `f` over `0..len` split into contiguous chunks and return the
     /// per-chunk results in chunk order. Runs serially (a single chunk on
-    /// the calling thread) when the pool is absent or the region is below
-    /// the work threshold; callers must combine chunk results with a
+    /// the calling thread) at one thread or when the region is below
+    /// [`MIN_CHUNK_NS`]; callers must combine chunk results with a
     /// chunking-invariant reduction so both paths agree bit-for-bit.
     ///
-    /// `work_per_item` is the caller's estimate of elementary operations
-    /// per index, compared against `Parallelism::min_work`.
-    pub fn map_chunks<T, F>(&self, len: usize, work_per_item: usize, f: F) -> Vec<T>
+    /// `ns_per_item` is the caller's estimate of the serial nanoseconds
+    /// one index costs. A profiled serial run records the estimates it
+    /// was given (`par.estimate_ns`) beside the time the regions took
+    /// (`par.serial_ns`), so an estimate that drifted shows in a trace.
+    pub fn map_chunks<T, F>(&self, len: usize, ns_per_item: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Range<usize>) -> T + Sync,
@@ -167,23 +184,23 @@ impl Executor {
         // Sampled once per region so the per-worker probes agree with the
         // region-level ones even if profiling is toggled mid-region.
         let prof = obs::enabled();
-        let pool = match &self.pool {
-            Some(pool) if len.saturating_mul(work_per_item) >= self.min_work && len > 1 => pool,
-            _ => {
-                if prof {
-                    // Two distinct serial causes: no pool at all vs pool
-                    // present but the region under the cutoff threshold.
-                    let cause = if self.pool.is_some() {
-                        "par.regions.below_cutoff"
-                    } else {
-                        "par.regions.serial"
-                    };
-                    obs::counter_add(cause, 1);
-                    return vec![obs::time_counter("par.serial_ns", || f(0..len))];
-                }
-                return vec![f(0..len)];
+        let estimate_ns = len.saturating_mul(ns_per_item);
+        if self.threads == 1 || len < 2 || estimate_ns < self.min_region_ns {
+            if prof {
+                // Two distinct serial causes: a one-thread run vs a
+                // region under the cutoff (or of a single item).
+                let cause = if self.threads == 1 {
+                    "par.regions.serial"
+                } else {
+                    "par.regions.below_cutoff"
+                };
+                obs::counter_add(cause, 1);
+                obs::counter_add("par.estimate_ns", estimate_ns as u64);
+                return vec![obs::time_counter("par.serial_ns", || f(0..len))];
             }
-        };
+            return vec![f(0..len)];
+        }
+        let pool = self.pool.get_or_init(|| Pool::new(self.threads));
         let k = self.threads;
         let region_start = prof.then(Instant::now);
         let mut out: Vec<Option<T>> = Vec::with_capacity(k);
@@ -393,9 +410,7 @@ mod tests {
         let data: Vec<u64> = (0..10_000).collect();
         let serial: u64 = data.iter().sum();
         for threads in [1usize, 2, 5, 8] {
-            let mut par = Parallelism::fixed(threads);
-            par.min_work = 0;
-            let exec = Executor::new(par);
+            let exec = Executor::new(Parallelism::eager(threads));
             let chunks = exec.map_chunks(data.len(), 1, |r| data[r].iter().sum::<u64>());
             assert_eq!(
                 chunks.len(),
@@ -407,74 +422,41 @@ mod tests {
     }
 
     #[test]
-    fn argmin_reduction_is_chunking_invariant() {
-        // The canonical reduction shape used by the estimation kernels:
-        // (value, id) argmin with lowest-id tie-break.
-        let vals: Vec<u64> = (0..5000)
-            .map(|i: u64| i.wrapping_mul(2654435761) % 97)
-            .collect();
-        let serial = vals
-            .iter()
-            .enumerate()
-            .fold((u64::MAX, usize::MAX), |(bv, bi), (i, &v)| {
-                if v < bv || (v == bv && i < bi) {
-                    (v, i)
-                } else {
-                    (bv, bi)
-                }
-            });
-        for threads in [2usize, 3, 8] {
-            let mut par = Parallelism::fixed(threads);
-            par.min_work = 0;
-            let exec = Executor::new(par);
-            let partials = exec.map_chunks(vals.len(), 1, |r| {
-                r.fold((u64::MAX, usize::MAX), |(bv, bi), i| {
-                    if vals[i] < bv || (vals[i] == bv && i < bi) {
-                        (vals[i], i)
-                    } else {
-                        (bv, bi)
-                    }
-                })
-            });
-            let combined = partials
-                .into_iter()
-                .fold((u64::MAX, usize::MAX), |(bv, bi), (v, i)| {
-                    if v < bv || (v == bv && i < bi) {
-                        (v, i)
-                    } else {
-                        (bv, bi)
-                    }
-                });
-            assert_eq!(combined, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn below_threshold_runs_single_chunk() {
-        let exec = Executor::new(Parallelism::fixed(4)); // default min_work
-        let chunks = exec.map_chunks(8, 1, |r| r.len());
-        assert_eq!(chunks, vec![8]);
+        let exec = Executor::new(Parallelism::fixed(4));
+        // One nanosecond short of four full chunks, and a one-item region
+        // of any size: both stay on the caller and neither starts a thread.
+        let chunks = exec.map_chunks(4 * MIN_CHUNK_NS - 1, 1, |r| r.len());
+        assert_eq!(chunks, vec![4 * MIN_CHUNK_NS - 1]);
+        assert_eq!(exec.map_chunks(1, usize::MAX, |r| r.len()), vec![1]);
+        assert!(exec.pool.get().is_none(), "pool spawned by a serial region");
+        // At the cutoff the region fans out.
+        assert_eq!(exec.map_chunks(4 * MIN_CHUNK_NS, 1, |r| r.len()).len(), 4);
+        assert!(exec.pool.get().is_some());
     }
 
     #[test]
     fn pool_survives_many_regions() {
-        let mut par = Parallelism::fixed(4);
-        par.min_work = 0;
-        let exec = Executor::new(par);
+        let exec = Executor::new(Parallelism::eager(4));
+        assert!(exec.pool.get().is_none(), "pool spawned before any region");
+        let mut seen = std::collections::HashSet::new();
         for round in 0..200usize {
-            let total: usize = exec
-                .map_chunks(97, 1, |r| r.map(|i| i * round).sum::<usize>())
-                .into_iter()
-                .sum();
+            let chunks = exec.map_chunks(97, 1, |r| {
+                let sum = r.map(|i| i * round).sum::<usize>();
+                (std::thread::current().id(), sum)
+            });
+            let total: usize = chunks.iter().map(|&(_, sum)| sum).sum();
             assert_eq!(total, (0..97).map(|i| i * round).sum::<usize>());
+            seen.extend(chunks.into_iter().map(|(id, _)| id));
         }
+        // Spawned once, by the first region: 200 regions ran on the same
+        // three workers plus the caller.
+        assert_eq!(seen.len(), 4);
     }
 
     #[test]
     fn worker_panic_propagates_to_caller() {
-        let mut par = Parallelism::fixed(2);
-        par.min_work = 0;
-        let exec = Executor::new(par);
+        let exec = Executor::new(Parallelism::eager(2));
         let result = catch_unwind(AssertUnwindSafe(|| {
             exec.map_chunks(100, 1, |r| {
                 // The second chunk runs on the spawned worker.

@@ -253,8 +253,11 @@ pub fn refine_mapping_with(
     let n = tasks.num_tasks();
     let p = topo.num_nodes();
     let moves = p > n;
-    // Candidate evaluation is O(δ̄); used for the serial-fallback check.
-    let wpi = 1 + 2 * tasks.num_edges() / n.max(1);
+    // Serial nanoseconds per candidate, for the pool's cutoff: a delta is
+    // two distance evaluations per neighbour of either task, 75 ns per
+    // unit of 1 + δ̄ when a window is scanned to its end (measured 68–79 on
+    // converged sweeps; a window that hits early costs less than it says).
+    let candidate_ns = 75 * (1 + 2 * tasks.num_edges() / n.max(1));
     // Window sizing: small after an accepted exchange (the next
     // improvement tends to be nearby, so speculation past it is wasted),
     // growing while a region of the sweep yields nothing. Window sizes
@@ -359,7 +362,7 @@ pub fn refine_mapping_with(
             let frozen = &*m;
             let cands = &batch;
             let hit = exec
-                .map_chunks(cands.len(), wpi, |range| {
+                .map_chunks(cands.len(), candidate_ns, |range| {
                     range
                         .clone()
                         .find(|&k| improves(tasks, topo, frozen, cands[k]))
@@ -493,7 +496,6 @@ impl<M: Mapper> Mapper for RefineTopoLb<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::Threads;
     use crate::{metrics, RandomMap, TopoCentLb, TopoLb};
     use topomap_taskgraph::gen;
     use topomap_topology::Torus;
@@ -661,11 +663,8 @@ mod tests {
             let mut want = base.clone();
             let acc_naive = refine_mapping_naive(&tasks, &topo, &mut want, 8);
             for threads in [1usize, 4] {
-                let par = Parallelism {
-                    threads: Threads::Fixed(threads),
-                    min_work: 1,
-                };
                 let mut got = base.clone();
+                let par = Parallelism::eager(threads);
                 let acc = refine_mapping_with(&tasks, &topo, &mut got, 8, par);
                 assert_eq!(acc, acc_naive, "accept count (seed {seed}, {threads}t)");
                 assert_eq!(got, want, "mapping (seed {seed}, {threads}t)");

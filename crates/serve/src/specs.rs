@@ -470,10 +470,7 @@ impl MapperSpec {
             )),
             MapperSpec::Identity => Box::new(IdentityMap),
             MapperSpec::Linear => Box::new(LinearOrderMap::bfs()),
-            MapperSpec::Anneal => Box::new(SimulatedAnnealingMap {
-                par,
-                ..SimulatedAnnealingMap::new(seed)
-            }),
+            MapperSpec::Anneal => Box::new(SimulatedAnnealingMap::new(seed)),
             MapperSpec::Genetic => Box::new(GeneticMap {
                 par,
                 ..GeneticMap::new(seed)

@@ -38,14 +38,6 @@ use topomap::core::refine::{refine_mapping_naive, refine_mapping_with};
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
 
-/// A `Parallelism` that takes the threaded path even on tiny inputs.
-fn eager(threads: usize) -> Parallelism {
-    Parallelism {
-        threads: Threads::Fixed(threads),
-        min_work: 1,
-    }
-}
-
 /// Random task graph; `uniform` pins every edge weight to one constant
 /// (the uniform-integer kernel's precondition), varied weights force the
 /// general f64 kernel.
@@ -85,7 +77,7 @@ const ORDERS: [EstimationOrder; 3] = [
 /// Drive the fast facade and the naive oracle through the same placement
 /// schedule, auditing the complete observable surface at every step.
 fn lockstep_audit(g: &TaskGraph, topo: &dyn Topology, order: EstimationOrder, threads: usize) {
-    let mut fast = EstimationState::with_parallelism(g, topo, order, eager(threads));
+    let mut fast = EstimationState::with_parallelism(g, topo, order, Parallelism::eager(threads));
     let mut naive = NaiveEstimationState::new(g, topo, order);
     assert_eq!(
         fast.kernel_label(),
@@ -160,7 +152,7 @@ proptest! {
         let order = ORDERS[order_idx];
         let want = NaiveTopoLb { order }.map(&g, topo.as_ref());
         for threads in [1usize, 2, 8] {
-            let got = TopoLb::with_parallelism(order, eager(threads)).map(&g, topo.as_ref());
+            let got = TopoLb::with_parallelism(order, Parallelism::eager(threads)).map(&g, topo.as_ref());
             prop_assert_eq!(&want, &got, "order {:?}, {} threads", order, threads);
         }
     }
@@ -193,7 +185,7 @@ proptest! {
         let accepted = refine_mapping_naive(&g, topo.as_ref(), &mut want, 4);
         for threads in [1usize, 2, 8] {
             let mut got = start.clone();
-            let acc = refine_mapping_with(&g, topo.as_ref(), &mut got, 4, eager(threads));
+            let acc = refine_mapping_with(&g, topo.as_ref(), &mut got, 4, Parallelism::eager(threads));
             prop_assert_eq!(acc, accepted, "accept count at {} threads", threads);
             prop_assert_eq!(&want, &got, "{} threads", threads);
         }
@@ -234,7 +226,8 @@ fn regression_seed_2883168991836340068() {
             for order in ORDERS {
                 let want = NaiveTopoLb { order }.map(g, topo.as_ref());
                 for threads in [1usize, 2, 8] {
-                    let got = TopoLb::with_parallelism(order, eager(threads)).map(g, topo.as_ref());
+                    let got = TopoLb::with_parallelism(order, Parallelism::eager(threads))
+                        .map(g, topo.as_ref());
                     assert_eq!(
                         want, got,
                         "{label} weights, topo {topo_idx}, order {order:?}, {threads} threads"

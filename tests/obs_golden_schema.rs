@@ -86,7 +86,8 @@ fn counters_match_golden_names_and_values() {
     let r = pinned_report();
 
     // The exact counter name list, sorted (the recorder guarantees the
-    // order). A new probe on this code path must be added here.
+    // order). A new probe on this code path must be added here. No
+    // `par.*` counter: a second-order run has no fork-join region.
     let names: Vec<&str> = r.counters.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(
         names,
@@ -96,8 +97,6 @@ fn counters_match_golden_names_and_values() {
             "estimation.fest_incremental",
             "estimation.kernel_uniform_int",
             "estimation.row_events",
-            "par.regions.serial",
-            "par.serial_ns",
             "topolb.assign_ns",
             "topolb.order.second-order",
             "topolb.placements",
@@ -187,13 +186,13 @@ fn csv_layout_matches_golden_rows() {
     );
     // Then one row per counter and one per metadata pair (meta rows come
     // last); a serial fixture has no series rows, so the line count is
-    // pinned: header + 3 spans + 11 counters + 2 meta.
-    assert_eq!(lines.len(), 1 + 3 + 11 + 2, "{csv}");
+    // pinned: header + 3 spans + 9 counters + 2 meta.
+    assert_eq!(lines.len(), 1 + 3 + 9 + 2, "{csv}");
     assert!(
-        lines[4..15].iter().all(|l| l.starts_with("counter,")),
+        lines[4..13].iter().all(|l| l.starts_with("counter,")),
         "{csv}"
     );
-    assert!(lines[15..].iter().all(|l| l.starts_with("meta,")), "{csv}");
+    assert!(lines[13..].iter().all(|l| l.starts_with("meta,")), "{csv}");
     assert!(csv.contains(&format!("counter,topolb.placements,{N_TASKS},\n")));
     assert!(csv.contains("counter,topolb.order.second-order,1,\n"));
     assert!(csv.contains("meta,par.threads,1,\n"), "{csv}");

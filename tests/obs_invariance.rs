@@ -30,14 +30,6 @@ fn recorded<R>(f: impl FnOnce() -> R) -> (R, obs::Report) {
     (r, obs::finish())
 }
 
-/// A `Parallelism` that takes the threaded path even on tiny inputs.
-fn eager(threads: usize) -> Parallelism {
-    Parallelism {
-        threads: Threads::Fixed(threads),
-        min_work: 1,
-    }
-}
-
 fn arb_task_graph() -> impl Strategy<Value = TaskGraph> {
     (4usize..=16, 0.5f64..4.0, any::<u64>())
         .prop_map(|(n, deg, seed)| gen::random_graph(n, deg.min(n as f64 - 1.0), 1.0, 1000.0, seed))
@@ -163,7 +155,7 @@ proptest! {
 
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
-            let mapper = TopoLb::with_parallelism(order, eager(threads));
+            let mapper = TopoLb::with_parallelism(order, Parallelism::eager(threads));
             obs::disable();
             let off = mapper.map(&g, topo.as_ref());
             let (on, report) = recorded(|| mapper.map(&g, topo.as_ref()));
@@ -203,8 +195,8 @@ proptest! {
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
             let mapper = RefineTopoLb::with_parallelism(
-                TopoLb::with_parallelism(EstimationOrder::Second, eager(threads)),
-                eager(threads),
+                TopoLb::with_parallelism(EstimationOrder::Second, Parallelism::eager(threads)),
+                Parallelism::eager(threads),
             );
             obs::disable();
             let off = mapper.map(&g, topo.as_ref());
@@ -267,7 +259,7 @@ proptest! {
         let _l = obs_guard();
         let topo = topology_for(topo_idx, 25);
 
-        let sa = SimulatedAnnealingMap { par: eager(4), ..SimulatedAnnealingMap::quick(seed) };
+        let sa = SimulatedAnnealingMap::quick(seed);
         obs::disable();
         let off = sa.map(&g, topo.as_ref());
         let (on, report) = recorded(|| sa.map(&g, topo.as_ref()));
@@ -287,7 +279,7 @@ proptest! {
             prop_assert_eq!(hb_samples, counter(&report, "anneal.temp_steps"));
         }
 
-        let ga = GeneticMap { par: eager(4), generations: 8, ..GeneticMap::quick(seed) };
+        let ga = GeneticMap { par: Parallelism::eager(4), generations: 8, ..GeneticMap::quick(seed) };
         obs::disable();
         let off = ga.map(&g, topo.as_ref());
         let (on, report) = recorded(|| ga.map(&g, topo.as_ref()));

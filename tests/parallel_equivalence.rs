@@ -6,23 +6,11 @@
 //! a hard equality — no tolerance.
 
 use proptest::prelude::*;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use topomap::core::metrics::hop_bytes;
 use topomap::core::refine::refine_mapping_with;
 use topomap::netsim::trace::stencil_trace;
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
-
-/// A `Parallelism` that takes the threaded path even on tiny inputs
-/// (the default `min_work` would route the small proptest cases to the
-/// serial fallback and test nothing).
-fn eager(threads: usize) -> Parallelism {
-    Parallelism {
-        threads: Threads::Fixed(threads),
-        min_work: 1,
-    }
-}
 
 fn arb_task_graph() -> impl Strategy<Value = TaskGraph> {
     (4usize..=20, 0.5f64..4.0, any::<u64>())
@@ -100,7 +88,7 @@ proptest! {
         let serial = TopoLb::with_parallelism(order, Parallelism::serial())
             .map(&g, topo.as_ref());
         for threads in [2, 8] {
-            let par = TopoLb::with_parallelism(order, eager(threads)).map(&g, topo.as_ref());
+            let par = TopoLb::with_parallelism(order, Parallelism::eager(threads)).map(&g, topo.as_ref());
             prop_assert_eq!(&serial, &par, "order {:?}, {} threads", order, threads);
         }
     }
@@ -121,8 +109,8 @@ proptest! {
         .map(&g, topo.as_ref());
         for threads in [2, 8] {
             let par = RefineTopoLb::with_parallelism(
-                TopoLb::with_parallelism(order, eager(threads)),
-                eager(threads),
+                TopoLb::with_parallelism(order, Parallelism::eager(threads)),
+                Parallelism::eager(threads),
             )
             .map(&g, topo.as_ref());
             prop_assert_eq!(&serial, &par, "order {:?}, {} threads", order, threads);
@@ -141,7 +129,7 @@ proptest! {
         let topo = topology_for(topo_idx, 25);
         let mut m = RandomMap::new(seed).map(&g, topo.as_ref());
         let before = hop_bytes(&g, topo.as_ref(), &m);
-        refine_mapping_with(&g, topo.as_ref(), &mut m, 3, eager(threads));
+        refine_mapping_with(&g, topo.as_ref(), &mut m, 3, Parallelism::eager(threads));
         let after = hop_bytes(&g, topo.as_ref(), &m);
         prop_assert!(after <= before + 1e-9, "{before} -> {after} at {threads} threads");
     }
@@ -157,7 +145,7 @@ proptest! {
         let (topo, base) = hier_family(family);
         let serial = base.clone().with_parallelism(Parallelism::serial()).map(&g, topo.as_ref());
         for threads in [2, 8] {
-            let par = base.clone().with_parallelism(eager(threads)).map(&g, topo.as_ref());
+            let par = base.clone().with_parallelism(Parallelism::eager(threads)).map(&g, topo.as_ref());
             prop_assert_eq!(&serial, &par, "family {}, {} threads", family, threads);
         }
     }
@@ -178,9 +166,9 @@ proptest! {
             .map(&g, topo.as_ref());
         let rcb_serial = RcbMap::with_parallelism(Parallelism::serial()).map(&g, topo.as_ref());
         for threads in [2, 8] {
-            let sfc = SfcMap::with_parallelism(curve, eager(threads)).map(&g, topo.as_ref());
+            let sfc = SfcMap::with_parallelism(curve, Parallelism::eager(threads)).map(&g, topo.as_ref());
             prop_assert_eq!(&sfc_serial, &sfc, "SFC {:?}, {} threads", curve, threads);
-            let rcb = RcbMap::with_parallelism(eager(threads)).map(&g, topo.as_ref());
+            let rcb = RcbMap::with_parallelism(Parallelism::eager(threads)).map(&g, topo.as_ref());
             prop_assert_eq!(&rcb_serial, &rcb, "RCB, {} threads", threads);
         }
     }
@@ -201,20 +189,21 @@ proptest! {
         for threads in [2, 8] {
             prop_assert_eq!(
                 &sfc_serial,
-                &SfcMap::with_parallelism(Curve::Hilbert, eager(threads)).map(&g, topo.as_ref()),
+                &SfcMap::with_parallelism(Curve::Hilbert, Parallelism::eager(threads)).map(&g, topo.as_ref()),
                 "SFC fallback, {} threads", threads
             );
             prop_assert_eq!(
                 &rcb_serial,
-                &RcbMap::with_parallelism(eager(threads)).map(&g, topo.as_ref()),
+                &RcbMap::with_parallelism(Parallelism::eager(threads)).map(&g, topo.as_ref()),
                 "RCB fallback, {} threads", threads
             );
         }
     }
 
-    /// The annealer and the genetic mapper fan out delta/fitness
-    /// evaluation only; their search is defined by the RNG streams, so
-    /// thread count must not change the result either.
+    /// The genetic mapper fans out fitness evaluation only; its search
+    /// is defined by the RNG stream, so thread count must not change the
+    /// result either. (The annealer takes no thread count; its outputs
+    /// are pinned by `fixture_hashes_match_parent_goldens`.)
     #[test]
     fn stochastic_mappers_thread_invariant(
         g in arb_task_graph(),
@@ -222,15 +211,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let topo = topology_for(topo_idx, 25);
-        let sa_serial = SimulatedAnnealingMap {
-            par: Parallelism::serial(),
-            ..SimulatedAnnealingMap::quick(seed)
-        }
-        .map(&g, topo.as_ref());
-        let sa_par = SimulatedAnnealingMap { par: eager(4), ..SimulatedAnnealingMap::quick(seed) }
-            .map(&g, topo.as_ref());
-        prop_assert_eq!(&sa_serial, &sa_par);
-
         let ga = |par: Parallelism| GeneticMap {
             par,
             generations: 10,
@@ -238,38 +218,38 @@ proptest! {
         };
         prop_assert_eq!(
             ga(Parallelism::serial()).map(&g, topo.as_ref()),
-            ga(eager(4)).map(&g, topo.as_ref())
+            ga(Parallelism::eager(4)).map(&g, topo.as_ref())
         );
     }
 }
 
-fn mapping_hash(m: &Mapping) -> u64 {
-    let mut h = DefaultHasher::new();
-    m.as_slice().hash(&mut h);
-    h.finish()
-}
-
-/// Concurrency stress: a 32x32 stencil placed on a 32x32 torus with an
-/// oversubscribed 8-thread pool, 25 times over. Every run must produce
-/// the same mapping hash as the serial reference — this is the test that
-/// would catch a racy reduction or a torn chunk write, because each
-/// repetition re-rolls the OS scheduler's interleaving.
+/// Concurrency stress: third-order TopoLB (one fork-join region per
+/// placement) and a converged-start refinement sweep (one per window,
+/// every candidate evaluated) on a 16x16 stencil with an oversubscribed
+/// 8-thread pool, 25 times over. Every run must produce the same mapping
+/// hash as the serial reference — this is the test that would catch a
+/// racy reduction or a torn chunk write, because each repetition
+/// re-rolls the OS scheduler's interleaving.
 #[test]
 fn stress_repeated_parallel_runs_are_identical() {
-    let tasks = gen::stencil2d(32, 32, 1024.0, false);
-    let topo = Torus::torus_2d(32, 32);
-    let mapper = TopoLb::with_parallelism(EstimationOrder::Second, eager(8));
+    let tasks = gen::stencil2d(16, 16, 1024.0, false);
+    let topo = Torus::torus_2d(16, 16);
+    let run = |par: Parallelism| {
+        let mut m = TopoLb::with_parallelism(EstimationOrder::Third, par).map(&tasks, &topo);
+        let placed = fnv(FNV_INIT, &m);
+        refine_mapping_with(&tasks, &topo, &mut m, 3, par);
+        let converged = m.clone();
+        assert_eq!(refine_mapping_with(&tasks, &topo, &mut m, 3, par), 0);
+        assert_eq!(m, converged, "a converged sweep moved a task");
+        (placed, fnv(FNV_INIT, &m))
+    };
 
-    let reference =
-        TopoLb::with_parallelism(EstimationOrder::Second, Parallelism::serial()).map(&tasks, &topo);
-    let want = mapping_hash(&reference);
-
-    for run in 0..25 {
-        let m = mapper.map(&tasks, &topo);
+    let want = run(Parallelism::serial());
+    for rep in 0..25 {
         assert_eq!(
-            mapping_hash(&m),
+            run(Parallelism::eager(8)),
             want,
-            "run {run} diverged from the serial reference"
+            "run {rep} diverged from the serial reference"
         );
     }
 }
@@ -289,7 +269,7 @@ fn hier_mapper_hop_bytes_match_goldens() {
     for (family, want) in GOLDEN.into_iter().enumerate() {
         let (topo, base) = hier_family(family);
         let g = gen::random_graph(24, 3.0, 1.0, 1000.0, 7 + family as u64);
-        for par in [Parallelism::serial(), eager(8)] {
+        for par in [Parallelism::serial(), Parallelism::eager(8)] {
             let m = base.clone().with_parallelism(par).map(&g, topo.as_ref());
             assert_eq!(hop_bytes(&g, topo.as_ref(), &m), want, "family {family}");
         }
@@ -337,7 +317,7 @@ fn regression_seed_2883168991836340068() {
     );
 }
 
-/// A saturated scenario for the contention-refinement determinism tests:
+/// A saturated scenario for the contention-refinement tests:
 /// a 4x4 stencil randomly scattered over a 32-node torus with free
 /// processors, so the loop has both swaps and migrations to choose from.
 fn contention_fixture() -> (TaskGraph, Torus, Trace, NetworkConfig, Mapping) {
@@ -349,29 +329,77 @@ fn contention_fixture() -> (TaskGraph, Torus, Trace, NetworkConfig, Mapping) {
     (g, topo, tr, cfg, m)
 }
 
-/// ContentionRefine fans out only the hop-bytes guard; the accept loop is
-/// serial by design. The whole refinement — final mapping AND every
-/// report field — must be bit-identical at 1, 2, and 8 pool threads.
-#[test]
-fn contention_refine_thread_invariant() {
-    let (g, topo, tr, cfg, start) = contention_fixture();
+/// FNV-1a of the task → processor array, chained onto `h`. Unlike
+/// `DefaultHasher`, whose algorithm the standard library does not promise,
+/// its values can be committed.
+fn fnv(h: u64, m: &Mapping) -> u64 {
+    m.as_slice()
+        .iter()
+        .fold(h, |h, &q| (h ^ q as u64).wrapping_mul(0x0100_0000_01b3))
+}
+const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
-    let mut results = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let refiner = ContentionRefine {
-            par: eager(threads),
-            ..ContentionRefine::default()
-        };
-        let mut m = start.clone();
-        let report = refiner.refine(&g, &topo, &mut m, contention_oracle(&topo, &cfg, &tr));
-        results.push((threads, m, report));
+/// Outputs captured at the last commit whose greedy step still forked
+/// (the gain scan and the non-neighbour subtraction of both estimation
+/// kernels, the annealer's batched deltas, ContentionRefine's guard), at
+/// 1, 2 and 8 eager threads each: deleting those forks must not move a
+/// bit, at any thread count a type still takes. One chained hash per
+/// mapper family over `random_graph(100, 6.0)` seeds 1–4.
+#[test]
+fn fixture_hashes_match_parent_goldens() {
+    const TOPOLB: u64 = 0xe40a_5a8b_a0a3_3535;
+    const GENETIC: u64 = 0x65c8_8e32_614a_1dd3;
+    const ANNEAL: u64 = 0xaee0_f7ab_2102_5eff;
+    const TOPOCENT: u64 = 0x4442_49c2_a1ab_2cf6;
+    const CONTENTION: u64 = 0x4d43_0337_900d_b656;
+    const REPORT: ContentionReport = ContentionReport {
+        iterations: 3,
+        sims_run: 64,
+        accepted: 3,
+        initial_makespan_ns: 8_867_760,
+        final_makespan_ns: 7_884_320,
+    };
+    // The 4x4x8 mesh is not distance-regular, so there the second order's
+    // factor varies by processor; the 32x32 stencil takes the integer kernel.
+    let (torus, mesh) = (Torus::torus_3d(4, 4, 8), Torus::mesh(&[4, 4, 8]));
+    let stencil = gen::stencil2d(32, 32, 1024.0, false);
+    let square = Torus::torus_2d(32, 32);
+    let graphs = [1, 2, 3, 4].map(|seed| (seed, gen::random_graph(100, 6.0, 1.0, 1000.0, seed)));
+
+    for threads in [1, 2, 8] {
+        let par = Parallelism::eager(threads);
+        let (mut topolb, mut genetic) = (FNV_INIT, FNV_INIT);
+        for order in ORDERS {
+            let mapper = TopoLb::with_parallelism(order, par);
+            for (_, g) in &graphs {
+                topolb = fnv(fnv(topolb, &mapper.map(g, &torus)), &mapper.map(g, &mesh));
+            }
+            if order != EstimationOrder::Third {
+                topolb = fnv(topolb, &mapper.map(&stencil, &square));
+            }
+        }
+        for (seed, g) in &graphs {
+            let mut ga = GeneticMap::quick(*seed);
+            ga.par = par;
+            genetic = fnv(genetic, &ga.map(g, &torus));
+        }
+        assert_eq!(topolb, TOPOLB, "TopoLB at {threads} threads");
+        assert_eq!(genetic, GENETIC, "GeneticMap at {threads} threads");
     }
-    let (_, ref_m, ref_r) = &results[0];
-    assert!(ref_r.accepted > 0, "fixture must exercise the accept path");
-    for (threads, m, r) in &results[1..] {
-        assert_eq!(ref_m, m, "mapping diverged at {threads} threads");
-        assert_eq!(ref_r, r, "report diverged at {threads} threads");
+
+    // The types that take no thread count any more.
+    let (mut anneal, mut topocent) = (FNV_INIT, FNV_INIT);
+    for (seed, g) in &graphs {
+        anneal = fnv(anneal, &SimulatedAnnealingMap::quick(*seed).map(g, &torus));
+        anneal = fnv(anneal, &SimulatedAnnealingMap::new(*seed).map(g, &torus));
+        topocent = fnv(topocent, &TopoCentLb.map(g, &torus));
     }
+    assert_eq!(anneal, ANNEAL, "SimulatedAnnealingMap");
+    assert_eq!(topocent, TOPOCENT, "TopoCentLb");
+    let (g, topo, tr, cfg, mut m) = contention_fixture();
+    let report =
+        ContentionRefine::default().refine(&g, &topo, &mut m, contention_oracle(&topo, &cfg, &tr));
+    assert_eq!((fnv(FNV_INIT, &m), report), (CONTENTION, REPORT));
 }
 
 /// Once the loop converges, running it again is the identity: zero
