@@ -11,9 +11,31 @@
 //! pass limit is hit. Swap gains are evaluated incrementally in O(δ(a) +
 //! δ(b)) from the hop-byte definition.
 //!
-//! Two layers keep the sweep off the quadratic cliff without changing its
+//! Three layers keep the sweep off the quadratic cliff without changing its
 //! result:
 //!
+//! - **Per-edge current lengths** ([`EdgeState`]): the sweep keeps
+//!   `d(P(t), P(j))` for every task-graph edge, refreshed only around the
+//!   tasks an accepted exchange moved, so a candidate's delta measures the
+//!   *new* position of each edge and reads the old one — half the distance
+//!   calls of [`swap_delta`], the same f64 operations in the same order.
+//!   It also counts, per task, the edges longer than one hop, and the
+//!   filter skips a swap of two tasks with none (and every move of such a
+//!   task). That skip is exact:
+//!   1. the mapping is injective and `distance` is zero only between equal
+//!      nodes, so every edge, now or after any exchange, is ≥ 1 hop long;
+//!   2. a task with no loose edge has every edge at exactly 1, so each term
+//!      of the candidate's delta is `c · (d − 1)` with `d ≥ 1`;
+//!   3. builder weights are finite and > 0, so every term and every partial
+//!      f64 sum is ≥ 0;
+//!   4. hence `delta < −1e-12` cannot hold: the candidate is one the naive
+//!      sweep rejects at that moment (a fat-tree, whose shortest distance
+//!      is 2, simply never skips).
+//!
+//!   The stateless [`swap_delta`] / [`move_delta`] stay: the naive oracle,
+//!   the annealer and ContentionRefine evaluate against mappings no sweep
+//!   state follows, and the tests hold the cached kernels to them bit for
+//!   bit.
 //! - **Dirty-set tracking** ([`DirtyTracker`]): `swap_delta(a, b)` depends
 //!   only on the placements of `{a, b} ∪ N(a) ∪ N(b)`, so an accepted
 //!   exchange of `(x, y)` can change the verdict only of candidates whose
@@ -138,6 +160,156 @@ fn improves(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, c: Candidate) -
     }
 }
 
+/// What one sweep knows about the current mapping, per adjacency slot of
+/// the task graph: slot `off[t] + k` is the `k`-th entry `(j, c)` of
+/// `tasks.neighbors(t)`. O(|E| + n); built once per sweep and refreshed
+/// only around the tasks an accepted exchange moved, so workers borrow it
+/// immutably between accepts.
+struct EdgeState {
+    off: Vec<usize>,
+    /// The slot of `(j → t)`.
+    twin: Vec<usize>,
+    /// `d(P(t), P(j))` under the current mapping.
+    cur_d: Vec<u32>,
+    /// Per task: how many of its edges are longer than one hop.
+    loose: Vec<u32>,
+}
+
+impl EdgeState {
+    fn new(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> Self {
+        let n = tasks.num_tasks();
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        for t in 0..n {
+            off.push(off[t] + tasks.degree(t));
+        }
+        // Adjacency is symmetric and every list ascending (`TaskGraph`'s
+        // invariants), so visiting tasks in ascending order meets each
+        // neighbour's list in order too: one cursor per task pairs every
+        // slot with its twin in O(|E|).
+        let mut next = off.clone();
+        let mut twin = Vec::with_capacity(off[n]);
+        let mut cur_d = Vec::with_capacity(off[n]);
+        let mut loose = vec![0; n];
+        for (t, loose_t) in loose.iter_mut().enumerate() {
+            let pt = m.proc_of(t);
+            for (j, _) in tasks.neighbors(t) {
+                twin.push(next[j]);
+                next[j] += 1;
+                let d = topo.distance(pt, m.proc_of(j));
+                cur_d.push(d);
+                *loose_t += u32::from(d > 1);
+            }
+        }
+        debug_assert!((0..off[n]).all(|s| twin[s] != s && twin[twin[s]] == s));
+        EdgeState {
+            off,
+            twin,
+            cur_d,
+            loose,
+        }
+    }
+
+    /// Current lengths of `t`'s edges, in `tasks.neighbors(t)` order.
+    fn lengths(&self, t: TaskId) -> &[u32] {
+        &self.cur_d[self.off[t]..self.off[t + 1]]
+    }
+
+    /// No edge of `t` is longer than one hop: no exchange can shorten one.
+    fn tight(&self, t: TaskId) -> bool {
+        self.loose[t] == 0
+    }
+
+    /// Re-measure `t`'s edges (and their twins) after `t` changed processor.
+    fn refresh(&mut self, tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, t: TaskId) {
+        let pt = m.proc_of(t);
+        for (k, (j, _)) in tasks.neighbors(t).enumerate() {
+            let slot = self.off[t] + k;
+            let d = topo.distance(pt, m.proc_of(j));
+            let was = self.cur_d[slot];
+            if (d > 1) != (was > 1) {
+                for end in [t, j] {
+                    if d > 1 {
+                        self.loose[end] += 1;
+                    } else {
+                        self.loose[end] -= 1;
+                    }
+                }
+            }
+            self.cur_d[slot] = d;
+            self.cur_d[self.twin[slot]] = d;
+        }
+    }
+
+    /// Apply an accepted candidate to `m` and bring the state up to date.
+    fn apply(&mut self, tasks: &TaskGraph, topo: &dyn Topology, m: &mut Mapping, c: Candidate) {
+        match c {
+            Candidate::Swap(a, b) => {
+                m.swap_tasks(a, b);
+                self.refresh(tasks, topo, m, a);
+                self.refresh(tasks, topo, m, b);
+            }
+            Candidate::Move(a, q) => {
+                m.move_task(a, q);
+                self.refresh(tasks, topo, m, a);
+            }
+        }
+    }
+
+    /// [`swap_delta`] with the subtracted term of every edge read from the
+    /// state: the same f64 operations in the same order, so the same bits.
+    fn swap_delta(
+        &self,
+        tasks: &TaskGraph,
+        topo: &dyn Topology,
+        m: &Mapping,
+        a: TaskId,
+        b: TaskId,
+    ) -> f64 {
+        let (pa, pb) = (m.proc_of(a), m.proc_of(b));
+        let mut delta = 0.0;
+        for ((j, c), &d) in tasks.neighbors(a).zip(self.lengths(a)) {
+            if j == b {
+                continue;
+            }
+            delta += c * (topo.distance(pb, m.proc_of(j)) as f64 - d as f64);
+        }
+        for ((j, c), &d) in tasks.neighbors(b).zip(self.lengths(b)) {
+            if j == a {
+                continue;
+            }
+            delta += c * (topo.distance(pa, m.proc_of(j)) as f64 - d as f64);
+        }
+        delta
+    }
+
+    /// [`move_delta`], likewise.
+    fn move_delta(
+        &self,
+        tasks: &TaskGraph,
+        topo: &dyn Topology,
+        m: &Mapping,
+        t: TaskId,
+        q: usize,
+    ) -> f64 {
+        let mut delta = 0.0;
+        for ((j, c), &d) in tasks.neighbors(t).zip(self.lengths(t)) {
+            delta += c * (topo.distance(q, m.proc_of(j)) as f64 - d as f64);
+        }
+        delta
+    }
+
+    /// [`improves`] through the cached kernels.
+    fn improves(&self, tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, c: Candidate) -> bool {
+        match c {
+            Candidate::Swap(a, b) => self.swap_delta(tasks, topo, m, a, b) < -1e-12,
+            Candidate::Move(a, q) => {
+                m.task_on(q).is_none() && self.move_delta(tasks, topo, m, a, q) < -1e-12
+            }
+        }
+    }
+}
+
 /// Epoch bookkeeping for the dirty-set sweep.
 ///
 /// `task_epoch(t)` is the generation of the last accepted exchange whose
@@ -224,6 +396,12 @@ struct SweepCursor {
     q: usize,
 }
 
+/// First entry of the ascending `ids` at or after `from`, or `end`.
+fn first_at_or_after(ids: &[usize], from: usize, end: usize) -> usize {
+    let i = ids.partition_point(|&t| t < from);
+    ids.get(i).copied().unwrap_or(end)
+}
+
 /// Refine an existing mapping in place; returns the number of accepted
 /// exchanges. Exposed so the refiner can be applied to mappings from any
 /// source (e.g. replayed LB databases). Runs with the default
@@ -254,10 +432,11 @@ pub fn refine_mapping_with(
     let p = topo.num_nodes();
     let moves = p > n;
     // Serial nanoseconds per candidate, for the pool's cutoff: a delta is
-    // two distance evaluations per neighbour of either task, 75 ns per
-    // unit of 1 + δ̄ when a window is scanned to its end (measured 68–79 on
-    // converged sweeps; a window that hits early costs less than it says).
-    let candidate_ns = 75 * (1 + 2 * tasks.num_edges() / n.max(1));
+    // one distance evaluation per neighbour of either task, 35 ns per
+    // unit of 1 + δ̄ when a window is scanned to its end (converged sweeps
+    // measure 26–38 with the benchmark host at its fast speed, 35–50 at
+    // its slow one; a window that hits early costs less than it says).
+    let candidate_ns = 35 * (1 + 2 * tasks.num_edges() / n.max(1));
     // Window sizing: small after an accepted exchange (the next
     // improvement tends to be nearby, so speculation past it is wasted),
     // growing while a region of the sweep yields nothing. Window sizes
@@ -265,6 +444,7 @@ pub fn refine_mapping_with(
     let min_window = 64 * exec.threads().max(1);
     let max_window = 4096 * exec.threads().max(1);
 
+    let mut state = EdgeState::new(tasks, topo, m);
     let mut dirty = DirtyTracker::new(n, p);
     // Clean threshold: a candidate untouched since the start of the
     // *previous* pass was evaluated (or skipped, inductively) there
@@ -279,7 +459,7 @@ pub fn refine_mapping_with(
     let (mut c_acc, mut c_rej, mut c_skip) = (0u64, 0u64, 0u64);
     let mut passes_run = 0u64;
     let mut accepted = 0usize;
-    let mut batch: Vec<Candidate> = Vec::new();
+    let mut batch: Vec<(Candidate, u64)> = Vec::new();
     for _ in 0..max_passes {
         passes_run += 1;
         let pass_start_g = dirty.generation();
@@ -298,52 +478,53 @@ pub fn refine_mapping_with(
         let mut window = min_window;
         loop {
             // Fill the next window of the filtered stream in serial order.
+            // Each entry carries how many candidates the filter had skipped
+            // in this window before it: a hit charges only the skips the
+            // serial sweep has passed by then, the rest are met again.
             batch.clear();
+            let mut skipped = 0u64;
             while batch.len() < window && cur.a < n {
                 let a = cur.a;
-                if dirty.task_epoch(a) > s {
-                    // Dirty row: every remaining candidate evaluates.
-                    while cur.b < n && batch.len() < window {
-                        batch.push(Candidate::Swap(a, cur.b));
-                        cur.b += 1;
+                // A dirty row evaluates against every partner, a clean one
+                // only against dirty ones: nothing else can have changed.
+                let row_dirty = dirty.task_epoch(a) > s;
+                let tight_a = state.tight(a);
+                while cur.b < n && batch.len() < window {
+                    let b = if row_dirty {
+                        cur.b
+                    } else {
+                        first_at_or_after(&dirty_tasks, cur.b, n)
+                    };
+                    skipped += (b - cur.b) as u64;
+                    cur.b = b;
+                    if b == n {
+                        break;
                     }
-                    if cur.b >= n && moves {
-                        while cur.q < p && batch.len() < window {
-                            batch.push(Candidate::Move(a, cur.q));
-                            cur.q += 1;
-                        }
+                    if tight_a && state.tight(b) {
+                        skipped += 1;
+                    } else {
+                        batch.push((Candidate::Swap(a, b), skipped));
                     }
-                } else {
-                    // Clean row: only dirty partners can have changed.
-                    while cur.b < n && batch.len() < window {
-                        let i = dirty_tasks.partition_point(|&t| t < cur.b);
-                        match dirty_tasks.get(i) {
-                            Some(&t) => {
-                                c_skip += (t - cur.b) as u64;
-                                batch.push(Candidate::Swap(a, t));
-                                cur.b = t + 1;
-                            }
-                            None => {
-                                c_skip += (n - cur.b) as u64;
-                                cur.b = n;
-                            }
-                        }
+                    cur.b += 1;
+                }
+                if cur.b >= n && moves {
+                    if tight_a {
+                        skipped += (p - cur.q) as u64;
+                        cur.q = p;
                     }
-                    if cur.b >= n && moves {
-                        while cur.q < p && batch.len() < window {
-                            let i = dirty_procs.partition_point(|&q| q < cur.q);
-                            match dirty_procs.get(i) {
-                                Some(&q) => {
-                                    c_skip += (q - cur.q) as u64;
-                                    batch.push(Candidate::Move(a, q));
-                                    cur.q = q + 1;
-                                }
-                                None => {
-                                    c_skip += (p - cur.q) as u64;
-                                    cur.q = p;
-                                }
-                            }
+                    while cur.q < p && batch.len() < window {
+                        let q = if row_dirty {
+                            cur.q
+                        } else {
+                            first_at_or_after(&dirty_procs, cur.q, p)
+                        };
+                        skipped += (q - cur.q) as u64;
+                        cur.q = q;
+                        if q == p {
+                            break;
                         }
+                        batch.push((Candidate::Move(a, q), skipped));
+                        cur.q += 1;
                     }
                 }
                 if cur.b >= n && (!moves || cur.q >= p) {
@@ -353,6 +534,7 @@ pub fn refine_mapping_with(
                 }
             }
             if batch.is_empty() {
+                c_skip += skipped;
                 break;
             }
 
@@ -365,14 +547,15 @@ pub fn refine_mapping_with(
                 .map_chunks(cands.len(), candidate_ns, |range| {
                     range
                         .clone()
-                        .find(|&k| improves(tasks, topo, frozen, cands[k]))
+                        .find(|&k| state.improves(tasks, topo, frozen, cands[k].0))
                 })
                 .into_iter()
                 .flatten()
                 .min();
             match hit {
                 Some(k) => {
-                    let c = batch[k];
+                    let (c, skipped_before) = batch[k];
+                    c_skip += skipped_before;
                     c_rej += k as u64;
                     c_acc += 1;
                     if prof {
@@ -386,21 +569,19 @@ pub fn refine_mapping_with(
                     }
                     // Apply, bump epochs, and restart the stream just past
                     // the accepted candidate; re-filtering the remainder
-                    // against the grown epochs picks up candidates this
-                    // exchange dirtied mid-pass.
+                    // against the grown epochs and the refreshed lengths
+                    // picks up candidates this exchange dirtied mid-pass.
                     match c {
                         Candidate::Swap(a, b) => {
-                            m.swap_tasks(a, b);
                             dirty.record_swap(tasks, a, b);
                             cur = SweepCursor { a, b: b + 1, q: 0 };
                         }
                         Candidate::Move(a, q) => {
-                            let from = m.proc_of(a);
-                            m.move_task(a, q);
-                            dirty.record_move(tasks, a, from, q);
+                            dirty.record_move(tasks, a, m.proc_of(a), q);
                             cur = SweepCursor { a, b: n, q: q + 1 };
                         }
                     }
+                    state.apply(tasks, topo, m, c);
                     if cur.b >= n && (!moves || cur.q >= p) {
                         cur.a += 1;
                         cur.b = cur.a + 1;
@@ -415,6 +596,7 @@ pub fn refine_mapping_with(
                     window = min_window;
                 }
                 None => {
+                    c_skip += skipped;
                     c_rej += batch.len() as u64;
                     window = (window * 2).min(max_window);
                 }
@@ -497,8 +679,10 @@ impl<M: Mapper> Mapper for RefineTopoLb<M> {
 mod tests {
     use super::*;
     use crate::{metrics, RandomMap, TopoCentLb, TopoLb};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use topomap_taskgraph::gen;
-    use topomap_topology::Torus;
+    use topomap_topology::{CachedTopology, Dragonfly, FatTree, GraphTopology, Hypercube, Torus};
 
     #[test]
     fn never_increases_hop_bytes() {
@@ -669,6 +853,135 @@ mod tests {
                 assert_eq!(acc, acc_naive, "accept count (seed {seed}, {threads}t)");
                 assert_eq!(got, want, "mapping (seed {seed}, {threads}t)");
             }
+        }
+    }
+
+    /// One 16-processor machine per topology family.
+    fn families() -> Vec<Box<dyn Topology>> {
+        vec![
+            Box::new(Torus::torus_2d(4, 4)),
+            Box::new(Torus::mesh_2d(4, 4)),
+            Box::new(Hypercube::new(4)),
+            Box::new(FatTree::new(2, 4)),
+            Box::new(Dragonfly::new(4, 4)),
+            Box::new(CachedTopology::new(GraphTopology::ring(16))),
+        ]
+    }
+
+    /// A random exchange the mapping admits: a swap, or (when a processor
+    /// is free) a move.
+    fn random_exchange(rng: &mut StdRng, m: &Mapping) -> Candidate {
+        let n = m.num_tasks();
+        let free: Vec<usize> = (0..m.num_procs())
+            .filter(|&q| m.task_on(q).is_none())
+            .collect();
+        if !free.is_empty() && rng.gen_bool(0.5) {
+            Candidate::Move(rng.gen_range(0..n), free[rng.gen_range(0..free.len())])
+        } else {
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            Candidate::Swap(a.min(b), a.max(b))
+        }
+    }
+
+    /// The state against a from-scratch recompute, and its kernels against
+    /// the stateless ones on every swap and every move to a free processor.
+    fn audit_edge_state(state: &EdgeState, tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) {
+        let n = tasks.num_tasks();
+        for t in 0..n {
+            let want: Vec<u32> = tasks
+                .neighbors(t)
+                .map(|(j, _)| topo.distance(m.proc_of(t), m.proc_of(j)))
+                .collect();
+            assert_eq!(state.lengths(t), want, "cur_d of task {t}");
+            let loose = want.iter().filter(|&&d| d > 1).count();
+            assert_eq!(state.loose[t] as usize, loose, "loose[{t}]");
+            for (k, (j, _)) in tasks.neighbors(t).enumerate() {
+                let back = state.twin[state.off[t] + k] - state.off[j];
+                assert_eq!(tasks.neighbors(j).nth(back).map(|e| e.0), Some(t));
+            }
+        }
+        for a in 0..n {
+            for b in (a + 1)..n {
+                assert_eq!(
+                    state.swap_delta(tasks, topo, m, a, b).to_bits(),
+                    swap_delta(tasks, topo, m, a, b).to_bits(),
+                    "swap({a},{b}) on {}",
+                    topo.name()
+                );
+            }
+            for q in (0..m.num_procs()).filter(|&q| m.task_on(q).is_none()) {
+                assert_eq!(
+                    state.move_delta(tasks, topo, m, a, q).to_bits(),
+                    move_delta(tasks, topo, m, a, q).to_bits(),
+                    "move({a},{q}) on {}",
+                    topo.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn edge_state_matches_stateless_kernels_bit_for_bit() {
+        // Weighted graphs on every family, p = n and p > n: drive random
+        // exchanges through the sweep's own update path and audit the
+        // whole state after each.
+        for (f, topo) in families().iter().enumerate() {
+            let topo = topo.as_ref();
+            for n in [16usize, 11] {
+                let seed = (16 * f + n) as u64;
+                let tasks = gen::random_graph(n, 4.0, 1.0, 100.0, seed);
+                let mut m = RandomMap::new(seed).map(&tasks, topo);
+                let mut state = EdgeState::new(&tasks, topo, &m);
+                let mut rng = StdRng::seed_from_u64(seed);
+                audit_edge_state(&state, &tasks, topo, &m);
+                for _ in 0..30 {
+                    let c = random_exchange(&mut rng, &m);
+                    state.apply(&tasks, topo, &mut m, c);
+                    audit_edge_state(&state, &tasks, topo, &m);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The looseness skip is exact: from a TopoLB start (many tasks
+        /// already tight) through random exchanges, every candidate the
+        /// filter would skip has a stateless delta that is not negative,
+        /// and the sweep still lands where the naive one does.
+        #[test]
+        fn looseness_skip_only_drops_rejecting_candidates(
+            family in 0usize..6,
+            n in 6usize..=16,
+            deg in 1.0f64..4.0,
+            seed in any::<u64>(),
+        ) {
+            let topo = families().swap_remove(family);
+            let topo = topo.as_ref();
+            let tasks = gen::random_graph(n, deg, 1.0, 1000.0, seed);
+            let mut m = TopoLb::default().map(&tasks, topo);
+            let mut state = EdgeState::new(&tasks, topo, &m);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..8 {
+                for a in (0..n).filter(|&a| state.tight(a)) {
+                    // Nothing is ever tight on a fat-tree: leaves are ≥ 2 apart.
+                    prop_assert!(tasks.degree(a) == 0 || family != 3);
+                    for b in ((a + 1)..n).filter(|&b| state.tight(b)) {
+                        prop_assert!(swap_delta(&tasks, topo, &m, a, b) >= 0.0, "swap({}, {})", a, b);
+                    }
+                    for q in (0..16).filter(|&q| m.task_on(q).is_none()) {
+                        prop_assert!(move_delta(&tasks, topo, &m, a, q) >= 0.0, "move({}, {})", a, q);
+                    }
+                }
+                let c = random_exchange(&mut rng, &m);
+                state.apply(&tasks, topo, &mut m, c);
+            }
+            let mut want = m.clone();
+            let accepted = refine_mapping_naive(&tasks, topo, &mut want, 8);
+            prop_assert_eq!(refine_mapping(&tasks, topo, &mut m, 8), accepted);
+            prop_assert_eq!(m, want);
         }
     }
 

@@ -45,6 +45,12 @@ pub type TaskId = usize;
 /// duplicate edge declarations (two `add_comm(a, b, …)` calls sum their
 /// byte counts, matching how the Charm++ LB database merges communication
 /// records).
+///
+/// Invariants every graph holds, whatever order the edges were declared in
+/// (also after [`TaskGraph::coalesce`]), and that consumers may lean on:
+/// the adjacency is symmetric (`j ∈ N(t)` iff `t ∈ N(j)`, with the same
+/// weight), every [`TaskGraph::neighbors`] list is strictly ascending in
+/// task id, edge weights are finite and > 0, and no task neighbours itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     vwgt: Vec<f64>,
@@ -386,6 +392,58 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.total_comm(), 0.0);
+    }
+
+    /// The invariants on the [`TaskGraph`] doc comment.
+    fn assert_adjacency_invariants(g: &TaskGraph) {
+        for t in 0..g.num_tasks() {
+            let nbrs: Vec<(TaskId, f64)> = g.neighbors(t).collect();
+            assert!(
+                nbrs.windows(2).all(|w| w[0].0 < w[1].0),
+                "neighbours of {t} not strictly ascending: {nbrs:?}"
+            );
+            for (j, w) in nbrs {
+                assert_ne!(j, t, "self-loop at {t}");
+                assert!(w.is_finite() && w > 0.0, "weight {w} on ({t}, {j})");
+                assert_eq!(g.edge_weight(j, t), Some(w), "({t}, {j}) has no twin");
+            }
+        }
+    }
+
+    #[test]
+    fn adjacency_is_symmetric_ascending_positive_and_loop_free() {
+        // Scrambled order, both orientations, duplicates, zero weights and
+        // self-loops, declared in no particular order.
+        let mut b = TaskGraph::builder(7);
+        for (a, bb, w) in [
+            (5, 1, 3.0),
+            (0, 6, 1.5),
+            (1, 5, 2.0),
+            (3, 3, 9.0),
+            (2, 4, 0.0),
+            (6, 0, 0.5),
+            (4, 2, 7.0),
+            (6, 5, 1.0),
+            (0, 1, 4.0),
+            (5, 0, 2.5),
+            (3, 1, 1.0),
+            (1, 3, 0.0),
+            (5, 1, 0.25),
+        ] {
+            b.add_comm(a, bb, w);
+        }
+        let g = b.build();
+        assert_adjacency_invariants(&g);
+        assert_eq!(g.num_edges(), 7);
+        assert_eq!(g.edge_weight(1, 5), Some(5.25));
+        assert_eq!(g.neighbors(5).map(|e| e.0).collect::<Vec<_>>(), [0, 1, 6]);
+        // Coalescing merges parallel edges and drops the internal ones.
+        let c = g.coalesce(&[0, 1, 2, 0, 1, 2, 0], 3);
+        assert_adjacency_invariants(&c);
+        assert_eq!(c.num_edges(), 3);
+        assert_eq!(c.edge_weight(2, 1), Some(12.25));
+        assert_adjacency_invariants(&gen::random_graph(40, 5.0, 1.0, 100.0, 3));
+        assert_adjacency_invariants(&gen::leanmd(16, &Default::default()));
     }
 
     #[test]

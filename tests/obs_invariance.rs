@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Mutex;
 use topomap::core::obs;
+use topomap::core::refine::refine_mapping_with;
 use topomap::netsim::config::RoutingMode;
 use topomap::netsim::trace::{stencil_trace, TraceOp};
 use topomap::prelude::*;
@@ -452,4 +453,72 @@ fn stale_guards_from_a_previous_session_are_inert() {
     let (_, report) = recorded(|| TopoLb::default().map(&g, &topo));
     assert!(report.find_span("leaked.span").is_none());
     assert!(report.find_span("topolb.map").is_some());
+}
+
+/// A placement already at one hop per byte has no candidate that can gain:
+/// the sweep skips all of them and evaluates none — the work the looseness
+/// skip removes, pinned without a clock.
+#[test]
+fn refine_evaluates_nothing_on_a_tight_mapping() {
+    let _l = obs_guard();
+    let g = gen::stencil2d(16, 16, 1024.0, true);
+    let topo = Torus::torus_2d(16, 16);
+    let mut m = IdentityMap.map(&g, &topo);
+    let (accepted, report) =
+        recorded(|| refine_mapping_with(&g, &topo, &mut m, 8, Parallelism::serial()));
+    assert_eq!(accepted, 0);
+    assert_eq!(m, IdentityMap.map(&g, &topo));
+    let n = g.num_tasks() as u64;
+    assert_eq!(counter(&report, "refine.candidates_evaluated"), 0);
+    assert_eq!(
+        counter(&report, "refine.candidates_skipped"),
+        n * (n - 1) / 2
+    );
+    assert_eq!(counter(&report, "refine.swaps_accepted"), 0);
+    assert_eq!(counter(&report, "refine.passes"), 1);
+}
+
+/// The sweep's ledger: with as many processors as tasks a pass enumerates
+/// the n(n−1)/2 swaps exactly once, each either evaluated or skipped —
+/// whatever the window size, so every refine counter, skips included, is
+/// thread-invariant.
+#[test]
+fn refine_ledger_accounts_for_every_candidate_of_every_pass() {
+    let _l = obs_guard();
+    let topo = Torus::torus_2d(5, 5);
+    let stencil = gen::stencil2d(5, 5, 1024.0, false);
+    for seed in 0..6u64 {
+        let random = gen::random_graph(25, 3.0, 1.0, 1000.0, seed);
+        for g in [&stencil, &random] {
+            let start = RandomMap::new(seed).map(g, &topo);
+            let mut reports = Vec::new();
+            for threads in [1usize, 4] {
+                let mut m = start.clone();
+                let par = Parallelism::eager(threads);
+                let (_, report) = recorded(|| refine_mapping_with(g, &topo, &mut m, 8, par));
+                let passes = counter(&report, "refine.passes");
+                assert!(passes > 1, "a random start accepts something");
+                assert_eq!(
+                    counter(&report, "refine.candidates_evaluated")
+                        + counter(&report, "refine.candidates_skipped"),
+                    passes * 25 * 24 / 2,
+                    "seed {seed}, {threads} threads"
+                );
+                reports.push(report);
+            }
+            for name in [
+                "refine.candidates_evaluated",
+                "refine.candidates_skipped",
+                "refine.swaps_accepted",
+                "refine.swaps_rejected",
+                "refine.passes",
+            ] {
+                assert_eq!(
+                    reports[0].counter(name),
+                    reports[1].counter(name),
+                    "counter {name} depends on thread count (seed {seed})"
+                );
+            }
+        }
+    }
 }
