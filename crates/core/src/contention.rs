@@ -42,7 +42,7 @@ use crate::par::Parallelism;
 use crate::refine::{move_delta, swap_delta};
 use crate::Mapping;
 use topomap_taskgraph::{TaskGraph, TaskId};
-use topomap_topology::{Link, NodeId, RoutedTopology};
+use topomap_topology::{LinkIndex, NodeId, RoutedTopology};
 
 /// What the refiner reads back from one simulator run: the makespan it
 /// optimizes plus the per-link ledger it mines for hot links. Link vectors
@@ -169,7 +169,7 @@ impl ContentionRefine {
     {
         let _span = obs::span("contention.refine");
         let prof = obs::enabled();
-        let links = topo.links();
+        let links = LinkIndex::new(topo);
 
         let mut sims_run = 0usize;
         let mut iterations = 0usize;
@@ -259,11 +259,9 @@ impl ContentionRefine {
         tasks: &TaskGraph,
         topo: &dyn RoutedTopology,
         m: &Mapping,
-        links: &[Link],
+        links: &LinkIndex,
         hot: &[usize],
     ) -> Vec<Exchange> {
-        let link_id: HashMap<Link, usize> =
-            links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
         let hot_rank: HashMap<usize, usize> =
             hot.iter().enumerate().map(|(r, &li)| (li, r)).collect();
 
@@ -281,7 +279,8 @@ impl ContentionRefine {
             for (src, dst) in [(pa, pb), (pb, pa)] {
                 topo.route_into(src, dst, &mut route);
                 for l in &route {
-                    if let Some(&r) = hot_rank.get(&link_id[l]) {
+                    let li = links.id(l.from, l.to).expect("route follows links");
+                    if let Some(&r) = hot_rank.get(&li) {
                         *contrib[r].entry((a, b)).or_insert(0.0) += half;
                     }
                 }

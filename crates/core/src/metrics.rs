@@ -11,7 +11,7 @@
 use crate::par::{Executor, Parallelism};
 use crate::Mapping;
 use topomap_taskgraph::{TaskGraph, TaskId};
-use topomap_topology::{Link, RoutedTopology, Topology};
+use topomap_topology::{Link, LinkIndex, RoutedTopology, Topology};
 
 /// Total hop-bytes: `Σ_{e_ab ∈ Et} c_ab · d_p(P(a), P(b))`.
 pub fn hop_bytes(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> f64 {
@@ -160,10 +160,8 @@ impl LinkLoads {
     /// edge weights are totals of the bidirectional exchange) and
     /// accumulate bytes per directed link.
     pub fn compute<T: RoutedTopology + ?Sized>(tasks: &TaskGraph, topo: &T, m: &Mapping) -> Self {
-        let links = topo.links();
-        let index: std::collections::HashMap<Link, usize> =
-            links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let mut loads = vec![0f64; links.len()];
+        let index = LinkIndex::new(topo);
+        let mut loads = vec![0f64; index.len()];
         let mut route = Vec::new();
         for (a, b, c) in tasks.edges() {
             let (pa, pb) = (m.proc_of(a), m.proc_of(b));
@@ -171,16 +169,18 @@ impl LinkLoads {
                 continue;
             }
             let half = c / 2.0;
-            topo.route_into(pa, pb, &mut route);
-            for l in &route {
-                loads[index[l]] += half;
-            }
-            topo.route_into(pb, pa, &mut route);
-            for l in &route {
-                loads[index[l]] += half;
+            for (src, dst) in [(pa, pb), (pb, pa)] {
+                topo.route_into(src, dst, &mut route);
+                for l in &route {
+                    let li = index.id(l.from, l.to).expect("route follows links");
+                    loads[li] += half;
+                }
             }
         }
-        LinkLoads { links, loads }
+        LinkLoads {
+            links: index.into_links(),
+            loads,
+        }
     }
 
     pub fn links(&self) -> &[Link] {

@@ -24,8 +24,9 @@
 //!   while honoring event ordering" methodology as the paper's trace-driven
 //!   BigNetSim runs.
 //!
-//! Time is in integer nanoseconds; the event queue breaks ties by sequence
-//! number, so simulations are exactly reproducible.
+//! Time is in integer nanoseconds; the event queue hands out simultaneous
+//! events in the order they were scheduled, so simulations are exactly
+//! reproducible.
 //!
 //! ## Example
 //!

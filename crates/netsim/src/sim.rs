@@ -4,49 +4,134 @@
 //! at simulation time, which supports both deterministic dimension-ordered
 //! routing and minimal-adaptive routing (pick the productive link that
 //! frees earliest — modeling adaptive virtual-channel selection).
+//!
+//! ## Event order
+//!
+//! Events are handled earliest time first and, among equal times, in the
+//! order they were scheduled. No handler schedules before the time it is
+//! handling, so the event set is a monotone priority queue and
+//! [`EventQueue`] is a radix heap: with `last` the time of the latest pop,
+//! bucket 0 holds the events at `last` and bucket `b > 0` those whose
+//! highest bit differing from `last` is bit `b − 1`. It pops in exactly
+//! the order of a binary heap keyed `(time, push counter)` without
+//! storing the counter:
+//!
+//! 1. An event's bucket is a function of its time and `last` alone, so at
+//!    any moment all queued events of one time sit in one bucket.
+//! 2. A push appends to its bucket, behind every earlier push of that
+//!    time (which, by 1, is in the same bucket).
+//! 3. A refill takes the lowest non-empty bucket `b`, sets `last` to its
+//!    minimum and re-files its entries, in stored order, into buckets
+//!    below `b` — all empty, since `b` was the lowest — so entries of one
+//!    time stay together and keep their relative order; entries of higher
+//!    buckets differ from the old and the new `last` in the same highest
+//!    bit and do not move.
+//! 4. Bucket 0 is read front to back, so events of the minimum time
+//!    leave in push order, and by 3 nothing earlier is queued elsewhere.
 
 use crate::config::{NetworkConfig, NicModel, RoutingMode, Switching};
 use crate::stats::{LinkAccounting, SimStats};
 use crate::trace::{Trace, TraceOp};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
 use topomap_core::contention::SimObservation;
 use topomap_core::{obs, Mapping};
 use topomap_taskgraph::TaskId;
-use topomap_topology::{Link, NodeId, RoutedTopology};
+use topomap_topology::{Link, LinkIndex, NodeId, RoutedTopology};
 
-/// Event kinds processed by the engine.
+/// Event kinds processed by the engine. Payloads are `u32` (checked where
+/// they are narrowed) so a queued event is 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// A task resumes executing its program (after compute or unblock).
-    Resume { task: TaskId },
+    Resume { task: u32 },
     /// A message head is at a node, ready to cross its next link.
-    Hop { msg: usize },
+    Hop { msg: u32 },
     /// A message head reaches the destination's ejection (reception)
     /// channel.
-    Eject { msg: usize },
+    Eject { msg: u32 },
     /// A message's last byte reaches its destination NIC.
-    Deliver { msg: usize },
+    Deliver { msg: u32 },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EventEntry {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
+/// The pending events: a monotone radix heap (see the module docs for the
+/// layout and the proof that it pops in `(time, push order)`).
+struct EventQueue {
+    /// Time of the latest pop; no queued event is earlier.
+    last: u64,
+    buckets: [Vec<(u64, EventKind)>; 65],
+    /// Next unread entry of bucket 0.
+    cursor: usize,
+    /// Bit `b − 1` is set iff bucket `b ≥ 1` is non-empty.
+    occupied: u64,
 }
 
-impl Ord for EventEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // (time, seq) total order — seq makes simulation fully
-        // deterministic under simultaneous events.
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
+/// The bucket of `time` relative to `last`: 0 when equal, else one more
+/// than the position of the highest differing bit.
+#[inline]
+fn bucket_of(time: u64, last: u64) -> usize {
+    (u64::BITS - (time ^ last).leading_zeros()) as usize
+}
+
+impl EventQueue {
+    fn new() -> Self {
+        EventQueue {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            cursor: 0,
+            occupied: 0,
+        }
     }
-}
 
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn push(&mut self, time: u64, kind: EventKind) {
+        // Not a debug_assert: a past-dated event (an overflowed timestamp
+        // in a release build, say) would be filed under the wrong bucket
+        // and silently reorder the run.
+        assert!(
+            time >= self.last,
+            "event at {time} ns scheduled in the past of {} ns",
+            self.last
+        );
+        self.file(time, kind);
+    }
+
+    /// Append an event to the bucket its time has relative to `last`.
+    #[inline]
+    fn file(&mut self, time: u64, kind: EventKind) {
+        let b = bucket_of(time, self.last);
+        self.buckets[b].push((time, kind));
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, EventKind)> {
+        if self.cursor == self.buckets[0].len() {
+            self.buckets[0].clear();
+            self.cursor = 0;
+            if self.occupied == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let (_, kind) = self.buckets[0][self.cursor];
+        self.cursor += 1;
+        Some((self.last, kind))
+    }
+
+    /// Advance `last` to the earliest queued time and re-file the lowest
+    /// non-empty bucket around it. Bucket 0 must be empty.
+    fn refill(&mut self) {
+        let b = self.occupied.trailing_zeros() as usize + 1;
+        self.occupied &= self.occupied - 1; // clear the lowest set bit: `b`'s
+        let mut source = std::mem::take(&mut self.buckets[b]);
+        self.last = source
+            .iter()
+            .map(|&(time, _)| time)
+            .min()
+            .expect("an occupied bucket holds an event");
+        for (time, kind) in source.drain(..) {
+            self.file(time, kind); // always below `b`
+        }
+        self.buckets[b] = source; // emptied; keeps its allocation
     }
 }
 
@@ -75,11 +160,26 @@ struct Msg {
 #[derive(Debug, Default)]
 struct TaskState {
     pc: usize,
-    /// Messages received but not yet consumed, per source task.
-    avail: HashMap<TaskId, u32>,
+    /// Messages received but not yet consumed, per source task: sorted by
+    /// source, an entry inserted when a source is first seen.
+    avail: Vec<(TaskId, u32)>,
     /// Source this task's current `Recv` is blocked on, if any.
     blocked_on: Option<TaskId>,
     finished_at: Option<u64>,
+}
+
+impl TaskState {
+    /// The count of unconsumed messages from `src`.
+    fn avail_from(&mut self, src: TaskId) -> &mut u32 {
+        let i = match self.avail.binary_search_by_key(&src, |&(s, _)| s) {
+            Ok(i) => i,
+            Err(i) => {
+                self.avail.insert(i, (src, 0));
+                i
+            }
+        };
+        &mut self.avail[i].1
+    }
 }
 
 /// One complete simulation run.
@@ -142,11 +242,13 @@ pub fn contention_oracle<'a>(
 ) -> impl FnMut(&Mapping) -> SimObservation + 'a {
     move |m: &Mapping| {
         let report = Simulation::run_with_links(topo, cfg, trace, m);
+        let queue_wait_ns = report.acct.queue_wait_ns();
+        let (link_busy_ns, link_bytes) = report.acct.into_ledgers();
         SimObservation {
             makespan_ns: report.stats.completion_ns,
-            link_busy_ns: report.acct.busy_slice().to_vec(),
-            link_bytes: report.acct.bytes_slice().to_vec(),
-            queue_wait_ns: report.acct.queue_wait_ns(),
+            link_busy_ns,
+            link_bytes,
+            queue_wait_ns,
         }
     }
 }
@@ -156,10 +258,9 @@ struct Engine<'a> {
     cfg: &'a NetworkConfig,
     trace: &'a Trace,
     mapping: &'a Mapping,
-    events: BinaryHeap<Reverse<EventEntry>>,
-    seq: u64,
-    links: Vec<Link>,
-    link_index: HashMap<Link, u32>,
+    events: EventQueue,
+    /// The link-id space of every per-link vector below.
+    links: LinkIndex,
     /// Time each directed link becomes free.
     link_free: Vec<u64>,
     /// Per-link busy time, bytes, and queueing (utilization stats and
@@ -171,7 +272,11 @@ struct Engine<'a> {
     inject_free: Vec<u64>,
     /// Per-processor NIC ejection channel (SharedChannel model).
     eject_free: Vec<u64>,
+    /// In-flight messages: a slab. `Deliver` returns a slot to
+    /// `free_msgs` and the next `inject` reuses it, so the vector grows to
+    /// the peak number in flight, not the number sent.
     msgs: Vec<Msg>,
+    free_msgs: Vec<u32>,
     tasks: Vec<TaskState>,
     nbr_buf: Vec<NodeId>,
     // Statistics accumulators.
@@ -183,7 +288,6 @@ struct Engine<'a> {
     /// delivery, independently of the per-link ledger, so the two can be
     /// cross-checked (Σ link bytes must equal this).
     bytes_hops: u64,
-    last_time: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -203,37 +307,37 @@ impl<'a> Engine<'a> {
             topo.num_nodes(),
             "mapping and topology disagree on processor count"
         );
-        let links = topo.links();
-        let link_index: HashMap<Link, u32> = links
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i as u32))
-            .collect();
+        assert!(
+            u32::try_from(trace.num_tasks()).is_ok(),
+            "more than u32::MAX tasks"
+        );
+        let links = LinkIndex::new(topo);
         let n_links = links.len();
         let mut link_speed = vec![1.0f64; n_links];
         for &(from, to, factor) in &cfg.link_speed_factors {
             assert!(factor > 0.0, "link speed factor must be positive");
-            let l = Link::new(from, to);
-            let li = *link_index
-                .get(&l)
-                .unwrap_or_else(|| panic!("speed factor for nonexistent link {l:?}"));
-            link_speed[li as usize] = factor;
+            let li = links.id(from, to).unwrap_or_else(|| {
+                panic!(
+                    "speed factor for nonexistent link {:?}",
+                    Link::new(from, to)
+                )
+            });
+            link_speed[li] = factor;
         }
         Engine {
             topo,
             cfg,
             trace,
             mapping,
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             links,
-            link_index,
             link_free: vec![0; n_links],
             acct: LinkAccounting::new(n_links),
             link_speed,
             inject_free: vec![0; topo.num_nodes()],
             eject_free: vec![0; topo.num_nodes()],
             msgs: Vec::new(),
+            free_msgs: Vec::new(),
             tasks: (0..trace.num_tasks())
                 .map(|_| TaskState::default())
                 .collect(),
@@ -243,33 +347,32 @@ impl<'a> Engine<'a> {
             bytes_delivered: 0,
             hop_sum: 0,
             bytes_hops: 0,
-            last_time: 0,
         }
     }
 
-    fn push(&mut self, time: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(EventEntry { time, seq, kind }));
+    fn dispatch(&mut self, time: u64, kind: EventKind) {
+        match kind {
+            EventKind::Resume { task } => self.advance(task as TaskId, time),
+            EventKind::Hop { msg } => self.handle_hop(msg, time),
+            EventKind::Eject { msg } => self.handle_eject(msg, time),
+            EventKind::Deliver { msg } => self.handle_deliver(msg, time),
+        }
+    }
+
+    /// Schedule every task's start at t = 0.
+    fn start_tasks(&mut self) {
+        for task in 0..self.trace.num_tasks() as u32 {
+            self.events.push(0, EventKind::Resume { task });
+        }
     }
 
     fn run_report(mut self) -> SimReport {
         let events_span = obs::span("netsim.events");
-        // Kick off every task at t = 0.
-        for t in 0..self.trace.num_tasks() {
-            self.push(0, EventKind::Resume { task: t });
-        }
-
+        self.start_tasks();
         let mut events_processed = 0u64;
-        while let Some(Reverse(ev)) = self.events.pop() {
+        while let Some((time, kind)) = self.events.pop() {
             events_processed += 1;
-            self.last_time = ev.time;
-            match ev.kind {
-                EventKind::Resume { task } => self.advance(task, ev.time),
-                EventKind::Hop { msg } => self.handle_hop(msg, ev.time),
-                EventKind::Eject { msg } => self.handle_eject(msg, ev.time),
-                EventKind::Deliver { msg } => self.handle_deliver(msg, ev.time),
-            }
+            self.dispatch(time, kind);
         }
         drop(events_span);
         let _agg_span = obs::span("netsim.aggregate");
@@ -349,7 +452,7 @@ impl<'a> Engine<'a> {
         };
         SimReport {
             stats,
-            links: self.links,
+            links: self.links.into_links(),
             acct: self.acct,
         }
     }
@@ -368,7 +471,8 @@ impl<'a> Engine<'a> {
             match op {
                 TraceOp::Compute { ns } => {
                     self.tasks[task].pc += 1;
-                    self.push(now + ns, EventKind::Resume { task });
+                    let task = task as u32; // Engine::new checked the count
+                    self.events.push(now + ns, EventKind::Resume { task });
                     return;
                 }
                 TraceOp::Send { to, bytes } => {
@@ -377,7 +481,7 @@ impl<'a> Engine<'a> {
                     self.inject(task, to, bytes, now);
                 }
                 TraceOp::Recv { from } => {
-                    let avail = self.tasks[task].avail.entry(from).or_insert(0);
+                    let avail = self.tasks[task].avail_from(from);
                     if *avail > 0 {
                         *avail -= 1;
                         self.tasks[task].pc += 1;
@@ -393,8 +497,7 @@ impl<'a> Engine<'a> {
     /// Put a message on the wire (or the local loopback) at `time`.
     fn inject(&mut self, src: TaskId, dst: TaskId, bytes: u64, time: u64) {
         let (ps, pd) = (self.mapping.proc_of(src), self.mapping.proc_of(dst));
-        let id = self.msgs.len();
-        self.msgs.push(Msg {
+        let msg = Msg {
             src,
             dst,
             bytes,
@@ -404,9 +507,20 @@ impl<'a> Engine<'a> {
             prev_link: None,
             hops: 0,
             tail_ready: 0,
-        });
+        };
+        let id = match self.free_msgs.pop() {
+            Some(id) => {
+                self.msgs[id as usize] = msg;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.msgs.len()).expect("more than u32::MAX in flight");
+                self.msgs.push(msg);
+                id
+            }
+        };
         if ps == pd {
-            self.push(
+            self.events.push(
                 time + self.cfg.local_latency_ns,
                 EventKind::Deliver { msg: id },
             );
@@ -423,13 +537,13 @@ impl<'a> Engine<'a> {
                 // Per-port injection: the first link's FIFO serializes.
                 NicModel::PerLink => time,
             };
-            self.push(start, EventKind::Hop { msg: id });
+            self.events.push(start, EventKind::Hop { msg: id });
         }
     }
 
     /// Choose the outgoing link for `msg` at its current node.
-    fn choose_next(&mut self, msg: usize) -> NodeId {
-        let m = &self.msgs[msg];
+    fn choose_next(&mut self, msg: u32) -> NodeId {
+        let m = &self.msgs[msg as usize];
         match self.cfg.routing {
             RoutingMode::Deterministic => self.topo.next_hop(m.cur, m.dst_proc),
             RoutingMode::MinimalAdaptive => {
@@ -442,15 +556,20 @@ impl<'a> Engine<'a> {
                 let next = nbrs
                     .iter()
                     .copied()
-                    .min_by_key(|&v| {
-                        let li = self.link_index[&Link::new(cur, v)] as usize;
-                        (self.link_free[li], v)
-                    })
+                    .min_by_key(|&v| (self.link_free[self.link_id(cur, v)], v))
                     .expect("at least one productive neighbor");
                 self.nbr_buf = nbrs;
                 next
             }
         }
+    }
+
+    /// Id of the link `from → to`, which routing just chose.
+    #[inline]
+    fn link_id(&self, from: NodeId, to: NodeId) -> usize {
+        self.links
+            .id(from, to)
+            .expect("routing steps along a link of the topology")
     }
 
     /// Serialization time of `bytes` on a specific (possibly degraded)
@@ -467,10 +586,10 @@ impl<'a> Engine<'a> {
 
     /// The head of `msg` is at a node: reserve the next link FIFO, then
     /// forward the head (cut-through) toward the destination.
-    fn handle_hop(&mut self, msg: usize, now: u64) {
+    fn handle_hop(&mut self, msg: u32, now: u64) {
         let next = self.choose_next(msg);
-        let m = &self.msgs[msg];
-        let li = self.link_index[&Link::new(m.cur, next)] as usize;
+        let m = &self.msgs[msg as usize];
+        let li = self.link_id(m.cur, next);
         let prev = m.prev_link;
         let ser = self.link_ser(li, m.bytes);
         let start = now.max(self.link_free[li]);
@@ -490,23 +609,23 @@ impl<'a> Engine<'a> {
             }
         }
         let head_out = start + self.cfg.hop_latency_ns;
-        let m = &mut self.msgs[msg];
+        let m = &mut self.msgs[msg as usize];
         m.cur = next;
         m.prev_link = Some(li as u32);
         m.hops += 1;
         m.tail_ready = m.tail_ready.max(start + ser);
         if next == m.dst_proc {
-            self.push(head_out, EventKind::Eject { msg });
+            self.events.push(head_out, EventKind::Eject { msg });
         } else {
-            self.push(head_out, EventKind::Hop { msg });
+            self.events.push(head_out, EventKind::Hop { msg });
         }
     }
 
     /// The head reaches the destination's reception channel: messages
     /// converging on one node from several links drain serially
     /// (SharedChannel) or per final link (PerLink).
-    fn handle_eject(&mut self, msg: usize, now: u64) {
-        let m = &self.msgs[msg];
+    fn handle_eject(&mut self, msg: u32, now: u64) {
+        let m = &self.msgs[msg as usize];
         let pd = m.dst_proc;
         let last_link = m.prev_link;
         let ser = self.cfg.serialization_ns(m.bytes);
@@ -533,15 +652,17 @@ impl<'a> Engine<'a> {
         }
         // Delivery completes when the NIC has drained the message AND the
         // slowest link on the route has pushed the last byte through.
-        let tail_ready = self.msgs[msg].tail_ready;
-        self.push((start + ser).max(tail_ready), EventKind::Deliver { msg });
+        let tail_ready = self.msgs[msg as usize].tail_ready;
+        self.events
+            .push((start + ser).max(tail_ready), EventKind::Deliver { msg });
     }
 
-    fn handle_deliver(&mut self, msg: usize, now: u64) {
+    fn handle_deliver(&mut self, msg: u32, now: u64) {
         let (src, dst, bytes, inject_ns, hops) = {
-            let m = &self.msgs[msg];
+            let m = &self.msgs[msg as usize];
             (m.src, m.dst, m.bytes, m.inject_ns, m.hops)
         };
+        self.free_msgs.push(msg);
         if hops > 0 {
             self.latencies.push(now - inject_ns);
             self.hop_sum += hops as u64;
@@ -552,7 +673,7 @@ impl<'a> Engine<'a> {
         self.bytes_delivered += bytes;
 
         let st = &mut self.tasks[dst];
-        *st.avail.entry(src).or_insert(0) += 1;
+        *st.avail_from(src) += 1;
         if st.blocked_on == Some(src) {
             st.blocked_on = None;
             self.advance(dst, now);
@@ -564,9 +685,203 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::trace::{pingpong_trace, stencil_trace};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use topomap_core::{Mapper, Mapping, RandomMap, TopoLb};
     use topomap_taskgraph::gen;
     use topomap_topology::Torus;
+
+    /// An event that carries `id` and, through its variant, `id % 4`.
+    fn event(id: u32) -> EventKind {
+        match id % 4 {
+            0 => EventKind::Resume { task: id },
+            1 => EventKind::Hop { msg: id },
+            2 => EventKind::Eject { msg: id },
+            _ => EventKind::Deliver { msg: id },
+        }
+    }
+
+    /// Delays built to hurt a radix heap: equal times, neighbours, the
+    /// engine's own latencies, and jumps across many buckets.
+    const DELAYS: [u64; 7] = [0, 1, 100, 1_000, 40_960, 1 << 20, 1 << 40];
+
+    /// Drive an [`EventQueue`] and the structure it replaced — a binary
+    /// heap keyed `(time, push counter)` — through the same schedule and
+    /// demand the same pops. `ops` are `(what, delay index, count)`:
+    /// mostly "push `count` events at the latest popped time + delay"
+    /// (so delay 0 lands in bucket 0 while it is being read), else "pop
+    /// `count`" or "drain to empty". The first pushes happen at `start`.
+    fn same_pops_as_binary_heap(
+        start: u64,
+        ops: &[(u32, usize, usize)],
+    ) -> Result<(), TestCaseError> {
+        let mut queue = EventQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+        let mut pushed = 0u64;
+        let mut now = start;
+        let pop_both = |queue: &mut EventQueue,
+                        heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
+                        now: &mut u64|
+         -> Result<bool, TestCaseError> {
+            let want = heap.pop().map(|Reverse((time, _, id))| (time, event(id)));
+            prop_assert_eq!(queue.pop(), want);
+            if let Some((time, _)) = want {
+                *now = time;
+            }
+            Ok(want.is_some())
+        };
+        for &(what, delay, count) in ops {
+            match what {
+                0..=4 => {
+                    let time = now.saturating_add(DELAYS[delay]);
+                    for _ in 0..count {
+                        let id = pushed as u32;
+                        queue.push(time, event(id));
+                        heap.push(Reverse((time, pushed, id)));
+                        pushed += 1;
+                    }
+                }
+                5..=6 => {
+                    for _ in 0..count {
+                        pop_both(&mut queue, &mut heap, &mut now)?;
+                    }
+                }
+                _ => while pop_both(&mut queue, &mut heap, &mut now)? {},
+            }
+        }
+        while pop_both(&mut queue, &mut heap, &mut now)? {}
+        prop_assert_eq!(queue.pop(), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn queue_pops_like_a_binary_heap_on_time_then_push_order(
+            ops in proptest::collection::vec((0u32..8, 0usize..DELAYS.len(), 1usize..40), 1..300),
+            start_high in any::<bool>(),
+        ) {
+            // From 0, and from just below u64::MAX so that the first push
+            // lands in bucket 64 and later ones differ in high bits.
+            let start = if start_high { u64::MAX - (1 << 50) } else { 0 };
+            same_pops_as_binary_heap(start, &ops)?;
+        }
+    }
+
+    #[test]
+    fn queue_handles_equal_times_the_top_bucket_and_refill_after_empty() {
+        let far = u64::MAX - 5;
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop(), None);
+        q.push(far, event(0));
+        q.push(3, event(1));
+        q.push(far, event(2));
+        q.push(3, event(3));
+        assert_eq!(q.buckets[64].len(), 2, "bit 63 differs from last = 0");
+        assert_eq!(q.pop(), Some((3, event(1))));
+        // Scheduled at the time being handled: behind what is queued there.
+        q.push(3, event(4));
+        assert_eq!(q.pop(), Some((3, event(3))));
+        assert_eq!(q.pop(), Some((3, event(4))));
+        // ... also when bucket 0 has just been read to its end.
+        q.push(3, event(5));
+        assert_eq!(q.pop(), Some((3, event(5))));
+        assert_eq!(q.pop(), Some((far, event(0))));
+        q.push(u64::MAX, event(6));
+        q.push(far, event(7));
+        assert_eq!(q.pop(), Some((far, event(2))));
+        assert_eq!(q.pop(), Some((far, event(7))));
+        assert_eq!(q.pop(), Some((u64::MAX, event(6))));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
+        q.push(u64::MAX, event(8));
+        assert_eq!(q.pop(), Some((u64::MAX, event(8))));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn queued_event_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, EventKind)>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn queue_rejects_an_event_before_the_latest_pop() {
+        let mut q = EventQueue::new();
+        q.push(10, event(0));
+        q.pop();
+        q.push(9, event(1));
+    }
+
+    /// A run that exercises every scheduling site: backpressure
+    /// extensions (wormhole), NIC queues (shared channel) and per-link
+    /// serialization times (degraded links).
+    fn hard_run() -> (Torus, NetworkConfig, Trace, Mapping) {
+        let tasks = gen::stencil2d(4, 4, 65_536.0, true);
+        let topo = Torus::torus_3d(4, 2, 2);
+        let mut hard = cfg().with_bandwidth(100e6);
+        hard.switching = Switching::Wormhole;
+        hard.nic = NicModel::SharedChannel;
+        hard.link_speed_factors = topo
+            .links()
+            .iter()
+            .step_by(3)
+            .map(|l| (l.from, l.to, 0.3))
+            .collect();
+        let m = RandomMap::new(5).map(&tasks, &topo);
+        (topo, hard, stencil_trace(&tasks, 6, 500), m)
+    }
+
+    fn run_to_end(e: &mut Engine) {
+        e.start_tasks();
+        while let Some((time, kind)) = e.events.pop() {
+            e.dispatch(time, kind);
+        }
+    }
+
+    #[test]
+    fn engine_never_schedules_before_the_event_it_handles() {
+        // What `EventQueue::push`'s assert guards, checked from outside:
+        // after each handler, nothing queued is earlier than its event.
+        let (topo, hard, tr, m) = hard_run();
+        let mut e = Engine::new(&topo, &hard, &tr, &m);
+        e.start_tasks();
+        let mut handled = 0;
+        while let Some((time, kind)) = e.events.pop() {
+            e.dispatch(time, kind);
+            let q = &e.events;
+            let earliest = q.buckets[0][q.cursor..]
+                .iter()
+                .chain(q.buckets[1..].iter().flatten())
+                .map(|&(t, _)| t)
+                .min();
+            assert!(earliest.is_none_or(|t| t >= time), "{kind:?} at {time}");
+            handled += 1;
+        }
+        assert!(handled > 1_000, "only {handled} events");
+        assert!(e.tasks.iter().all(|t| t.finished_at.is_some()));
+    }
+
+    #[test]
+    fn message_slots_are_reused() {
+        // 50 round trips, one message in flight at a time: one slot.
+        let topo = Torus::mesh_1d(4);
+        let tr = pingpong_trace(2, 0, 1, 50, 1000);
+        let m = Mapping::new(vec![0, 3], 4);
+        let c = cfg();
+        let mut e = Engine::new(&topo, &c, &tr, &m);
+        run_to_end(&mut e);
+        assert_eq!(e.latencies.len(), 100);
+        assert_eq!(e.msgs.len(), 1);
+        // A contended stencil holds far fewer slots than it sends messages.
+        let (topo, hard, tr, m) = hard_run();
+        let mut e = Engine::new(&topo, &hard, &tr, &m);
+        run_to_end(&mut e);
+        assert_eq!(e.latencies.len(), tr.num_messages());
+        assert!(e.msgs.len() <= 2 * 64, "{} slots", e.msgs.len());
+    }
 
     fn cfg() -> NetworkConfig {
         NetworkConfig {

@@ -119,6 +119,12 @@ impl LinkAccounting {
         &self.bytes
     }
 
+    /// Give up the ledger: `(busy_ns, bytes)` per link, in link-id order,
+    /// without copying.
+    pub fn into_ledgers(self) -> (Vec<u64>, Vec<u64>) {
+        (self.busy_ns, self.bytes)
+    }
+
     /// Links that were ever busy.
     pub fn used_links(&self) -> usize {
         self.busy_ns.iter().filter(|&&b| b > 0).count()
@@ -223,6 +229,7 @@ mod tests {
         assert_eq!(a.total_bytes_hops(), 4_500);
         assert_eq!(a.busy_slice(), &[150, 0, 300]);
         assert_eq!(a.bytes_slice(), &[1_500, 0, 3_000]);
+        assert_eq!(a.into_ledgers(), (vec![150, 0, 300], vec![1_500, 0, 3_000]));
     }
 
     #[test]

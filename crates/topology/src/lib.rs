@@ -50,6 +50,7 @@ pub mod fattree;
 pub mod graph;
 pub mod hierarchy;
 pub mod hypercube;
+pub mod link_index;
 pub mod stats;
 pub mod torus;
 
@@ -59,6 +60,7 @@ pub use fattree::FatTree;
 pub use graph::GraphTopology;
 pub use hierarchy::Hierarchy;
 pub use hypercube::Hypercube;
+pub use link_index::LinkIndex;
 pub use torus::Torus;
 
 /// Identifier of a processor (a vertex of the topology graph `G_p`).
@@ -231,7 +233,10 @@ pub trait RoutedTopology: Topology {
         v
     }
 
-    /// Every directed link in the topology, in a deterministic order.
+    /// Every directed link in the topology, ascending in `(from, to)` and
+    /// without duplicates. A link's position in this list is its id in
+    /// every per-link ledger; [`LinkIndex`] maps `(from, to)` back to it
+    /// and checks the order.
     fn links(&self) -> Vec<Link> {
         let n = self.num_nodes();
         let mut out = Vec::new();

@@ -22,10 +22,10 @@ pub struct Torus {
     strides: Vec<usize>,
     nodes: usize,
     /// `coord_tab[d * nodes + id]` = coordinate of node `id` in dimension
-    /// `d`. Precomputed so bulk distance queries gather per-dimension
-    /// lookup tables instead of paying a div/mod pair per element; u16
-    /// keeps the tables L1-resident (dimensions above 65536 nodes fall
-    /// back to scalar distances in `distances_into`).
+    /// `d`. Precomputed so bulk distance queries and routing read a table
+    /// instead of paying a div/mod pair per coordinate; u16 keeps the
+    /// tables L1-resident. Empty when a dimension exceeds
+    /// [`MAX_TABLE_DIM`] — see [`Torus::tabulated`].
     coord_tab: Vec<u16>,
     /// Byte-packed coordinates — `packed[id]` holds coordinate `d` in byte
     /// `d` — when the torus has at most 4 dimensions, each of size ≤ 256.
@@ -33,6 +33,9 @@ pub struct Torus {
     /// 256-entry distance LUTs whose bounds checks vanish. Empty otherwise.
     packed: Vec<u32>,
 }
+
+/// Largest dimension whose coordinates (`0..dim`) fit the `u16` tables.
+const MAX_TABLE_DIM: usize = 1 << 16;
 
 impl Torus {
     /// General constructor: `dims[d]` processors along dimension `d`,
@@ -48,9 +51,15 @@ impl Torus {
         let strides = coords::strides(dims);
         // Coordinate tables, built by tiling: coordinate d is constant over
         // contiguous blocks of `strides[d]` ids and cycles with period
-        // `strides[d] * dims[d]`.
-        let mut coord_tab = vec![0u16; nodes * dims.len()];
-        for d in 0..dims.len() {
+        // `strides[d] * dims[d]`. One dimension too long for u16 (the
+        // counter below would wrap) and no table is built at all.
+        let tab_dims = if dims.iter().all(|&l| l <= MAX_TABLE_DIM) {
+            dims.len()
+        } else {
+            0
+        };
+        let mut coord_tab = vec![0u16; nodes * tab_dims];
+        for d in 0..tab_dims {
             let l = dims[d];
             let stride = strides[d];
             let tab = &mut coord_tab[d * nodes..(d + 1) * nodes];
@@ -60,10 +69,7 @@ impl Torus {
                 let end = (i + stride).min(nodes);
                 tab[i..end].fill(c);
                 i = end;
-                c += 1;
-                if c as usize == l {
-                    c = 0;
-                }
+                c = if c as usize + 1 == l { 0 } else { c + 1 };
             }
         }
         let packed = if dims.len() <= 4 && dims.iter().all(|&d| d <= 256) {
@@ -173,22 +179,50 @@ impl Torus {
         }
     }
 
-    /// Signed step (+1 / -1) that moves `a` toward `b` along dimension `d`
-    /// on the shortest arc. Ties (exactly half way around a wrapped
-    /// dimension) break toward +1 so routing is deterministic.
+    /// Do the coordinate tables hold every dimension? False only when a
+    /// dimension exceeds [`MAX_TABLE_DIM`]; then no tables exist and
+    /// [`Torus::coord`] and the bulk gather decode coordinates with
+    /// div/mod instead.
     #[inline]
-    fn dim_step(&self, d: usize, a: usize, b: usize) -> isize {
-        debug_assert_ne!(a, b);
-        let n = self.dims[d];
-        if !self.wrap[d] {
-            return if b > a { 1 } else { -1 };
-        }
-        let fwd = (b + n - a) % n; // steps going +1
-        let bwd = (a + n - b) % n; // steps going -1
-        if fwd <= bwd {
-            1
+    fn tabulated(&self) -> bool {
+        !self.coord_tab.is_empty()
+    }
+
+    /// Coordinate of `node` in dimension `d`: one table read.
+    #[inline]
+    fn coord(&self, d: usize, node: NodeId) -> usize {
+        if self.tabulated() {
+            self.coord_tab[d * self.nodes + node] as usize
         } else {
-            -1
+            coords::coord_of(node, self.dims[d], self.strides[d])
+        }
+    }
+
+    /// The neighbor of `cur` (coordinate `a` in dimension `d`) one step
+    /// toward coordinate `b` along the shortest arc of that dimension.
+    /// Ties (exactly half way around a wrapped dimension) break toward +1
+    /// so routing is deterministic.
+    #[inline]
+    fn dim_step(&self, d: usize, cur: NodeId, a: usize, b: usize) -> NodeId {
+        debug_assert_ne!(a, b);
+        let (n, stride) = (self.dims[d], self.strides[d]);
+        let forward = if self.wrap[d] {
+            // Steps going +1 against the `n - fwd` going -1.
+            let fwd = if b > a { b - a } else { b + n - a };
+            fwd <= n - fwd
+        } else {
+            b > a
+        };
+        if forward {
+            if a + 1 == n {
+                cur - (n - 1) * stride
+            } else {
+                cur + stride
+            }
+        } else if a == 0 {
+            cur + (n - 1) * stride
+        } else {
+            cur - stride
         }
     }
 }
@@ -206,6 +240,9 @@ impl Torus {
     /// never serializes the gather on one add chain.
     fn gather_sum(&self, from: NodeId, targets: &[NodeId], out: &mut Vec<u32>) -> u64 {
         debug_assert!(from < self.nodes);
+        if !self.tabulated() {
+            return gather_with(targets, out, |t| self.distance(from, t));
+        }
         let n = self.nodes;
         let nd = self.dims.len();
         let mut lut: Vec<u32> = Vec::with_capacity(self.dims.iter().sum());
@@ -443,19 +480,10 @@ impl RoutedTopology for Torus {
         // Dimension-ordered (e-cube) routing: correct dimensions in order,
         // each along its shortest arc.
         for d in 0..self.dims.len() {
-            let a = coords::coord_of(cur, self.dims[d], self.strides[d]);
-            let b = coords::coord_of(dest, self.dims[d], self.strides[d]);
-            if a == b {
-                continue;
+            let (a, b) = (self.coord(d, cur), self.coord(d, dest));
+            if a != b {
+                return self.dim_step(d, cur, a, b);
             }
-            let step = self.dim_step(d, a, b);
-            let n = self.dims[d];
-            let na = if step == 1 {
-                (a + 1) % n
-            } else {
-                (a + n - 1) % n
-            };
-            return cur - a * self.strides[d] + na * self.strides[d];
         }
         unreachable!("cur == dest");
     }
@@ -640,6 +668,121 @@ mod tests {
                     assert!(hops <= t.diameter(), "routing loop");
                 }
                 assert_eq!(hops, t.distance(a, b));
+            }
+        }
+    }
+
+    /// Dimension-ordered routing written with a div/mod coordinate decode
+    /// and modular stepping — the formula `next_hop` used before it read
+    /// the coordinate tables, kept as its reference.
+    fn next_hop_divmod(t: &Torus, cur: NodeId, dest: NodeId) -> NodeId {
+        for d in 0..t.dims.len() {
+            let (n, stride) = (t.dims[d], t.strides[d]);
+            let a = coords::coord_of(cur, n, stride);
+            let b = coords::coord_of(dest, n, stride);
+            if a == b {
+                continue;
+            }
+            let forward = if t.wrap[d] {
+                (b + n - a) % n <= (a + n - b) % n
+            } else {
+                b > a
+            };
+            let na = if forward {
+                (a + 1) % n
+            } else {
+                (a + n - 1) % n
+            };
+            return cur - a * stride + na * stride;
+        }
+        unreachable!("cur == dest");
+    }
+
+    #[test]
+    fn next_hop_matches_divmod_formula() {
+        for t in [
+            Torus::new(&[4, 5, 3], &[true, false, true]),
+            Torus::torus_3d(4, 2, 6),
+            Torus::torus_2d(2, 7),
+            Torus::mesh_2d(3, 4),
+            Torus::torus_1d(8),
+            Torus::new(&[2, 3, 2, 3, 2], &[true, true, false, true, false]),
+        ] {
+            assert!(t.tabulated());
+            for a in 0..t.num_nodes() {
+                for b in (0..t.num_nodes()).filter(|&b| b != a) {
+                    assert_eq!(
+                        t.next_hop(a, b),
+                        next_hop_divmod(&t, a, b),
+                        "{} {a}->{b}",
+                        t.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dimension_above_u16_range_uses_the_scalar_path() {
+        // Coordinates of a 70,000-long dimension do not fit the u16
+        // tables: tiling them used to overflow (debug) or wrap (release),
+        // after which bulk distances disagreed with `distance`.
+        for t in [
+            Torus::torus_1d(70_000),
+            Torus::new(&[70_000, 2], &[true, false]),
+            Torus::new(&[2, 70_000], &[false, true]),
+        ] {
+            assert!(!t.tabulated(), "{}", t.name());
+            let n = t.num_nodes();
+            let probes: Vec<NodeId> = vec![
+                0,
+                1,
+                65_535,
+                65_536,
+                65_537,
+                69_999,
+                n / 2,
+                n - 65_537,
+                n - 2,
+                n - 1,
+            ];
+            let mut got = Vec::new();
+            for &from in &probes {
+                let sum = t.distances_sum_into(from, &probes, &mut got);
+                let want: Vec<u32> = probes.iter().map(|&q| t.distance(from, q)).collect();
+                assert_eq!(got, want, "{} from {from}", t.name());
+                assert_eq!(sum, want.iter().map(|&d| d as u64).sum::<u64>());
+                for &to in probes.iter().filter(|&&to| to != from) {
+                    let next = t.next_hop(from, to);
+                    assert_eq!(
+                        next,
+                        next_hop_divmod(&t, from, to),
+                        "{} {from}->{to}",
+                        t.name()
+                    );
+                    assert_eq!(t.distance(next, to), t.distance(from, to) - 1);
+                }
+            }
+        }
+        let t = Torus::torus_1d(70_000);
+        let mut got = Vec::new();
+        t.distances_into(0, &[65_536, 65_537, 69_999], &mut got);
+        assert_eq!(got, [4464, 4463, 1]);
+    }
+
+    #[test]
+    fn largest_tabulated_dimension_is_exact() {
+        // 65,536 is the last length whose coordinates (0..=65,535) fit.
+        let t = Torus::torus_1d(MAX_TABLE_DIM);
+        assert!(t.tabulated());
+        let probes: Vec<NodeId> = vec![0, 1, 32_767, 32_768, 32_769, 65_534, 65_535];
+        let mut got = Vec::new();
+        for &from in &probes {
+            t.distances_into(from, &probes, &mut got);
+            let want: Vec<u32> = probes.iter().map(|&q| t.distance(from, q)).collect();
+            assert_eq!(got, want, "from {from}");
+            for &to in probes.iter().filter(|&&to| to != from) {
+                assert_eq!(t.next_hop(from, to), next_hop_divmod(&t, from, to));
             }
         }
     }
