@@ -1,6 +1,6 @@
 //! Thread-timing probe for `core::par`, the source of DESIGN §6's and
 //! EXPERIMENTS' thread numbers. It prints, asserts nothing, and is in
-//! neither `run_all` nor CI: thread timing on a shared runner decides
+//! neither `matrix` nor CI: thread timing on a shared runner decides
 //! nothing. Public API only, so the same file builds at older commits.
 //!
 //! Protocol (DESIGN §6 says why): on the VM this repo is measured on, a

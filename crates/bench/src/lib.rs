@@ -1,140 +1,326 @@
 //! # topomap-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md §3 for the index), plus shared reporting utilities.
+//! The evaluation matrix: every table of EXPERIMENTS.md — the paper's
+//! Table 1 and Figures 1–11, our ablations, and the quality halves of
+//! what used to be five gate programs — is rows of one table-driven run,
+//! written to `results/matrix.tsv`, checked against named claims, and
+//! rendered into the document between `<!-- matrix:ID -->` markers.
 //!
-//! Every binary prints the same rows/series the paper reports, in plain
-//! aligned text (machine-greppable, human-readable). Absolute values
-//! differ from the paper's 2006 hardware; the reproduced quantity is the
-//! shape: who wins, by what rough factor, where crossovers fall.
+//! | module | holds |
+//! |--------|-------|
+//! | [`cases`] | `CASES`: experiment id, workload, machine, mappers, seeds, sizes per scale, network scenario — data |
+//! | [`run`] | the five measurements (score, simulate, refine pass by pass, partition → coalesce → place, contention refine) emitting flat [`Record`]s |
+//! | [`claims`] | `CLAIMS`: named predicates over records, the same at test scale (tier-1) and at default scale (`matrix`) |
+//! | [`render`] | the EXPERIMENTS.md blocks, from records alone |
+//! | this file | [`Record`], the TSV file format, the `--check` comparison, the run stamp |
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `exp_table1` | Table 1 (Jacobi, optimal vs random, message-size sweep) |
-//! | `exp_fig1_2` | Figures 1–2 (2D-mesh → 2D-torus hops-per-byte) |
-//! | `exp_fig3_4` | Figures 3–4 (2D-mesh → 3D-torus hops-per-byte) |
-//! | `exp_fig5_6` | Figures 5–6 (LeanMD on 2D/3D tori) |
-//! | `exp_fig7_8` | Figures 7–8 (message latency vs bandwidth) |
-//! | `exp_fig9`   | Figure 9 (completion time vs bandwidth) |
-//! | `exp_fig10_11` | Figures 10–11 (BlueGene 3D-torus/mesh iteration times) |
-//! | `exp_ablation` | our ablations (estimation order, refine passes, partitioner) |
-//! | `exp_physopt` | physical optimization (simulated-annealing / genetic search) vs the heuristics |
-//! | `exp_routing` | deterministic vs adaptive routing under the same mappings |
-//! | `exp_profile` | profiled smoke run: stamps `PROFILE_*.json` traces |
-//! | `exp_scaling` | gate: 4096-PE TopoLB within 3x the naive 576-PE unit |
-//! | `exp_hier`    | gate: HierMapper <= flat TopoLB / 3 at 4096 PEs, hop-bytes within 15% |
-//! | `exp_geom`    | gate: SFC / RCB <= TopoLB / 10 at 4096 PEs, warm start, 16384 smoke |
-//! | `exp_serve`   | gate: served mappings bit-identical to direct runs under load |
-//! | `exp_contention` | gate: contention-refined makespan never worse, >= 5% on a degraded torus |
-//! | `run_all`    | everything above in sequence |
+//! | binary | does |
+//! |--------|------|
+//! | `matrix` | runs every case; writes the file and the document, `--check` compares with the committed file, `--full` prints the paper's sizes |
+//! | `exp_profile` | profiled smoke run: stamps the `PROFILE_*.json` traces CI uploads |
+//! | `exp_par` | thread-timing probe for `core::par` (prints, asserts nothing) |
 //!
-//! The gates assert and print; they write no result files. Timings with
-//! host, threads and revision attached come from the repo's benchmark
-//! (`benchmark/README.md`, `bash benchmark/run.sh`).
+//! Absolute values differ from the paper's 2006 hardware; the reproduced
+//! quantity is the shape, and the shapes are the claims. Wall-clock
+//! numbers with host, threads and revision attached come from the repo's
+//! benchmark (`benchmark/README.md`); `map_ms` here is a best-of-three
+//! reading beside the quality it bought, not a gate.
 
-use std::fmt::Write as _;
+pub mod cases;
+pub mod claims;
+pub mod render;
+pub mod run;
 
-/// Format and print an aligned table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("{}", render_table(title, headers, rows));
+use std::path::PathBuf;
+use std::process::Command;
+use topomap_core::Parallelism;
+
+macro_rules! record {
+    ($($key:ident),*; $($metric:ident),*) => {
+        /// One measurement. Keys say what ran; a metric that does not
+        /// apply is NaN in memory and an empty cell in the file.
+        #[derive(Clone, Debug)]
+        pub struct Record {
+            $(pub $key: String,)*
+            $(pub $metric: f64,)*
+        }
+
+        impl Record {
+            pub const COLUMNS: &'static [&'static str] =
+                &[$(stringify!($key),)* $(stringify!($metric),)*];
+
+            fn cells(&self) -> Vec<String> {
+                vec![$(self.$key.clone(),)* $(number(self.$metric),)*]
+            }
+
+            fn from_cells(cells: &[&str]) -> Result<Record, String> {
+                if cells.len() != Self::COLUMNS.len() {
+                    return Err(format!("{} cells, want {}", cells.len(), Self::COLUMNS.len()));
+                }
+                let mut it = cells.iter();
+                Ok(Record {
+                    $($key: it.next().expect("length checked").to_string(),)*
+                    $($metric: parse_number(it.next().expect("length checked"))?,)*
+                })
+            }
+        }
+
+        /// What an empty selection's [`Sel::head`] reads: no labels, and
+        /// NaN in every metric, which fails every comparison.
+        static EMPTY: Record = Record { $($key: String::new(),)* $($metric: f64::NAN,)* };
+
+        impl Default for Record {
+            fn default() -> Self {
+                EMPTY.clone()
+            }
+        }
+    };
 }
 
-/// Render an aligned table (exposed separately for tests and file output).
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), ncols, "row width mismatch in table '{title}'");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
+// `row` is the sweep value that keys a table row: PEs, unless the case
+// sweeps message bytes or link bandwidth (MB/s). `variant` is whatever
+// else distinguishes two records of a row: routing mode, partitioner,
+// before/after contention refinement.
+record!(exp, row, pattern, machine, mapper, seed, variant;
+    tasks, degree, hpb, accepts, passes, map_ms, completion_ns, avg_latency_ns,
+    edge_cut, imbalance, sims);
+
+/// Shortest text that parses back to the same `f64`, so a table rendered
+/// from the file equals one rendered from the run.
+fn number(x: f64) -> String {
+    if x.is_nan() {
+        String::new()
+    } else {
+        x.to_string()
     }
+}
+
+fn parse_number(cell: &str) -> Result<f64, String> {
+    if cell.is_empty() {
+        return Ok(f64::NAN);
+    }
+    cell.parse().map_err(|_| format!("bad number '{cell}'"))
+}
+
+/// `(key, value)` lines describing the run, kept as `# key: value` above
+/// the column header (the benchmark's meta block, for this file).
+pub type Stamp = Vec<(String, String)>;
+
+pub fn to_tsv(stamp: &Stamp, records: &[Record]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "\n== {title} ==");
-    let mut line = String::new();
-    for (i, h) in headers.iter().enumerate() {
-        let _ = write!(line, "{:>w$}  ", h, w = widths[i]);
+    for (key, value) in stamp {
+        out += &format!("# {key}: {value}\n");
     }
-    let _ = writeln!(out, "{}", line.trim_end());
-    let _ = writeln!(out, "{}", "-".repeat(line.trim_end().len()));
-    for row in rows {
-        let mut line = String::new();
-        for (i, cell) in row.iter().enumerate() {
-            let _ = write!(line, "{:>w$}  ", cell, w = widths[i]);
-        }
-        let _ = writeln!(out, "{}", line.trim_end());
+    out += &Record::COLUMNS.join("\t");
+    out.push('\n');
+    for r in records {
+        out += &r.cells().join("\t");
+        out.push('\n');
     }
     out
 }
 
-/// Fixed-precision float formatting for table cells.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Human time formatting: picks ms or s.
-pub fn fmt_time_ns(ns: u64) -> String {
-    let ms = ns as f64 / 1e6;
-    if ms >= 1000.0 {
-        format!("{:.2}s", ms / 1000.0)
-    } else {
-        format!("{ms:.2}ms")
+pub fn from_tsv(text: &str) -> Result<(Stamp, Vec<Record>), String> {
+    let mut stamp = Stamp::new();
+    let mut lines = text.lines().enumerate();
+    loop {
+        let line = lines.next().ok_or("no column header")?.1;
+        match line.strip_prefix("# ").and_then(|l| l.split_once(": ")) {
+            Some((key, value)) => stamp.push((key.to_string(), value.to_string())),
+            None if line == Record::COLUMNS.join("\t") => break,
+            None => return Err(format!("not the column header: '{line}'")),
+        }
     }
+    let records = lines
+        .map(|(i, line)| {
+            Record::from_cells(&line.split('\t').collect::<Vec<_>>())
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((stamp, records))
 }
 
-/// Parse a `--full` flag from argv: experiments default to scaled-down
-/// iteration counts on laptop hardware and use the paper's full counts
-/// with `--full`.
-pub fn full_mode() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// Relative change `(from -> to)` in percent, negative = reduction.
-pub fn pct_change(from: f64, to: f64) -> f64 {
-    if from == 0.0 {
-        return 0.0;
+/// `matrix --check`: the first cell of `fresh` that differs from
+/// `committed`, ignoring the stamp and `map_ms` — the two things a re-run
+/// on the same tree may change.
+pub fn first_difference(committed: &str, fresh: &str) -> Result<Option<String>, String> {
+    let (committed, fresh) = (from_tsv(committed)?.1, from_tsv(fresh)?.1);
+    for (i, (c, f)) in committed.iter().zip(&fresh).enumerate() {
+        let cells = c.cells().into_iter().zip(f.cells());
+        for (column, (was, is)) in Record::COLUMNS.iter().zip(cells) {
+            if *column != "map_ms" && was != is {
+                let key = &c.cells()[..7];
+                return Ok(Some(format!(
+                    "record {} ({}): {column} is '{is}', committed '{was}'",
+                    i + 1,
+                    key.join(" ")
+                )));
+            }
+        }
     }
-    (to - from) / from * 100.0
+    Ok((committed.len() != fresh.len())
+        .then(|| format!("{} records, committed {}", fresh.len(), committed.len())))
+}
+
+/// The checkout this crate was built from.
+pub fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn command_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .current_dir(repo_root())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Where and on what a run was taken. The two files `matrix` itself
+/// writes do not make the tree dirty: regenerating them on a clean
+/// checkout stamps that checkout's revision.
+pub fn stamp(scale: cases::Scale) -> Stamp {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let outputs = [":!results/matrix.tsv", ":!EXPERIMENTS.md"];
+    let status = ["status", "--porcelain", "--", ".", outputs[0], outputs[1]];
+    let dirty = match command_line("git", &status).as_str() {
+        "" => "",
+        _ => " (dirty)",
+    };
+    let revision = command_line("git", &["rev-parse", "HEAD"]) + dirty;
+    let lines = [
+        ("host", command_line("uname", &["-srm"])),
+        ("cores", cores.to_string()),
+        (
+            "threads",
+            Parallelism::default().resolved_threads().to_string(),
+        ),
+        ("revision", revision),
+        ("rustc", command_line("rustc", &["--version"])),
+        ("scale", format!("{scale:?}").to_lowercase()),
+    ];
+    lines.map(|(key, value)| (key.to_string(), value)).to_vec()
+}
+
+/// A selection of records, the query side of [`claims`] and [`render`].
+#[derive(Clone)]
+pub struct Sel<'a>(pub Vec<&'a Record>);
+
+impl<'a> Sel<'a> {
+    pub fn all(records: &'a [Record]) -> Self {
+        Sel(records.iter().collect())
+    }
+
+    pub fn exp(&self, exp: &str) -> Self {
+        self.such(|r| r.exp == exp)
+    }
+
+    pub fn such(&self, keep: impl Fn(&Record) -> bool) -> Self {
+        Sel(self.0.iter().copied().filter(|r| keep(r)).collect())
+    }
+
+    pub fn variant(&self, variant: &str) -> Self {
+        self.such(|r| r.variant == variant)
+    }
+
+    /// Sub-selections with equal `key`, in first-seen order.
+    pub fn by(&self, key: impl Fn(&Record) -> String) -> Vec<Sel<'a>> {
+        let mut groups: Vec<(String, Sel<'a>)> = Vec::new();
+        for &r in &self.0 {
+            let k = key(r);
+            match groups.iter_mut().find(|(seen, _)| *seen == k) {
+                Some((_, group)) => group.0.push(r),
+                None => groups.push((k, Sel(vec![r]))),
+            }
+        }
+        groups.into_iter().map(|(_, group)| group).collect()
+    }
+
+    /// One selection per table row: equal experiment, pattern, machine
+    /// and row label.
+    pub fn rows(&self) -> Vec<Sel<'a>> {
+        self.by(|r| [&r.exp[..], &r.pattern, &r.machine, &r.row].join("\t"))
+    }
+
+    /// The first record, for the labels a selection shares.
+    pub fn head(&self) -> &'a Record {
+        self.0.first().copied().unwrap_or(&EMPTY)
+    }
+
+    /// The row label as a number (PEs, bytes or MB/s).
+    pub fn at(&self) -> f64 {
+        self.head().row.parse().unwrap_or(f64::NAN)
+    }
+
+    /// Mean of `metric` over the records of `mapper` (that is, over its
+    /// seeds); NaN when there are none.
+    pub fn mean(&self, mapper: &str, metric: fn(&Record) -> f64) -> f64 {
+        let of_mapper = self.0.iter().filter(|r| r.mapper == mapper);
+        let values: Vec<f64> = of_mapper.map(|r| metric(r)).collect();
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+
+    pub fn hpb(&self, mapper: &str) -> f64 {
+        self.mean(mapper, |r| r.hpb)
+    }
+
+    /// Simulated completion time.
+    pub fn ns(&self, mapper: &str) -> f64 {
+        self.mean(mapper, |r| r.completion_ns)
+    }
+
+    /// Average message latency, ns.
+    pub fn lat(&self, mapper: &str) -> f64 {
+        self.mean(mapper, |r| r.avg_latency_ns)
+    }
+
+    pub fn ms(&self, mapper: &str) -> f64 {
+        self.mean(mapper, |r| r.map_ms)
+    }
+
+    /// Of one pass-by-pass refinement: final hops per byte, sweeps run,
+    /// exchanges accepted in all.
+    pub fn refined(&self) -> (f64, f64, f64) {
+        let last = self.0.last().map_or(f64::NAN, |r| r.hpb);
+        let accepts = self.0.iter().map(|r| r.accepts).sum();
+        (last, self.0.len() as f64 - 1.0, accepts)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn table_renders_aligned() {
-        let s = render_table(
-            "T",
-            &["p", "value"],
-            &[
-                vec!["64".into(), "1.00".into()],
-                vec!["4096".into(), "12.34".into()],
-            ],
-        );
-        assert!(s.contains("== T =="));
-        assert!(s.contains("4096"));
-        // Columns right-aligned: "  64" under "   p"? p width = 4.
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines.iter().any(|l| l.trim_start().starts_with("64")));
-    }
+    const SAMPLE: &str = "# revision: abc\n# scale: default\n\
+        exp\trow\tpattern\tmachine\tmapper\tseed\tvariant\ttasks\tdegree\thpb\taccepts\tpasses\t\
+        map_ms\tcompletion_ns\tavg_latency_ns\tedge_cut\timbalance\tsims\n\
+        a\t64\tstencil2d:8x8\ttorus:8x8\ttopolb\t0\tdor\t64\t3.5\t1\t3\t1\t0.125\t87390000\t1000\t1e7\t1.0625\t92\n\
+        a\t64\tstencil2d:8x8\ttorus:8x8\ttopolb\t1\tdor\t64\t3.5\t1.4133239392474204\t3\t1\t0.125\t87390000\t1413.3\t1e7\t1.0625\t92\n\
+        \t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\t\n";
 
+    /// `--check` ignores `map_ms` and the stamp, and nothing else.
     #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn ragged_rows_rejected() {
-        render_table("T", &["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f2(1.005), "1.00");
-        assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(fmt_time_ns(1_500_000), "1.50ms");
-        assert_eq!(fmt_time_ns(2_500_000_000), "2.50s");
-        assert_eq!(pct_change(10.0, 7.0), -30.0);
-        assert_eq!(pct_change(0.0, 5.0), 0.0);
+    fn check_ignores_map_ms_and_the_stamp_only() {
+        let restamped = SAMPLE.replace("abc", "def (dirty)");
+        assert_eq!(first_difference(SAMPLE, &restamped).unwrap(), None);
+        let (_, records) = from_tsv(SAMPLE).unwrap();
+        for (i, column) in Record::COLUMNS.iter().enumerate() {
+            let mut cells = records[1].cells();
+            cells[i] = if i < 7 { "x".into() } else { "7".into() };
+            let cells: Vec<&str> = cells.iter().map(String::as_str).collect();
+            let fresh = [
+                records[0].clone(),
+                Record::from_cells(&cells).unwrap(),
+                records[2].clone(),
+            ];
+            let diff = first_difference(SAMPLE, &to_tsv(&Stamp::new(), &fresh)).unwrap();
+            assert_eq!(diff.is_none(), *column == "map_ms", "{column}: {diff:?}");
+        }
+        let shorter = to_tsv(&Stamp::new(), &records[..2]);
+        assert!(first_difference(SAMPLE, &shorter).unwrap().is_some());
+        assert!(from_tsv("exp\trow\n").is_err() && from_tsv("# scale: default\n").is_err());
+        assert!(records[2].hpb.is_nan() && Sel::all(&records).exp("a").hpb("topolb") > 1.2);
     }
 }

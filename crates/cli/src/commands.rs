@@ -48,8 +48,9 @@ SPECS:
   threads:  worker threads for the mapper (auto = detect; results are
             identical for every setting)
   init:     warm start. With '--mapper refine', '--init NAME' refines
-            NAME's mapping instead of a cold TopoLB run (the near-linear
-            geometric mappers sfc/rcb make good inits). With 'simulate
+            NAME's mapping instead of a cold TopoLB run (sfc/rcb save the
+            quadratic pass and are fixed points on a matching stencil;
+            elsewhere they end 2-81% worse in hop-bytes). With 'simulate
             --refine-contention', '--init NAME' computes the starting
             mapping on the spot instead of loading --mapping.
   hierarchy: --hierarchy 4:8:16 selects the hierarchical mapper (same as

@@ -397,9 +397,12 @@ impl MapperSpec {
 
     /// Resolve the four request fields (the CLI flags of the same
     /// names). A hierarchy selects `hier` (the mapper name may then be
-    /// omitted); `init` warm-starts `refine` and nothing else (the
-    /// near-linear geometric mappers make good inits: same final quality,
-    /// far fewer accepted passes); `hier_dist` needs a hierarchy.
+    /// omitted); `init` warm-starts `refine` and nothing else (a
+    /// near-linear geometric init saves the quadratic TopoLB pass and is
+    /// a fixed point of the refiner on a matching stencil; elsewhere it
+    /// ends 2 % to 81 % worse in hop-bytes after 3× or more the accepted
+    /// exchanges — EXPERIMENTS.md `geom_warm`); `hier_dist` needs a
+    /// hierarchy.
     pub fn parse(
         mapper: Option<&str>,
         init: Option<&str>,

@@ -522,3 +522,27 @@ fn refine_ledger_accounts_for_every_candidate_of_every_pass() {
         }
     }
 }
+
+/// A pool that is *not* eager — `Parallelism::fixed`, what `--threads 4`
+/// and `TOPOMAP_THREADS=4` make — engages at a real size: the hierarchy's
+/// leaf phase on 4096 processors clears the per-thread work cutoff and
+/// fans out, and maps exactly as the serial run does. Every other
+/// multi-thread test here uses an eager pool, which skips the cutoff.
+#[test]
+fn fixed_pool_fans_out_hier_leaves_at_4096_and_maps_as_serial() {
+    let _l = obs_guard();
+    let g = gen::stencil2d(64, 64, 1024.0, true);
+    let topo = Torus::torus_2d(64, 64);
+    let hier = |par| {
+        HierMapper::for_torus(&topo)
+            .expect("a 64 x 64 torus factors into blocks")
+            .with_parallelism(par)
+    };
+    let (fanned, report) = recorded(|| hier(Parallelism::fixed(4)).map(&g, &topo));
+    assert!(
+        counter(&report, "par.regions.parallel") >= 1,
+        "no region cleared the cutoff: {:?}",
+        report.counters
+    );
+    assert_eq!(fanned, hier(Parallelism::serial()).map(&g, &topo));
+}
