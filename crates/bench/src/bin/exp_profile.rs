@@ -1,8 +1,9 @@
 //! Profiled smoke run: exercise every mapper family, one simulator run,
-//! the two 4096-processor kernels and the contention loop with the
-//! observability layer armed, validate the reports (span tree with at
-//! least three phases, non-zero counters), and stamp them as
-//! `PROFILE_<name>.json` in the working directory (gitignored).
+//! the two 4096-processor kernels, the two-phase pipeline at 16,384 tasks
+//! and the contention loop with the observability layer armed, validate
+//! the reports (span tree with at least three phases, non-zero counters),
+//! and stamp them as `PROFILE_<name>.json` in the working directory
+//! (gitignored).
 //!
 //! This is the bench-side consumer of `topomap_core::obs`: perf PRs diff
 //! these profiles to see where a change moved time; wall-clock numbers
@@ -12,11 +13,13 @@
 
 use topomap_bench::cases::Scale;
 use topomap_core::obs;
+use topomap_core::pipeline::two_phase;
 use topomap_core::{
     EstimationOrder, GeneticMap, HierMapper, Mapper, RefineTopoLb, SimulatedAnnealingMap,
     TopoCentLb, TopoLb,
 };
 use topomap_netsim::{trace, NetworkConfig, Simulation};
+use topomap_partition::MultilevelKWay;
 use topomap_taskgraph::gen;
 use topomap_topology::Torus;
 
@@ -88,6 +91,28 @@ fn main() {
     profile("scaling_4096", || TopoLb::default().map(&tasks, &topo));
     let hier = HierMapper::for_torus(&topo).expect("a 64 x 64 torus factors into blocks");
     profile("hier_4096", || hier.map(&tasks, &topo));
+
+    // The paper's two phases on the benchmark's `scale` case: partition
+    // 16,384 tasks into 1,024 groups, coalesce, place the groups.
+    let tasks = gen::stencil2d(128, 128, 4096.0, false);
+    let topo = Torus::torus_2d(32, 32);
+    let report = profile("twophase_16384", || {
+        two_phase(
+            &tasks,
+            &topo,
+            &MultilevelKWay::default(),
+            &TopoLb::default(),
+        )
+    });
+    assert!(
+        ["pipeline.partition", "pipeline.coalesce", "pipeline.map"]
+            .iter()
+            .all(|phase| report.find_span(phase).is_some())
+            && report.counter("pipeline.tasks") == Some(16_384)
+            && report.counter("pipeline.groups") == Some(1_024),
+        "two-phase profile lost a phase: {:?}",
+        report.span_names()
+    );
 
     // The matrix's three `contention` rows, recorded.
     let report = profile("contention", || {

@@ -12,8 +12,8 @@
 //! hop-bytes objective: start from a seed mapping, propose random task
 //! swaps (or moves to free processors), accept improvements always and
 //! regressions with probability `exp(-Δ/T)`, cool geometrically. The
-//! `exp_physopt` bench quantifies the paper's quality-vs-time trade-off
-//! against TopoLB.
+//! evaluation matrix's `physopt` rows quantify the paper's
+//! quality-vs-time trade-off against TopoLB.
 
 use crate::obs;
 use crate::refine::swap_delta;

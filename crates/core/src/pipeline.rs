@@ -7,7 +7,7 @@
 //! processors with the objective of placing communicating groups on
 //! nearby processors."
 
-use crate::{metrics, Mapper, Mapping};
+use crate::{metrics, obs, Mapper, Mapping};
 use topomap_partition::{Partition, Partitioner};
 use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{NodeId, Topology};
@@ -61,13 +61,25 @@ pub fn two_phase(
     mapper: &dyn Mapper,
 ) -> TwoPhaseResult {
     let p = topo.num_nodes();
-    let partition = if tasks.num_tasks() == p {
-        Partition::new((0..p).collect(), p)
-    } else {
-        partitioner.partition(tasks, p)
+    obs::counter_add("pipeline.tasks", tasks.num_tasks() as u64);
+    obs::counter_add("pipeline.groups", p as u64);
+    // The partition crate sits below `obs`, so phase 1 is named here.
+    let partition = {
+        let _span = obs::span("pipeline.partition");
+        if tasks.num_tasks() == p {
+            Partition::new((0..p).collect(), p)
+        } else {
+            partitioner.partition(tasks, p)
+        }
     };
-    let group_graph = partition.coalesce(tasks);
-    let group_mapping = mapper.map(&group_graph, topo);
+    let group_graph = {
+        let _span = obs::span("pipeline.coalesce");
+        partition.coalesce(tasks)
+    };
+    let group_mapping = {
+        let _span = obs::span("pipeline.map");
+        mapper.map(&group_graph, topo)
+    };
     TwoPhaseResult {
         partition,
         group_graph,

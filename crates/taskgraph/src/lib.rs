@@ -182,35 +182,29 @@ impl TaskGraph {
         // working on pre-partitioned graphs.
         if let Some(cs) = &self.coords {
             let mut sums = vec![[0.0f64; 3]; num_groups];
+            let mut plain = vec![[0.0f64; 3]; num_groups];
             let mut wsum = vec![0.0f64; num_groups];
             let mut cnt = vec![0usize; num_groups];
             for (t, &g) in assignment.iter().enumerate() {
                 let w = self.vwgt[t];
                 for d in 0..3 {
                     sums[g][d] += cs[t][d] * w;
+                    plain[g][d] += cs[t][d];
                 }
                 wsum[g] += w;
                 cnt[g] += 1;
             }
             let mut out = vec![[0.0f64; 3]; num_groups];
             for g in 0..num_groups {
-                if wsum[g] > 0.0 {
-                    for d in 0..3 {
-                        out[g][d] = sums[g][d] / wsum[g];
-                    }
+                let (sum, by) = if wsum[g] > 0.0 {
+                    (sums[g], wsum[g])
                 } else if cnt[g] > 0 {
-                    // Unweighted mean of member positions.
-                    let mut m = [0.0f64; 3];
-                    for (t, &gg) in assignment.iter().enumerate() {
-                        if gg == g {
-                            for d in 0..3 {
-                                m[d] += cs[t][d];
-                            }
-                        }
-                    }
-                    for d in 0..3 {
-                        out[g][d] = m[d] / cnt[g] as f64;
-                    }
+                    (plain[g], cnt[g] as f64) // unweighted mean of the members
+                } else {
+                    continue; // an empty group stays at the origin
+                };
+                for d in 0..3 {
+                    out[g][d] = sum[d] / by;
                 }
             }
             b.set_coords(out);
@@ -571,6 +565,45 @@ mod tests {
         // Coordinate-free input stays coordinate-free.
         let plain = TaskGraph::builder(4).build().coalesce(&[0, 0, 1, 1], 2);
         assert!(plain.coords().is_none());
+    }
+
+    #[test]
+    fn coalesce_places_weightless_groups_at_the_plain_mean() {
+        // Every task weighs nothing, so every group takes the fallback:
+        // the member coordinates summed in ascending task order, over the
+        // member count. Group 2 is empty.
+        let mut b = TaskGraph::builder(6);
+        for t in 0..6 {
+            b.set_task_weight(t, 0.0);
+        }
+        let cs = [
+            [0.1, 1.0, -3.0],
+            [0.2, 1.0, 0.5],
+            [0.3, 4.0, 0.25],
+            [0.7, -2.0, 0.0],
+            [1e-3, 1.0, 7.0],
+            [5.0, 0.5, 0.125],
+        ];
+        b.set_coords(cs.to_vec());
+        let c = b.build().coalesce(&[0, 1, 0, 3, 0, 1], 4);
+        let mean = |members: &[usize]| -> [f64; 3] {
+            std::array::from_fn(|d| {
+                members.iter().fold(0.0, |s, &t| s + cs[t][d]) / members.len() as f64
+            })
+        };
+        let got = c.coords().unwrap();
+        assert_eq!(got[0], mean(&[0, 2, 4]));
+        assert_eq!(got[0][0], (0.1 + 0.3 + 1e-3) / 3.0);
+        assert_eq!(got[1], mean(&[1, 5]));
+        assert_eq!(got[2], [0.0; 3]);
+        assert_eq!(got[3], cs[3]);
+        // A weighted group beside a weightless one is unaffected by it.
+        let mut b = TaskGraph::builder(3);
+        b.set_task_weight(0, 0.0).set_task_weight(1, 3.0);
+        b.set_coords(cs[..3].to_vec());
+        let c = b.build().coalesce(&[0, 1, 1], 2);
+        assert_eq!(c.coords().unwrap()[0], cs[0]);
+        assert_eq!(c.coords().unwrap()[1][0], (0.2 * 3.0 + 0.3 * 1.0) / 4.0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Mutex;
 use topomap::core::obs;
+use topomap::core::pipeline::two_phase;
 use topomap::core::refine::refine_mapping_with;
 use topomap::netsim::config::RoutingMode;
 use topomap::netsim::trace::{stencil_trace, TraceOp};
@@ -293,6 +294,33 @@ proptest! {
         prop_assert_eq!(counter(&report, "genetic.generations"), 8);
         let best = report.series("genetic.best_hb").map_or(0, |s| s.count);
         prop_assert_eq!(best, 8, "one best-fitness sample per generation");
+    }
+
+    /// The two-phase pipeline: ON == OFF in all three outputs, one span per
+    /// phase, and the two size counters read the instance.
+    #[test]
+    fn two_phase_recording_is_invisible(
+        n in 30usize..=80,
+        deg in 1.0f64..5.0,
+        seed in any::<u64>(),
+        topo_idx in 0usize..4,
+    ) {
+        let _l = obs_guard();
+        let g = gen::random_graph(n, deg, 1.0, 1000.0, seed);
+        let topo = topology_for(topo_idx, 9);
+        let (ml, mapper) = (MultilevelKWay::default(), TopoLb::default());
+        obs::disable();
+        let off = two_phase(&g, topo.as_ref(), &ml, &mapper);
+        let (on, report) = recorded(|| two_phase(&g, topo.as_ref(), &ml, &mapper));
+        prop_assert_eq!(&off.partition, &on.partition);
+        prop_assert_eq!(&off.group_graph, &on.group_graph);
+        prop_assert_eq!(&off.group_mapping, &on.group_mapping);
+        for phase in ["pipeline.partition", "pipeline.coalesce", "pipeline.map"] {
+            prop_assert!(report.find_span(phase).is_some(), "no {} span", phase);
+        }
+        prop_assert_eq!(counter(&report, "pipeline.tasks"), n as u64);
+        prop_assert_eq!(counter(&report, "pipeline.groups"), topo.num_nodes() as u64);
+        prop_assert_eq!(counter(&report, "topolb.placements"), topo.num_nodes() as u64);
     }
 
     /// The baseline mappers carry no instrumentation but must still be
