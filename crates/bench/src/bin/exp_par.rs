@@ -1,7 +1,7 @@
 //! Thread-timing probe for `core::par`, the source of DESIGN §6's and
 //! EXPERIMENTS' thread numbers. It prints, asserts nothing, and is in
 //! neither `matrix` nor CI: thread timing on a shared runner decides
-//! nothing. Public API only, so the same file builds at older commits.
+//! nothing. Public API only, so the file builds at any commit with `obs::record`.
 //!
 //! Protocol (DESIGN §6 says why): on the VM this repo is measured on, a
 //! thread starts on its parent's core and only ≈ 0.6 s of two threads
@@ -114,9 +114,7 @@ fn main() {
     for (site, sizes) in SITES.iter().filter(|(site, _)| site.contains(&only)) {
         for &p in *sizes {
             let run = prepare(site, p);
-            obs::start();
-            run(Parallelism::serial());
-            let r = obs::finish();
+            let ((), r) = obs::record(|| run(Parallelism::serial()));
             let regions = r.counter("par.regions.serial").unwrap_or(0);
             let per = |name| r.counter(name).unwrap_or(0) as f64 / 1e3 / regions.max(1) as f64;
             let (mut t, mut clock, mut reps) = ([0.0; 2], [0.0; 2], String::new());

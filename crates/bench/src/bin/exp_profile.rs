@@ -29,12 +29,10 @@ fn root_elapsed_ms(report: &obs::Report) -> f64 {
 }
 
 /// Record `run`, hold the report to the acceptance gate — a usable
-/// profile has a span tree of >= 3 phases and at least one non-zero
-/// counter — and stamp it.
+/// profile has a span tree of >= 3 phases, at least one non-zero counter
+/// and, if a region fanned out, the pool workers' probes — and stamp it.
 fn profile<R>(name: &str, run: impl FnOnce() -> R) -> obs::Report {
-    obs::start();
-    drop(run());
-    let report = obs::finish();
+    let (_, report) = obs::record(run);
     assert!(
         report.span_count() >= 3,
         "{name}: span tree too shallow: {:?}",
@@ -43,6 +41,11 @@ fn profile<R>(name: &str, run: impl FnOnce() -> R) -> obs::Report {
     assert!(
         report.counters.iter().any(|c| c.value > 0),
         "{name}: all counters zero"
+    );
+    assert!(
+        report.counter("par.regions.parallel").unwrap_or(0) == 0
+            || report.counter("par.worker.1.busy_ns").is_some(),
+        "{name}: a region fanned out but no worker probe reached the report"
     );
     let path = format!("PROFILE_{name}.json");
     std::fs::write(&path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -151,9 +151,10 @@ impl Instance<'_> {
     /// The case's seeds for a mapper that reads its seed, the first one
     /// for the rest (their records would repeat).
     fn seeds(&self, spec: &MapperSpec) -> &[u64] {
-        match spec {
-            MapperSpec::Random | MapperSpec::Anneal | MapperSpec::Genetic => self.case.seeds,
-            _ => &self.case.seeds[..1],
+        if spec.is_seeded() {
+            self.case.seeds
+        } else {
+            &self.case.seeds[..1]
         }
     }
 

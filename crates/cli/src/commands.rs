@@ -8,6 +8,7 @@ use topomap_core::{metrics, obs, ContentionRefine, Mapping};
 use topomap_netsim::{contention_oracle, trace, NetworkConfig, Simulation};
 use topomap_serve::server::{self, Bind, ServeConfig};
 use topomap_taskgraph::io as tgio;
+use topomap_topology::Topology;
 
 /// Boolean (value-less) flags accepted by the subcommands — the single
 /// list shared by the dispatcher (`run_inner`) and the tests, so a flag
@@ -100,17 +101,29 @@ fn save_json<T: Serialize>(value: &T, path: &str) -> Result<(), String> {
         .map_err(|e| format!("write {path}: {e}"))
 }
 
-fn load_mapping(path: &str) -> Result<Mapping, String> {
+/// Read a mapping file and check it places `num_tasks` tasks on
+/// `machine`: an error names the file and the first violated condition.
+fn load_mapping(path: &str, num_tasks: usize, machine: &dyn Topology) -> Result<Mapping, String> {
     let f = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let mf: MappingFile = serde_json::from_reader(std::io::BufReader::new(f))
         .map_err(|e| format!("parse {path}: {e}"))?;
-    Ok(Mapping::new(mf.proc_of_task, mf.num_procs))
+    let bad = |problem: String| format!("mapping {path}: {problem}");
+    let (entries, claimed, procs) = (mf.proc_of_task.len(), mf.num_procs, machine.num_nodes());
+    let problem = if entries != num_tasks {
+        format!("{entries} entries for {num_tasks} tasks")
+    } else if claimed != procs {
+        format!("num_procs {claimed} but the machine has {procs}")
+    } else {
+        return Mapping::try_new(mf.proc_of_task, procs).map_err(bad);
+    };
+    Err(bad(problem))
 }
 
-/// Observability flags shared by `map` and `simulate`: `--profile`
-/// prints a summary, `--trace-out FILE` writes the full report in
-/// `--trace-format` (json|csv). Recording turns on only when at least
-/// one of them is requested, so default runs pay a single atomic load.
+/// Observability flags shared by `map`, `simulate` and `serve`:
+/// `--profile` prints a summary, `--trace-out FILE` writes the full
+/// report in `--trace-format` (json|csv). Recording turns on only when
+/// at least one of them is requested, so default runs pay a single
+/// atomic load.
 struct ObsOpts {
     profile: bool,
     trace_out: Option<String>,
@@ -131,24 +144,14 @@ impl ObsOpts {
         })
     }
 
-    fn active(&self) -> bool {
-        self.profile || self.trace_out.is_some()
-    }
-
-    /// Start recording if requested.
-    fn begin(&self) {
-        if self.active() {
-            obs::start();
+    /// Run the command body `f`, recorded if requested; then write the
+    /// trace file and append the `--profile` summary to its output.
+    fn run(&self, f: impl FnOnce() -> Result<String, String>) -> Result<String, String> {
+        if !self.profile && self.trace_out.is_none() {
+            return f();
         }
-    }
-
-    /// Stop recording, write the trace file, and append the `--profile`
-    /// summary to `out`.
-    fn end(&self, out: &mut String) -> Result<(), String> {
-        if !self.active() {
-            return Ok(());
-        }
-        let report = obs::finish();
+        let (out, report) = obs::record(f);
+        let mut out = out?;
         if let Some(path) = &self.trace_out {
             let body = if self.csv {
                 report.to_csv()
@@ -161,7 +164,7 @@ impl ObsOpts {
         if self.profile {
             let _ = writeln!(out, "\nprofile:\n{}", report.summary());
         }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -206,35 +209,35 @@ pub fn cmd_map(args: &Args) -> Result<String, String> {
             t.num_nodes()
         ));
     }
-    obs_opts.begin();
-    let mapping = mapper.map(&tasks, t);
-    let q = metrics::quality(&tasks, t, &mapping);
-    let mut out = String::new();
-    let _ = writeln!(out, "mapper:        {}", mapper.name());
-    let _ = writeln!(out, "machine:       {}", t.name());
-    let _ = writeln!(out, "hops-per-byte: {:.4}", q.hops_per_byte);
-    let _ = writeln!(out, "hop-bytes:     {:.1}", q.hop_bytes);
-    let _ = writeln!(out, "max dilation:  {}", q.max_dilation);
-    if let Some(path) = args.optional("out") {
-        save_json(
-            &MappingFile {
-                num_procs: t.num_nodes(),
-                proc_of_task: mapping.as_slice().to_vec(),
-            },
-            path,
-        )?;
-        let _ = writeln!(out, "wrote {path}");
-    }
-    obs_opts.end(&mut out)?;
-    Ok(out)
+    obs_opts.run(|| {
+        let mapping = mapper.map(&tasks, t);
+        let q = metrics::quality(&tasks, t, &mapping);
+        let mut out = String::new();
+        let _ = writeln!(out, "mapper:        {}", mapper.name());
+        let _ = writeln!(out, "machine:       {}", t.name());
+        let _ = writeln!(out, "hops-per-byte: {:.4}", q.hops_per_byte);
+        let _ = writeln!(out, "hop-bytes:     {:.1}", q.hop_bytes);
+        let _ = writeln!(out, "max dilation:  {}", q.max_dilation);
+        if let Some(path) = args.optional("out") {
+            save_json(
+                &MappingFile {
+                    num_procs: t.num_nodes(),
+                    proc_of_task: mapping.as_slice().to_vec(),
+                },
+                path,
+            )?;
+            let _ = writeln!(out, "wrote {path}");
+        }
+        Ok(out)
+    })
 }
 
 /// `topomap eval` — evaluate an existing mapping.
 pub fn cmd_eval(args: &Args) -> Result<String, String> {
     let topo = specs::parse_topology(args.required("topology")?)?;
     let tasks = tgio::load(args.required("tasks")?).map_err(|e| e.to_string())?;
-    let mapping = load_mapping(args.required("mapping")?)?;
     let t = topo.as_topology();
+    let mapping = load_mapping(args.required("mapping")?, tasks.num_tasks(), t)?;
     let q = metrics::quality(&tasks, t, &mapping);
     let mut out = String::new();
     let _ = writeln!(out, "machine:          {}", t.name());
@@ -294,7 +297,11 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
             }
             m.map(&tasks, routed)
         }
-        (None, _) => load_mapping(args.required("mapping")?)?,
+        (None, _) => load_mapping(
+            args.required("mapping")?,
+            tasks.num_tasks(),
+            topo.as_topology(),
+        )?,
     };
     let iterations: usize = args.parsed_or("iterations", 100)?;
     let bandwidth_mbps: f64 = args.parsed_or("bandwidth-mbps", 500.0)?;
@@ -314,66 +321,66 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
     tr.check_matched()
         .map_err(|(a, b)| format!("trace mismatch between {a} and {b}"))?;
     let cfg = NetworkConfig::default().with_bandwidth(bandwidth_mbps * 1e6);
-    obs_opts.begin();
-    let s = Simulation::run(routed, &cfg, &tr, &mapping);
+    obs_opts.run(|| {
+        let s = Simulation::run(routed, &cfg, &tr, &mapping);
 
-    let mut out = String::new();
-    let _ = writeln!(out, "machine:            {}", routed.name());
-    let _ = writeln!(out, "iterations:         {iterations}");
-    let _ = writeln!(out, "bandwidth:          {bandwidth_mbps} MB/s");
-    let _ = writeln!(out, "completion:         {:.3} ms", s.completion_ms());
-    let _ = writeln!(out, "avg msg latency:    {:.2} us", s.avg_latency_us());
-    let _ = writeln!(
-        out,
-        "p99 msg latency:    {:.2} us",
-        s.p99_latency_ns as f64 / 1e3
-    );
-    let _ = writeln!(out, "avg hops:           {:.3}", s.avg_hops);
-    let _ = writeln!(out, "network messages:   {}", s.network_messages);
-    let _ = writeln!(out, "max link util:      {:.3}", s.max_link_utilization);
-
-    if refine_contention {
-        let sim_iters: usize = args.parsed_or("sim-iters", 64)?;
-        if sim_iters < 2 {
-            return Err("--sim-iters must be >= 2 (one baseline + one candidate run)".into());
-        }
-        let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
-        let refiner = ContentionRefine {
-            sim_budget: sim_iters,
-            par,
-            ..ContentionRefine::default()
-        };
-        let mut refined = mapping.clone();
-        let report = refiner.refine(
-            &tasks,
-            routed,
-            &mut refined,
-            contention_oracle(routed, &cfg, &tr),
-        );
+        let mut out = String::new();
+        let _ = writeln!(out, "machine:            {}", routed.name());
+        let _ = writeln!(out, "iterations:         {iterations}");
+        let _ = writeln!(out, "bandwidth:          {bandwidth_mbps} MB/s");
+        let _ = writeln!(out, "completion:         {:.3} ms", s.completion_ms());
+        let _ = writeln!(out, "avg msg latency:    {:.2} us", s.avg_latency_us());
         let _ = writeln!(
             out,
-            "contention refine:  {} iters, {} sims, {} accepted",
-            report.iterations, report.sims_run, report.accepted
+            "p99 msg latency:    {:.2} us",
+            s.p99_latency_ns as f64 / 1e3
         );
-        let _ = writeln!(
-            out,
-            "refined completion: {:.3} ms ({:.1}% better)",
-            report.final_makespan_ns as f64 / 1e6,
-            report.improvement_pct()
-        );
-        if let Some(path) = args.optional("out") {
-            save_json(
-                &MappingFile {
-                    num_procs: routed.num_nodes(),
-                    proc_of_task: refined.as_slice().to_vec(),
-                },
-                path,
-            )?;
-            let _ = writeln!(out, "wrote {path}");
+        let _ = writeln!(out, "avg hops:           {:.3}", s.avg_hops);
+        let _ = writeln!(out, "network messages:   {}", s.network_messages);
+        let _ = writeln!(out, "max link util:      {:.3}", s.max_link_utilization);
+
+        if refine_contention {
+            let sim_iters: usize = args.parsed_or("sim-iters", 64)?;
+            if sim_iters < 2 {
+                return Err("--sim-iters must be >= 2 (one baseline + one candidate run)".into());
+            }
+            let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
+            let refiner = ContentionRefine {
+                sim_budget: sim_iters,
+                par,
+                ..ContentionRefine::default()
+            };
+            let mut refined = mapping.clone();
+            let report = refiner.refine(
+                &tasks,
+                routed,
+                &mut refined,
+                contention_oracle(routed, &cfg, &tr),
+            );
+            let _ = writeln!(
+                out,
+                "contention refine:  {} iters, {} sims, {} accepted",
+                report.iterations, report.sims_run, report.accepted
+            );
+            let _ = writeln!(
+                out,
+                "refined completion: {:.3} ms ({:.1}% better)",
+                report.final_makespan_ns as f64 / 1e6,
+                report.improvement_pct()
+            );
+            if let Some(path) = args.optional("out") {
+                save_json(
+                    &MappingFile {
+                        num_procs: routed.num_nodes(),
+                        proc_of_task: refined.as_slice().to_vec(),
+                    },
+                    path,
+                )?;
+                let _ = writeln!(out, "wrote {path}");
+            }
         }
-    }
-    obs_opts.end(&mut out)?;
-    Ok(out)
+        Ok(out)
+    })
 }
 
 /// Set by the SIGINT handler; polled by the serve loop.
@@ -438,41 +445,41 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
         return Err("--workers must be >= 1".into());
     }
 
-    obs_opts.begin();
     install_sigint();
-    let handle = server::spawn(cfg).map_err(|e| format!("bind failed: {e}"))?;
-    // Printed (and flushed) before blocking so scripts and tests can
-    // discover the ephemeral port.
-    println!("serving on {}", handle.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    obs_opts.run(|| {
+        let handle = server::spawn(cfg).map_err(|e| format!("bind failed: {e}"))?;
+        // Printed (and flushed) before blocking so scripts and tests can
+        // discover the ephemeral port.
+        println!("serving on {}", handle.addr());
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
 
-    while !SIGINT_SEEN.load(std::sync::atomic::Ordering::SeqCst) && !handle.stopping() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    let stats = handle.join();
+        while !SIGINT_SEEN.load(std::sync::atomic::Ordering::SeqCst) && !handle.stopping() {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        let stats = handle.join();
 
-    let mut out = String::new();
-    let _ = writeln!(out, "drained; final stats:");
-    let _ = writeln!(
-        out,
-        "  map requests:  {} (ok {}, busy {}, errors {})",
-        stats.requests, stats.ok, stats.busy, stats.errors
-    );
-    let _ = writeln!(
-        out,
-        "  oracle cache:  {} hits / {} misses ({:.0}% hit rate)",
-        stats.oracle_hits,
-        stats.oracle_misses,
-        100.0 * stats.oracle_hit_rate()
-    );
-    let _ = writeln!(
-        out,
-        "  hier cache:    {} hits / {} misses",
-        stats.hier_hits, stats.hier_misses
-    );
-    obs_opts.end(&mut out)?;
-    Ok(out)
+        let mut out = String::new();
+        let _ = writeln!(out, "drained; final stats:");
+        let _ = writeln!(
+            out,
+            "  map requests:  {} (ok {}, busy {}, errors {})",
+            stats.requests, stats.ok, stats.busy, stats.errors
+        );
+        let _ = writeln!(
+            out,
+            "  oracle cache:  {} hits / {} misses ({:.0}% hit rate)",
+            stats.oracle_hits,
+            stats.oracle_misses,
+            100.0 * stats.oracle_hit_rate()
+        );
+        let _ = writeln!(
+            out,
+            "  hier cache:    {} hits / {} misses",
+            stats.hier_hits, stats.hier_misses
+        );
+        Ok(out)
+    })
 }
 
 #[cfg(test)]
@@ -987,9 +994,8 @@ mod tests {
         let report =
             obs::Report::from_json(&std::fs::read_to_string(&trace_json).unwrap()).unwrap();
         assert!(report.find_span("topolb.map").is_some());
-        // Concurrent tests in this binary may also run mappers while the
-        // global recorder is on, so assert a floor, not an exact count.
-        assert!(report.counter("topolb.placements").unwrap_or(0) >= 16);
+        // The report holds this run alone, whatever else the binary runs.
+        assert_eq!(report.counter("topolb.placements"), Some(16));
 
         // CSV format writes the line-oriented dump instead.
         cmd_map(&args_with_profile(&[

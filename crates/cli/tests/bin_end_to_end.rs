@@ -234,6 +234,42 @@ fn serve_subcommand_answers_requests_then_drains() {
     assert!(tail.contains("drained"), "missing drain summary: {tail}");
 }
 
+/// A mapping file that does not fit the workload or the machine is an
+/// `error:` line and exit code 1 from both commands that read one.
+#[test]
+fn malformed_mapping_files_exit_1_without_a_panic() {
+    let tasks = tmp("bad-t.json");
+    let (ok, _, err) = topomap(&["gen", "--pattern", "stencil2d:4x4", "--out", &tasks]);
+    assert!(ok, "gen failed: {err}");
+    let dup: Vec<usize> = [0].into_iter().chain(0..15).collect();
+    let far: Vec<usize> = (0..15).chain([63]).collect();
+    for (i, (num_procs, procs, needle)) in [
+        (16, dup, "processor 0 assigned twice (tasks 0 and 1)"),
+        (64, far.clone(), "num_procs 64 but the machine has 16"),
+        (16, far, "processor id 63 out of range"),
+        (16, vec![0, 1, 2], "3 entries for 16 tasks"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = tmp(&format!("bad-m{i}.json"));
+        let body = format!(r#"{{"num_procs": {num_procs}, "proc_of_task": {procs:?}}}"#);
+        std::fs::write(&path, body).unwrap();
+        for cmd in ["eval", "simulate"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_topomap"))
+                .args([cmd, "--topology", "torus:4x4", "--tasks", tasks.as_str()])
+                .args(["--mapping", path.as_str()])
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {needle}: {err}");
+            assert!(!err.contains("panicked"), "{cmd} {needle}: {err}");
+            let line = format!("error: mapping {path}: {needle}");
+            assert!(err.contains(&line), "{err}");
+        }
+    }
+}
+
 #[test]
 fn errors_exit_nonzero_with_usage() {
     let (ok, _out, err) = topomap(&["map", "--topology", "nonsense:3"]);

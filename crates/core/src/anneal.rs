@@ -16,7 +16,7 @@
 //! quality-vs-time trade-off against TopoLB.
 
 use crate::obs;
-use crate::refine::swap_delta;
+use crate::refine::{move_delta, swap_delta};
 use crate::{metrics, Mapper, Mapping, RandomMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,7 +162,7 @@ impl Mapper for SimulatedAnnealingMap {
                             n_void += 1;
                             continue;
                         }
-                        move_cost(tasks, topo, &m, a, q)
+                        move_delta(tasks, topo, &m, a, q)
                     }
                 };
                 let accept = delta < 0.0 || acc_rng.gen_bool((-delta / temp).exp().min(1.0));
@@ -197,18 +197,6 @@ impl Mapper for SimulatedAnnealingMap {
     fn name(&self) -> String {
         "SimAnneal".to_string()
     }
-}
-
-/// Hop-byte change from relocating task `t` to free processor `q`.
-fn move_cost(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, t: usize, q: usize) -> f64 {
-    let pt = m.proc_of(t);
-    tasks
-        .neighbors(t)
-        .map(|(j, c)| {
-            let pj = m.proc_of(j);
-            c * (topo.distance(q, pj) as f64 - topo.distance(pt, pj) as f64)
-        })
-        .sum()
 }
 
 #[cfg(test)]

@@ -96,23 +96,31 @@ impl Mapping {
     /// Build from a task→processor vector. Panics if two tasks share a
     /// processor or a processor id is out of range.
     pub fn new(proc_of: Vec<NodeId>, num_procs: usize) -> Self {
-        assert!(
-            proc_of.len() <= num_procs,
-            "more tasks ({}) than processors ({})",
-            proc_of.len(),
-            num_procs
-        );
+        Self::try_new(proc_of, num_procs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Mapping::new`] for a vector from outside the program: the
+    /// violated condition comes back as an error instead of a panic.
+    pub fn try_new(proc_of: Vec<NodeId>, num_procs: usize) -> Result<Self, String> {
+        if proc_of.len() > num_procs {
+            return Err(format!(
+                "more tasks ({}) than processors ({num_procs})",
+                proc_of.len()
+            ));
+        }
         let mut task_on = vec![usize::MAX; num_procs];
         for (t, &p) in proc_of.iter().enumerate() {
-            assert!(p < num_procs, "processor id {p} out of range");
-            assert!(
-                task_on[p] == usize::MAX,
-                "processor {p} assigned twice (tasks {} and {t})",
-                task_on[p]
-            );
-            task_on[p] = t;
+            match task_on.get(p) {
+                None => return Err(format!("processor id {p} out of range 0..{num_procs}")),
+                Some(&prev) if prev != usize::MAX => {
+                    return Err(format!(
+                        "processor {p} assigned twice (tasks {prev} and {t})"
+                    ))
+                }
+                Some(_) => task_on[p] = t,
+            }
         }
-        Mapping { proc_of, task_on }
+        Ok(Mapping { proc_of, task_on })
     }
 
     /// Processor hosting task `t`.

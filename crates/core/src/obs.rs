@@ -1,6 +1,6 @@
 //! Zero-dependency observability layer: hierarchical spans, named
-//! counters, and value series, recorded into a process-global recorder
-//! and serialized to JSON or CSV.
+//! counters, and value series, recorded into a recorder scoped to the
+//! run that asked for it and serialized to JSON or CSV.
 //!
 //! The paper's whole argument runs through measurement — hop-bytes
 //! explains contention only because the simulator exposes per-link
@@ -11,9 +11,10 @@
 //! ## Design constraints
 //!
 //! 1. **Compiled in, dynamically off.** Instrumentation ships in release
-//!    builds; when disabled (the default) every probe is a single relaxed
-//!    atomic load ([`enabled`]) and an early return. No timers are read,
-//!    no strings are formatted, no locks are taken.
+//!    builds; while no [`record`] call is live anywhere in the process
+//!    every probe is a single relaxed atomic load ([`enabled`]) and an
+//!    early return. No timers are read, no strings are formatted, no
+//!    locks are taken.
 //! 2. **Provably non-perturbing.** Probes only *observe*: they never
 //!    branch the instrumented algorithm, never consume randomness, and
 //!    never reorder floating-point accumulation. The mapping produced
@@ -22,6 +23,15 @@
 //!    family, and thread count.
 //! 3. **Thread-safe.** Counters and series may be bumped from pool
 //!    workers; spans form a per-thread tree via a thread-local stack.
+//! 4. **Scoped to the run.** [`record`] installs a fresh recorder in a
+//!    thread-local for the duration of its closure, so two runs recorded
+//!    side by side on two threads get two reports, and a nested `record`
+//!    keeps its probes out of the enclosing report. The two places that
+//!    hand work to other threads carry the caller's recorder along with
+//!    [`current`] and [`within`]: the `par` pool around every worker's
+//!    chunk, and the mapping server in its workers, acceptor and
+//!    connection handlers. A thread nobody hands a recorder to records
+//!    nothing.
 //!
 //! ## Model
 //!
@@ -34,36 +44,34 @@
 //!   hop-byte trajectory of the annealer, or per-link byte loads); its
 //!   summary (count/min/max/mean) doubles as a histogram digest.
 //!
-//! ## Session protocol
+//! ## Recording a run
 //!
 //! ```
 //! use topomap_core::obs;
 //!
-//! obs::start();                       // reset buffers, arm recording
-//! {
+//! let (items, report) = obs::record(|| {
 //!     let _outer = obs::span("work");
 //!     obs::counter_add("work.items", 3);
 //!     obs::series_push("work.delta", -1.5);
-//! }
-//! let report = obs::finish();         // disarm, drain the recorder
-//! assert_eq!(report.counter("work.items"), Some(3));
+//!     3
+//! });
+//! assert_eq!(report.counter("work.items"), Some(items));
 //! assert!(report.find_span("work").is_some());
 //! let json = report.to_json();
 //! let back = obs::Report::from_json(&json).unwrap();
 //! assert_eq!(back.counter("work.items"), Some(3));
 //! ```
 //!
-//! The recorder is process-global (the [`crate::Mapper`] trait cannot
-//! thread a handle through every implementation), so concurrent profiled
-//! runs interleave into one report. Tests that assert on counter values
-//! serialize themselves around the session (see the invariance suite).
+//! The recorder travels in a thread-local rather than as an argument
+//! because the [`crate::Mapper`] trait cannot thread a handle through
+//! every implementation.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Schema version stamped into every [`Report`]; bump on breaking
@@ -76,56 +84,102 @@ use std::time::Instant;
 /// `meta` field) still parse; `meta` reads back empty.
 pub const SCHEMA_VERSION: u32 = 2;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<Inner>> = Mutex::new(None);
+/// Number of [`record`] calls in progress anywhere in the process. While
+/// it reads zero no thread can have a recorder to write to, so the
+/// disabled path stops at this one load.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Open-span stack of this thread: `(session generation, span index)`.
-    static SPAN_STACK: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The recorder this thread's probes write to, if any.
+    static CURRENT: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// Open-span stack of this thread: `(recorder, span index)`. Only a
+    /// top entry of the span's own recorder becomes its parent, so a
+    /// nested [`record`] starts a fresh tree.
+    static SPAN_STACK: RefCell<Vec<(Recorder, usize)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether recording is armed. This is the hot-path guard: one relaxed
-/// atomic load, nothing else.
+/// Handle to the recorder of one [`record`] call, as [`current`] hands it
+/// out for [`within`]. Clones share the recorder; once `record` drains it
+/// the buffers are gone and every late probe or span guard is a no-op.
+#[derive(Clone)]
+pub struct Recorder(Arc<Mutex<Option<Inner>>>);
+
+impl Recorder {
+    fn lock(&self) -> MutexGuard<'_, Option<Inner>> {
+        // The recorder must survive a panicking worker (the pool already
+        // propagates the panic); poisoning carries no extra information here.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Whether this thread records. This is the hot-path guard: while no
+/// [`record`] is live it is one relaxed atomic load, nothing else.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LIVE.load(Ordering::Relaxed) != 0 && CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// Arm recording without clearing previously recorded data.
-pub fn enable() {
-    // Make sure the recorder exists so probes never race initialization.
-    let mut g = lock();
-    if g.is_none() {
-        *g = Some(Inner::new(1));
+/// Run `f` with a fresh recorder installed on this thread and return its
+/// result with everything `f` recorded. The previous recorder, if any, is
+/// restored afterwards (so nested calls stack, and the inner run's probes
+/// stay out of the outer report). Threads `f` starts record only if they
+/// are handed the recorder through [`current`] and [`within`].
+pub fn record<R>(f: impl FnOnce() -> R) -> (R, Report) {
+    let rec = Recorder(Arc::new(Mutex::new(Some(Inner::new()))));
+    LIVE.fetch_add(1, Ordering::SeqCst);
+    let r = install(rec.clone(), true, f);
+    let report = rec.lock().take().map(Inner::into_report);
+    (r, report.expect("only `record` drains its recorder"))
+}
+
+/// The recorder this thread writes to, for handing to another thread.
+/// `None` — after one relaxed load — when nothing records.
+pub fn current() -> Option<Recorder> {
+    if LIVE.load(Ordering::Relaxed) == 0 {
+        return None;
     }
-    drop(g);
-    ENABLED.store(true, Ordering::SeqCst);
+    CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Disarm recording; buffered data stays until [`take_report`]/[`reset`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
+/// Run `f` with `rec` (from [`current`] on the thread that handed the
+/// work over) as this thread's recorder; with `None`, just run `f`.
+pub fn within<R>(rec: Option<&Recorder>, f: impl FnOnce() -> R) -> R {
+    match rec {
+        Some(rec) => install(rec.clone(), false, f),
+        None => f(),
+    }
 }
 
-/// Clear all recorded data and start a fresh session epoch. Span guards
-/// from before the reset become inert (their session generation no
-/// longer matches).
-pub fn reset() {
-    let mut g = lock();
-    let generation = g.as_ref().map_or(1, |i| i.generation + 1);
-    *g = Some(Inner::new(generation));
+/// Install `rec` on this thread for the duration of `f`; `counted` marks a
+/// [`record`] scope, which holds one count of [`LIVE`]. Both are undone on
+/// unwind too.
+fn install<R>(rec: Recorder, counted: bool, f: impl FnOnce() -> R) -> R {
+    struct Scope {
+        prev: Option<Recorder>,
+        counted: bool,
+    }
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+            if self.counted {
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+    let _scope = Scope {
+        prev: CURRENT.with(|c| c.borrow_mut().replace(rec)),
+        counted,
+    };
+    f()
 }
 
-/// [`reset`] + [`enable`]: begin a fresh recording session.
-pub fn start() {
-    reset();
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// [`disable`] + [`take_report`]: end the session and drain the recorder.
-pub fn finish() -> Report {
-    disable();
-    take_report()
+/// Apply `f` to this thread's recorder buffers; a no-op when it has none.
+fn with_inner(f: impl FnOnce(&mut Inner)) {
+    if let Some(rec) = current() {
+        if let Some(inner) = rec.lock().as_mut() {
+            f(inner);
+        }
+    }
 }
 
 /// Open a span. Returns a guard that closes the span when dropped; while
@@ -133,19 +187,18 @@ pub fn finish() -> Report {
 /// A no-op (no lock, no clock) when recording is disabled.
 #[must_use = "the span closes when this guard drops"]
 pub fn span(name: &str) -> SpanGuard {
-    if !enabled() {
+    let Some(rec) = current() else {
         return SpanGuard { slot: None };
-    }
-    let mut g = lock();
+    };
+    let mut g = rec.lock();
     let Some(inner) = g.as_mut() else {
         return SpanGuard { slot: None };
     };
-    let generation = inner.generation;
     let start_ns = inner.now_ns();
     let parent = SPAN_STACK.with(|s| {
         s.borrow()
             .last()
-            .filter(|&&(gen, _)| gen == generation)
+            .filter(|(r, _)| Arc::ptr_eq(&r.0, &rec.0))
             .map(|&(_, idx)| idx)
     });
     let idx = inner.spans.len();
@@ -156,9 +209,9 @@ pub fn span(name: &str) -> SpanGuard {
         elapsed_ns: None,
     });
     drop(g);
-    SPAN_STACK.with(|s| s.borrow_mut().push((generation, idx)));
+    SPAN_STACK.with(|s| s.borrow_mut().push((rec.clone(), idx)));
     SpanGuard {
-        slot: Some((generation, idx)),
+        slot: Some((rec, idx)),
     }
 }
 
@@ -166,53 +219,33 @@ pub fn span(name: &str) -> SpanGuard {
 /// build dynamic names should guard with [`enabled`] to skip the
 /// formatting too.
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(inner) = lock().as_mut() {
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
+    with_inner(|inner| *inner.counters.entry(name.to_string()).or_insert(0) += delta);
 }
 
 /// Append one observation to the named series. No-op when disabled.
 pub fn series_push(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(inner) = lock().as_mut() {
-        inner
-            .series
-            .entry(name.to_string())
-            .or_default()
-            .push(value);
-    }
+    series_extend(name, [value]);
 }
 
 /// Append many observations to the named series under one lock
 /// acquisition (e.g. a per-link heatmap column). No-op when disabled.
 pub fn series_extend(name: &str, values: impl IntoIterator<Item = f64>) {
-    if !enabled() {
-        return;
-    }
-    if let Some(inner) = lock().as_mut() {
+    with_inner(|inner| {
         inner
             .series
             .entry(name.to_string())
             .or_default()
-            .extend(values);
-    }
+            .extend(values)
+    });
 }
 
 /// Record a metadata string describing the run environment (thread count,
 /// hierarchy shape, host cores, …). Last write wins per name; no-op when
 /// disabled. Metadata lands in the report's `meta` section (schema v2).
 pub fn meta_set(name: &str, value: &str) {
-    if !enabled() {
-        return;
-    }
-    if let Some(inner) = lock().as_mut() {
+    with_inner(|inner| {
         inner.meta.insert(name.to_string(), value.to_string());
-    }
+    });
 }
 
 /// Run `f`, adding its wall time in nanoseconds to the named counter.
@@ -228,58 +261,41 @@ pub fn time_counter<R>(name: &str, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Drain everything recorded so far into a [`Report`] and clear the
-/// buffers (a fresh session epoch begins).
-pub fn take_report() -> Report {
-    let mut g = lock();
-    let generation = g.as_ref().map_or(1, |i| i.generation + 1);
-    let inner = g.replace(Inner::new(generation));
-    drop(g);
-    match inner {
-        Some(inner) => inner.into_report(),
-        None => Report::empty(),
-    }
-}
-
-fn lock() -> std::sync::MutexGuard<'static, Option<Inner>> {
-    // The recorder must survive a panicking worker (the pool already
-    // propagates the panic); poisoning carries no extra information here.
-    STATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Guard returned by [`span`]; closes the span on drop.
 pub struct SpanGuard {
-    /// `(session generation, span index)`; `None` when recording was
-    /// disabled at open time.
-    slot: Option<(u64, usize)>,
+    /// The recorder the span was opened in and its index there; `None`
+    /// when recording was disabled at open time. Holding the recorder
+    /// makes a guard dropped late or on another thread close harmlessly.
+    slot: Option<(Recorder, usize)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some((generation, idx)) = self.slot else {
+        let Some((rec, idx)) = &self.slot else {
             return;
         };
+        let idx = *idx;
         SPAN_STACK.with(|s| {
             let mut st = s.borrow_mut();
-            if st.last() == Some(&(generation, idx)) {
+            if st
+                .last()
+                .is_some_and(|(r, i)| *i == idx && Arc::ptr_eq(&r.0, &rec.0))
+            {
                 st.pop();
             }
         });
-        if let Some(inner) = lock().as_mut() {
-            if inner.generation == generation {
-                let end = inner.now_ns();
-                let rec = &mut inner.spans[idx];
-                if rec.elapsed_ns.is_none() {
-                    rec.elapsed_ns = Some(end.saturating_sub(rec.start_ns));
-                }
+        if let Some(inner) = rec.lock().as_mut() {
+            let end = inner.now_ns();
+            let span = &mut inner.spans[idx];
+            if span.elapsed_ns.is_none() {
+                span.elapsed_ns = Some(end.saturating_sub(span.start_ns));
             }
         }
     }
 }
 
-/// Recorder buffers for one session.
+/// Recorder buffers for one [`record`] call.
 struct Inner {
-    generation: u64,
     epoch: Instant,
     spans: Vec<SpanRec>,
     counters: BTreeMap<String, u64>,
@@ -295,9 +311,8 @@ struct SpanRec {
 }
 
 impl Inner {
-    fn new(generation: u64) -> Self {
+    fn new() -> Self {
         Inner {
-            generation,
             epoch: Instant::now(),
             spans: Vec::new(),
             counters: BTreeMap::new(),
@@ -365,7 +380,7 @@ impl Inner {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanNode {
     pub name: String,
-    /// Nanoseconds since the session epoch.
+    /// Nanoseconds since the recording began.
     pub start_ns: u64,
     pub elapsed_ns: u64,
     pub children: Vec<SpanNode>,
@@ -420,7 +435,7 @@ impl SeriesEntry {
     }
 }
 
-/// A drained recording session: metadata + span forest + counters +
+/// A drained recording: metadata + span forest + counters +
 /// series. Meta, counters, and series are sorted by name; spans keep
 /// creation order.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -620,41 +635,30 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Sessions share process-global state; tests that arm recording
-    /// serialize around this lock so counter assertions stay exact.
-    static SESSION: Mutex<()> = Mutex::new(());
-
-    fn session() -> std::sync::MutexGuard<'static, ()> {
-        SESSION.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::par::{Executor, Parallelism};
 
     #[test]
     fn disabled_probes_record_nothing() {
-        let _g = session();
-        disable();
+        // Probes outside `record` have nowhere to land, not even in a
+        // recording that starts later on the same thread.
         let _s = span("ghost");
         counter_add("ghost.count", 5);
         series_push("ghost.series", 1.0);
-        let r = take_report();
-        assert_eq!(r.counter("ghost.count"), None);
-        assert!(r.find_span("ghost").is_none());
-        assert!(r.series("ghost.series").is_none());
+        meta_set("ghost.meta", "x");
+        let ((), r) = record(|| ());
+        assert_eq!(r, Report::empty());
     }
 
     #[test]
     fn spans_nest_on_one_thread() {
-        let _g = session();
-        start();
-        {
+        let ((), r) = record(|| {
             let _outer = span("outer");
             {
                 let _inner = span("inner");
                 let _leaf = span("leaf");
             }
             let _sibling = span("sibling");
-        }
-        let r = finish();
+        });
         let outer = r.find_span("outer").expect("outer recorded");
         assert_eq!(outer.children.len(), 2);
         assert_eq!(outer.children[0].name, "inner");
@@ -666,13 +670,12 @@ mod tests {
 
     #[test]
     fn counters_and_series_accumulate() {
-        let _g = session();
-        start();
-        counter_add("obs.test.k", 2);
-        counter_add("obs.test.k", 3);
-        series_push("obs.test.s", 1.0);
-        series_extend("obs.test.s", [2.0, 6.0]);
-        let r = finish();
+        let ((), r) = record(|| {
+            counter_add("obs.test.k", 2);
+            counter_add("obs.test.k", 3);
+            series_push("obs.test.s", 1.0);
+            series_extend("obs.test.s", [2.0, 6.0]);
+        });
         assert_eq!(r.counter("obs.test.k"), Some(5));
         let s = r.series("obs.test.s").unwrap();
         assert_eq!(s.count, 3);
@@ -684,57 +687,73 @@ mod tests {
 
     #[test]
     fn time_counter_accumulates_only_when_enabled() {
-        let _g = session();
-        disable();
         assert_eq!(time_counter("obs.test.t", || 7), 7);
-        start();
-        let v = time_counter("obs.test.t", || 41 + 1);
+        let (v, r) = record(|| time_counter("obs.test.t", || 41 + 1));
         assert_eq!(v, 42);
-        let r = finish();
         assert!(r.counter("obs.test.t").is_some());
     }
 
     #[test]
     fn counters_are_thread_safe() {
-        let _g = session();
-        start();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        counter_add("obs.test.mt", 1);
-                    }
-                });
-            }
+        // Spawned threads record only through the propagation hook.
+        let ((), r) = record(|| {
+            let rec = current();
+            let add = || (0..100).for_each(|_| counter_add("obs.test.mt", 1));
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| within(rec.as_ref(), add));
+                }
+                s.spawn(|| counter_add("obs.test.mt", 1000));
+            });
         });
-        let r = finish();
         assert_eq!(r.counter("obs.test.mt"), Some(400));
     }
 
     #[test]
-    fn guard_from_before_reset_is_inert() {
-        let _g = session();
-        start();
-        let stale = span("stale");
-        start(); // new session; `stale` belongs to the old generation
-        let _fresh = span("fresh");
-        drop(stale);
-        let r = finish();
-        assert!(r.find_span("stale").is_none());
-        assert!(r.find_span("fresh").is_some());
+    fn nested_record_keeps_its_probes_out_of_the_outer_report() {
+        let (inner, outer) = record(|| {
+            let _outer = span("outer");
+            counter_add("obs.test.outer", 1);
+            let ((), inner) = record(|| {
+                let _s = span("inner");
+                counter_add("obs.test.inner", 1);
+            });
+            let _after = span("outer.after");
+            counter_add("obs.test.outer", 1);
+            inner
+        });
+        assert_eq!(outer.counter("obs.test.outer"), Some(2));
+        assert_eq!(outer.counter("obs.test.inner"), None);
+        // One tree: the span opened after the inner run is still a child.
+        assert_eq!(outer.spans.len(), 1);
+        assert_eq!(outer.span_names(), ["outer", "outer.after"]);
+        assert_eq!(inner.counter("obs.test.inner"), Some(1));
+        assert_eq!(inner.counter("obs.test.outer"), None);
+        assert_eq!(inner.span_names(), ["inner"]);
+    }
+
+    #[test]
+    fn pool_workers_record_into_the_callers_report() {
+        let (chunks, r) = record(|| {
+            Executor::new(Parallelism::eager(2)).map_chunks(100, 1, |range| {
+                counter_add("obs.test.chunks", 1);
+                range.len()
+            })
+        });
+        assert_eq!(chunks, [50, 50]);
+        assert_eq!(r.counter("par.regions.parallel"), Some(1));
+        assert_eq!(r.counter("obs.test.chunks"), Some(2));
+        assert!(r.counter("par.worker.1.busy_ns").is_some(), "{r:?}");
     }
 
     #[test]
     fn json_roundtrip_preserves_everything() {
-        let _g = session();
-        start();
-        {
+        let ((), r) = record(|| {
             let _a = span("a");
             let _b = span("b");
             counter_add("k", 9);
             series_push("s", 2.5);
-        }
-        let r = finish();
+        });
         let back = Report::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.version, SCHEMA_VERSION);
@@ -742,15 +761,14 @@ mod tests {
 
     #[test]
     fn csv_and_summary_render() {
-        let _g = session();
-        start();
-        {
-            let _a = span("root");
-            let _b = span("child");
-        }
-        counter_add("c1", 4);
-        series_push("s1", 0.5);
-        let r = finish();
+        let ((), r) = record(|| {
+            {
+                let _a = span("root");
+                let _b = span("child");
+            }
+            counter_add("c1", 4);
+            series_push("s1", 0.5);
+        });
         let csv = r.to_csv();
         assert!(csv.starts_with("kind,name,a,b\n"), "{csv}");
         assert!(csv.contains("span,root,"), "{csv}");
@@ -764,15 +782,12 @@ mod tests {
 
     #[test]
     fn open_span_is_charged_at_drain() {
-        let _g = session();
-        start();
-        let held = span("still-open");
-        let r = take_report();
-        disable();
-        let s = r.find_span("still-open").unwrap();
-        // Drained while open: elapsed is "up to now", not zero.
-        assert!(s.elapsed_ns <= r.find_span("still-open").unwrap().elapsed_ns + 1);
-        drop(held); // inert: its session was drained
+        let (held, r) = record(|| span("still-open"));
+        // Drained while open: the span is reported, charged up to the drain.
+        assert!(r.find_span("still-open").is_some());
+        // Closing it after its recording ended touches nothing.
+        let ((), later) = record(|| drop(held));
+        assert_eq!(later, Report::empty());
     }
 
     #[test]
@@ -786,12 +801,11 @@ mod tests {
 
     #[test]
     fn meta_last_write_wins_and_round_trips() {
-        let _g = session();
-        start();
-        meta_set("obs.test.shape", "4:8:16");
-        meta_set("obs.test.shape", "16:16:16");
-        meta_set("obs.test.threads", "8");
-        let r = finish();
+        let ((), r) = record(|| {
+            meta_set("obs.test.shape", "4:8:16");
+            meta_set("obs.test.shape", "16:16:16");
+            meta_set("obs.test.threads", "8");
+        });
         assert_eq!(r.meta("obs.test.shape"), Some("16:16:16"));
         assert_eq!(r.meta("obs.test.threads"), Some("8"));
         assert_eq!(r.meta("missing"), None);
@@ -800,16 +814,6 @@ mod tests {
         let csv = r.to_csv();
         assert!(csv.contains("meta,obs.test.shape,16:16:16,"), "{csv}");
         assert!(r.summary().contains("obs.test.shape"));
-    }
-
-    #[test]
-    fn meta_is_noop_when_disabled() {
-        let _g = session();
-        disable();
-        meta_set("obs.test.ghost", "x");
-        start();
-        let r = finish();
-        assert_eq!(r.meta("obs.test.ghost"), None);
     }
 
     #[test]

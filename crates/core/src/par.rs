@@ -181,9 +181,10 @@ impl Executor {
         T: Send,
         F: Fn(Range<usize>) -> T + Sync,
     {
-        // Sampled once per region so the per-worker probes agree with the
-        // region-level ones even if profiling is toggled mid-region.
-        let prof = obs::enabled();
+        // The caller's recorder (one relaxed load when nothing records),
+        // installed around every chunk so the workers' probes reach it.
+        let rec = obs::current();
+        let prof = rec.is_some();
         let estimate_ns = len.saturating_mul(ns_per_item);
         if self.threads == 1 || len < 2 || estimate_ns < self.min_region_ns {
             if prof {
@@ -209,16 +210,12 @@ impl Executor {
             let slots = Slots(out.as_mut_ptr());
             let f = &f;
             pool.broadcast(&move |i: usize| {
+                let chunk = || f(chunk_range(len, k, i));
                 let r = if prof {
-                    let t = Instant::now();
-                    let r = f(chunk_range(len, k, i));
-                    obs::counter_add(
-                        &format!("par.worker.{i}.busy_ns"),
-                        t.elapsed().as_nanos() as u64,
-                    );
-                    r
+                    let busy = format!("par.worker.{i}.busy_ns");
+                    obs::within(rec.as_ref(), || obs::time_counter(&busy, chunk))
                 } else {
-                    f(chunk_range(len, k, i))
+                    chunk()
                 };
                 // Sound: each worker index writes exactly one distinct slot,
                 // and broadcast() does not return until every worker is done.

@@ -425,7 +425,7 @@ pub fn refine_mapping_with(
 ) -> usize {
     let _sweep_span = obs::span("refine.sweep");
     // Sampled once so the counters emitted at the end are all-or-nothing
-    // for this run (internally consistent even if toggled mid-run).
+    // for this run.
     let prof = obs::enabled();
     let exec = Executor::new(par);
     let n = tasks.num_tasks();

@@ -250,12 +250,14 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         obs::meta_set("serve.queue_cap", &cfg.queue_cap.to_string());
     }
 
+    // Spawned inside `obs::record`, every server thread records into it.
+    let rec = obs::current();
     let workers: Vec<_> = (0..cfg.workers.max(1))
         .map(|i| {
-            let shared = Arc::clone(&shared);
+            let (shared, rec) = (Arc::clone(&shared), rec.clone());
             thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
+                .spawn(move || obs::within(rec.as_ref(), || worker_loop(&shared)))
                 .expect("spawn worker")
         })
         .collect();
@@ -264,7 +266,7 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("serve-accept".to_string())
-            .spawn(move || accept_loop(listener, &shared))
+            .spawn(move || obs::within(rec.as_ref(), || accept_loop(listener, &shared)))
             .expect("spawn acceptor")
     };
 
@@ -287,12 +289,14 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
         };
         match accepted {
             Ok(stream) => {
-                let shared = Arc::clone(shared);
+                let (shared, rec) = (Arc::clone(shared), obs::current());
                 // Handlers are detached: they live as long as their
                 // client and hold no state the drain depends on.
                 let _ = thread::Builder::new()
                     .name("serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared));
+                    .spawn(move || {
+                        obs::within(rec.as_ref(), || handle_connection(stream, &shared))
+                    });
             }
             // Nothing pending (`WouldBlock`) or a transient accept failure.
             Err(_) => thread::sleep(POLL),

@@ -443,6 +443,22 @@ impl MapperSpec {
         })
     }
 
+    /// Whether the built mapper reads the `seed` given to
+    /// [`build`](Self::build): two seeds then make two mappings.
+    pub fn is_seeded(&self) -> bool {
+        match self {
+            MapperSpec::Random | MapperSpec::Anneal | MapperSpec::Genetic => true,
+            MapperSpec::Refine { init } => init.is_seeded(),
+            MapperSpec::TopoLb(_)
+            | MapperSpec::TopoCentLb
+            | MapperSpec::Identity
+            | MapperSpec::Linear
+            | MapperSpec::Sfc(_)
+            | MapperSpec::Rcb
+            | MapperSpec::Hier { .. } => false,
+        }
+    }
+
     /// The raw `H` / `D` specs the mapper (or its warm start) needs
     /// resolved into a [`HierPlan`]; `None` = no hierarchy involved.
     pub fn hier_specs(&self) -> Option<(Option<&str>, Option<&str>)> {
@@ -636,9 +652,14 @@ mod tests {
                 .build_on("torus:4x4", topo, 1, par)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!mapper.name().is_empty(), "{name}");
+            let mapping = mapper.map(&tasks, topo);
             let mut seen = [false; 16];
-            for &proc in mapper.map(&tasks, topo).as_slice() {
+            for &proc in mapping.as_slice() {
                 assert!(!std::mem::replace(&mut seen[proc], true), "{name}: {proc}");
+            }
+            if !spec.is_seeded() {
+                let reseeded = spec.build_on("torus:4x4", topo, 2, par).unwrap();
+                assert_eq!(reseeded.map(&tasks, topo), mapping, "{name} reads its seed");
             }
             assert!(!spec.estimated_cost(16, 16).is_zero(), "{name}");
             assert!(unknown.contains(name), "'{name}' missing from: {unknown}");
@@ -692,6 +713,9 @@ mod tests {
         assert_eq!(m.name(), "SFC(Hilbert)+Refine");
         let m = parse_mapper_with_init("refine", Some("rcb"), 1, par).unwrap();
         assert_eq!(m.name(), "RCB+Refine");
+        // A warm start reads the seed exactly when its init does.
+        let refine = |init| MapperSpec::parse(Some("refine"), Some(init), None, None).unwrap();
+        assert!(refine("random").is_seeded() && !refine("sfc").is_seeded());
         // No init = the plain spec path.
         let m = parse_mapper_with_init("refine", None, 1, par).unwrap();
         assert_eq!(m.name(), "TopoLB+Refine");

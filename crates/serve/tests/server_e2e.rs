@@ -509,24 +509,33 @@ fn fast_lane_rescues_deadline_and_warm_start_serves() {
 
 #[test]
 fn obs_spans_are_tagged_with_request_ids() {
-    obs::start();
-    let handle = spawn_ephemeral(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect_tcp(handle.addr()).unwrap();
-    match client.map(request_for(&SCENARIOS[0], 424_242)).unwrap() {
-        Response::MapOk { .. } => {}
-        other => panic!("{other:?}"),
-    }
-    handle.join();
-    let report = obs::finish();
+    let ((), report) = obs::record(|| {
+        let handle = spawn_ephemeral(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect_tcp(handle.addr()).unwrap();
+        match client.map(request_for(&SCENARIOS[0], 424_242)).unwrap() {
+            Response::MapOk { .. } => {}
+            other => panic!("{other:?}"),
+        }
+        handle.join();
+    });
     let root = report
         .find_span("serve.request.424242")
         .expect("per-request span tree");
     assert!(!root.children.is_empty(), "span tree has kernel children");
     assert_eq!(report.meta("serve.request.424242"), Some("ok"));
-    assert!(report.counter("serve.requests").unwrap_or(0) >= 1);
-    assert!(report.counter("serve.ok").unwrap_or(0) >= 1);
+    // Only this test's server records here, whatever the e2e tests beside
+    // it are serving.
+    for m in report
+        .meta
+        .iter()
+        .filter(|m| m.name.starts_with("serve.request."))
+    {
+        assert_eq!(m.name, "serve.request.424242");
+    }
+    assert_eq!(report.counter("serve.requests"), Some(1));
+    assert_eq!(report.counter("serve.ok"), Some(1));
 }

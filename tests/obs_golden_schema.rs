@@ -6,16 +6,9 @@
 //! and a change here is a schema break that trace consumers must hear
 //! about (bump `obs::SCHEMA_VERSION`).
 
-use std::sync::Mutex;
 use topomap::core::obs;
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
-
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const N_TASKS: u64 = 32;
 
@@ -25,9 +18,7 @@ fn pinned_report() -> obs::Report {
     let g = gen::stencil2d(4, 8, 1024.0, false);
     let machine = Torus::torus_2d(4, 8);
     let mapper = TopoLb::with_parallelism(EstimationOrder::Second, Parallelism::serial());
-    obs::start();
-    mapper.map(&g, &machine);
-    obs::finish()
+    obs::record(|| mapper.map(&g, &machine)).1
 }
 
 #[test]
@@ -37,13 +28,11 @@ fn version_is_pinned() {
         2,
         "schema version changed: update the golden tests"
     );
-    let _l = obs_guard();
     assert_eq!(pinned_report().version, obs::SCHEMA_VERSION);
 }
 
 #[test]
 fn meta_describes_run_environment() {
-    let _l = obs_guard();
     let r = pinned_report();
     // A serial fixture still records how it ran: resolved thread count
     // and how many cores the host offered (value varies by machine; the
@@ -59,7 +48,6 @@ fn meta_describes_run_environment() {
 
 #[test]
 fn span_tree_matches_golden_shape() {
-    let _l = obs_guard();
     let r = pinned_report();
 
     // Exactly one root — the mapper entry point — with the two phases of
@@ -82,7 +70,6 @@ fn span_tree_matches_golden_shape() {
 
 #[test]
 fn counters_match_golden_names_and_values() {
-    let _l = obs_guard();
     let r = pinned_report();
 
     // The exact counter name list, sorted (the recorder guarantees the
@@ -133,7 +120,6 @@ fn counters_match_golden_names_and_values() {
 
 #[test]
 fn json_layout_matches_golden_fields() {
-    let _l = obs_guard();
     let r = pinned_report();
     let json = r.to_json();
 
@@ -166,7 +152,6 @@ fn json_layout_matches_golden_fields() {
 
 #[test]
 fn csv_layout_matches_golden_rows() {
-    let _l = obs_guard();
     let r = pinned_report();
     let csv = r.to_csv();
     let lines: Vec<&str> = csv.lines().collect();

@@ -3,13 +3,10 @@
 //! and thread counts {1, 4}, a run with recording ON must produce a
 //! bit-identical result to the same run with recording OFF — and the
 //! counters it emits must be internally consistent and thread-invariant.
-//!
-//! The recorder is process-global, so every test that toggles it holds
-//! [`OBS_LOCK`] for its whole body (Rust's test harness runs tests in
-//! parallel threads of one process).
+//! An OFF run is simply a run outside `obs::record`; each recording holds
+//! its own run alone, whatever the harness runs beside it.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 use topomap::core::obs;
 use topomap::core::pipeline::two_phase;
 use topomap::core::refine::refine_mapping_with;
@@ -17,20 +14,6 @@ use topomap::netsim::config::RoutingMode;
 use topomap::netsim::trace::{stencil_trace, TraceOp};
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
-
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `f` with the recorder on and hand back its result plus the report.
-/// Callers must hold [`OBS_LOCK`].
-fn recorded<R>(f: impl FnOnce() -> R) -> (R, obs::Report) {
-    obs::start();
-    let r = f();
-    (r, obs::finish())
-}
 
 fn arb_task_graph() -> impl Strategy<Value = TaskGraph> {
     (4usize..=16, 0.5f64..4.0, any::<u64>())
@@ -151,16 +134,14 @@ proptest! {
         topo_idx in 0usize..4,
         order_idx in 0usize..3,
     ) {
-        let _l = obs_guard();
         let topo = topology_for(topo_idx, 25);
         let order = ORDERS[order_idx];
 
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
             let mapper = TopoLb::with_parallelism(order, Parallelism::eager(threads));
-            obs::disable();
             let off = mapper.map(&g, topo.as_ref());
-            let (on, report) = recorded(|| mapper.map(&g, topo.as_ref()));
+            let (on, report) = obs::record(|| mapper.map(&g, topo.as_ref()));
             prop_assert_eq!(&off, &on, "ON differs from OFF at {} threads", threads);
             check_topolb_counters(&report, &g, order);
             reports.push(report);
@@ -191,7 +172,6 @@ proptest! {
         g in arb_task_graph(),
         topo_idx in 0usize..4,
     ) {
-        let _l = obs_guard();
         let topo = topology_for(topo_idx, 25);
 
         let mut reports = Vec::new();
@@ -200,9 +180,8 @@ proptest! {
                 TopoLb::with_parallelism(EstimationOrder::Second, Parallelism::eager(threads)),
                 Parallelism::eager(threads),
             );
-            obs::disable();
             let off = mapper.map(&g, topo.as_ref());
-            let (on, report) = recorded(|| mapper.map(&g, topo.as_ref()));
+            let (on, report) = obs::record(|| mapper.map(&g, topo.as_ref()));
             prop_assert_eq!(&off, &on, "ON differs from OFF at {} threads", threads);
 
             let acc = counter(&report, "refine.swaps_accepted");
@@ -236,11 +215,9 @@ proptest! {
         g in arb_task_graph(),
         topo_idx in 0usize..4,
     ) {
-        let _l = obs_guard();
         let topo = topology_for(topo_idx, 25);
-        obs::disable();
         let off = TopoCentLb.map(&g, topo.as_ref());
-        let (on, report) = recorded(|| TopoCentLb.map(&g, topo.as_ref()));
+        let (on, report) = obs::record(|| TopoCentLb.map(&g, topo.as_ref()));
         prop_assert_eq!(&off, &on);
         prop_assert_eq!(counter(&report, "topocentlb.placements"), g.num_tasks() as u64);
         let pushes = counter(&report, "topocentlb.heap_pushes");
@@ -258,13 +235,11 @@ proptest! {
         topo_idx in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let _l = obs_guard();
         let topo = topology_for(topo_idx, 25);
 
         let sa = SimulatedAnnealingMap::quick(seed);
-        obs::disable();
         let off = sa.map(&g, topo.as_ref());
-        let (on, report) = recorded(|| sa.map(&g, topo.as_ref()));
+        let (on, report) = obs::record(|| sa.map(&g, topo.as_ref()));
         prop_assert_eq!(&off, &on, "SA perturbed by recording");
         if let Some(proposals) = report.counter("anneal.proposals") {
             // (Edgeless graphs return before the search loop and emit
@@ -282,9 +257,8 @@ proptest! {
         }
 
         let ga = GeneticMap { par: Parallelism::eager(4), generations: 8, ..GeneticMap::quick(seed) };
-        obs::disable();
         let off = ga.map(&g, topo.as_ref());
-        let (on, report) = recorded(|| ga.map(&g, topo.as_ref()));
+        let (on, report) = obs::record(|| ga.map(&g, topo.as_ref()));
         prop_assert_eq!(&off, &on, "GA perturbed by recording");
         prop_assert_eq!(
             counter(&report, "genetic.fitness_evaluations"),
@@ -305,13 +279,11 @@ proptest! {
         seed in any::<u64>(),
         topo_idx in 0usize..4,
     ) {
-        let _l = obs_guard();
         let g = gen::random_graph(n, deg, 1.0, 1000.0, seed);
         let topo = topology_for(topo_idx, 9);
         let (ml, mapper) = (MultilevelKWay::default(), TopoLb::default());
-        obs::disable();
         let off = two_phase(&g, topo.as_ref(), &ml, &mapper);
-        let (on, report) = recorded(|| two_phase(&g, topo.as_ref(), &ml, &mapper));
+        let (on, report) = obs::record(|| two_phase(&g, topo.as_ref(), &ml, &mapper));
         prop_assert_eq!(&off.partition, &on.partition);
         prop_assert_eq!(&off.group_graph, &on.group_graph);
         prop_assert_eq!(&off.group_mapping, &on.group_mapping);
@@ -331,15 +303,13 @@ proptest! {
         topo_idx in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let _l = obs_guard();
         let topo = topology_for(topo_idx, 25);
         for mapper in [
             Box::new(RandomMap::new(seed)) as Box<dyn Mapper>,
             Box::new(IdentityMap),
         ] {
-            obs::disable();
             let off = mapper.map(&g, topo.as_ref());
-            let (on, _) = recorded(|| mapper.map(&g, topo.as_ref()));
+            let (on, _) = obs::record(|| mapper.map(&g, topo.as_ref()));
             prop_assert_eq!(&off, &on, "{} perturbed by recording", mapper.name());
         }
     }
@@ -354,16 +324,14 @@ proptest! {
         iters in 1usize..=3,
         seed in any::<u64>(),
     ) {
-        let _l = obs_guard();
         let g = gen::stencil2d(rx, ry, 2048.0, false);
         let topo = Torus::torus_2d(rx, ry);
         let m = RandomMap::new(seed).map(&g, &topo);
         let tr = stencil_trace(&g, iters, 1_000);
         let cfg = NetworkConfig::default();
 
-        obs::disable();
         let off = Simulation::run(&topo, &cfg, &tr, &m);
-        let (on, report) = recorded(|| Simulation::run(&topo, &cfg, &tr, &m));
+        let (on, report) = obs::record(|| Simulation::run(&topo, &cfg, &tr, &m));
         prop_assert_eq!(&off, &on, "simulation perturbed by recording");
 
         prop_assert!(counter(&report, "netsim.events") > 0);
@@ -398,10 +366,6 @@ proptest! {
         seed in any::<u64>(),
         iters in 1usize..=3,
     ) {
-        // Records nothing itself, but every `Simulation` bumps the
-        // process-global `netsim.*` counters while *some* test has the
-        // recorder on, so it holds the lock like everyone else.
-        let _l = obs_guard();
         let topo = routed_for(topo_idx, g.num_tasks().max(9));
         let m = RandomMap::new(seed).map(&g, topo.as_ref());
         let tr = stencil_trace(&g, iters, 1_000);
@@ -438,8 +402,9 @@ proptest! {
 
 /// Pinned proptest regression: `netsim_recording_is_invisible` failed
 /// with `assertion failed: 92 == 68` at seed 4777960189187380889 because
-/// the ledger property ran its `Simulation`s without [`OBS_LOCK`] and
-/// their `netsim.messages.*` counts landed in the recording in progress.
+/// the ledger property ran its `Simulation`s without the suite's old test
+/// lock and their `netsim.messages.*` counts landed in the recording in
+/// progress.
 /// The failure is the interleaving, not the inputs, so the pin runs the
 /// two properties side by side.
 #[test]
@@ -450,15 +415,14 @@ fn regression_seed_4777960189187380889() {
     });
 }
 
-/// A recording session that spans several mapper runs accumulates — the
-/// bench harness profiles whole experiment grids this way.
+/// One recording that spans several mapper runs accumulates — the bench
+/// harness profiles whole experiment grids this way.
 #[test]
 fn counters_accumulate_across_runs_in_one_session() {
-    let _l = obs_guard();
     let g = gen::stencil2d(4, 4, 100.0, false);
     let topo = Torus::torus_2d(4, 4);
     let mapper = TopoLb::default();
-    let (_, report) = recorded(|| {
+    let (_, report) = obs::record(|| {
         mapper.map(&g, &topo);
         mapper.map(&g, &topo);
         mapper.map(&g, &topo);
@@ -467,20 +431,29 @@ fn counters_accumulate_across_runs_in_one_session() {
     assert_eq!(report.counter("estimation.assigns"), Some(48));
 }
 
-/// Toggling the recorder mid-run must never corrupt a later session:
-/// stale span guards from a previous generation are inert.
+/// Two runs recorded at the same time on two threads get a report each,
+/// holding that run's counters alone. The barrier makes both recordings
+/// live while either maps.
 #[test]
-fn stale_guards_from_a_previous_session_are_inert() {
-    let _l = obs_guard();
-    let g = gen::ring(8, 100.0);
-    let topo = Torus::torus_2d(3, 3);
-
-    obs::start();
-    let _leaked = obs::span("leaked.span");
-    // A fresh session begins while the guard above is still alive.
-    let (_, report) = recorded(|| TopoLb::default().map(&g, &topo));
-    assert!(report.find_span("leaked.span").is_none());
-    assert!(report.find_span("topolb.map").is_some());
+fn concurrent_recordings_each_report_only_their_own_run() {
+    let both_live = std::sync::Barrier::new(2);
+    let run = |side: usize| {
+        let g = gen::stencil2d(side, side, 100.0, false);
+        let topo = Torus::torus_2d(side, side);
+        let ((), report) = obs::record(|| {
+            both_live.wait();
+            TopoLb::default().map(&g, &topo);
+            both_live.wait();
+        });
+        (g.num_tasks() as u64, report)
+    };
+    std::thread::scope(|s| {
+        let other = s.spawn(|| run(6));
+        for (n, report) in [run(4), other.join().unwrap()] {
+            assert_eq!(report.counter("topolb.placements"), Some(n));
+            assert_eq!(report.spans.len(), 1, "{:?}", report.span_names());
+        }
+    });
 }
 
 /// A placement already at one hop per byte has no candidate that can gain:
@@ -488,12 +461,11 @@ fn stale_guards_from_a_previous_session_are_inert() {
 /// skip removes, pinned without a clock.
 #[test]
 fn refine_evaluates_nothing_on_a_tight_mapping() {
-    let _l = obs_guard();
     let g = gen::stencil2d(16, 16, 1024.0, true);
     let topo = Torus::torus_2d(16, 16);
     let mut m = IdentityMap.map(&g, &topo);
     let (accepted, report) =
-        recorded(|| refine_mapping_with(&g, &topo, &mut m, 8, Parallelism::serial()));
+        obs::record(|| refine_mapping_with(&g, &topo, &mut m, 8, Parallelism::serial()));
     assert_eq!(accepted, 0);
     assert_eq!(m, IdentityMap.map(&g, &topo));
     let n = g.num_tasks() as u64;
@@ -512,7 +484,6 @@ fn refine_evaluates_nothing_on_a_tight_mapping() {
 /// thread-invariant.
 #[test]
 fn refine_ledger_accounts_for_every_candidate_of_every_pass() {
-    let _l = obs_guard();
     let topo = Torus::torus_2d(5, 5);
     let stencil = gen::stencil2d(5, 5, 1024.0, false);
     for seed in 0..6u64 {
@@ -523,7 +494,7 @@ fn refine_ledger_accounts_for_every_candidate_of_every_pass() {
             for threads in [1usize, 4] {
                 let mut m = start.clone();
                 let par = Parallelism::eager(threads);
-                let (_, report) = recorded(|| refine_mapping_with(g, &topo, &mut m, 8, par));
+                let (_, report) = obs::record(|| refine_mapping_with(g, &topo, &mut m, 8, par));
                 let passes = counter(&report, "refine.passes");
                 assert!(passes > 1, "a random start accepts something");
                 assert_eq!(
@@ -558,7 +529,6 @@ fn refine_ledger_accounts_for_every_candidate_of_every_pass() {
 /// multi-thread test here uses an eager pool, which skips the cutoff.
 #[test]
 fn fixed_pool_fans_out_hier_leaves_at_4096_and_maps_as_serial() {
-    let _l = obs_guard();
     let g = gen::stencil2d(64, 64, 1024.0, true);
     let topo = Torus::torus_2d(64, 64);
     let hier = |par| {
@@ -566,7 +536,7 @@ fn fixed_pool_fans_out_hier_leaves_at_4096_and_maps_as_serial() {
             .expect("a 64 x 64 torus factors into blocks")
             .with_parallelism(par)
     };
-    let (fanned, report) = recorded(|| hier(Parallelism::fixed(4)).map(&g, &topo));
+    let (fanned, report) = obs::record(|| hier(Parallelism::fixed(4)).map(&g, &topo));
     assert!(
         counter(&report, "par.regions.parallel") >= 1,
         "no region cleared the cutoff: {:?}",
