@@ -1083,6 +1083,49 @@ mod tests {
         assert_eq!(auto_arities(1024), vec![16, 16, 4]);
     }
 
+    /// The block layout `Hierarchy::factor_torus` hands `for_torus`: every
+    /// level-`i` container (a contiguous `pe_order` run) is an axis-aligned
+    /// box of the machine, all boxes of a level share their extents, and
+    /// their origins sit on the grid those extents stride.
+    #[test]
+    fn factor_torus_blocks_are_aligned_boxes_on_a_strided_grid() {
+        let t3 = Torus::torus_3d(16, 16, 16);
+        let t2 = Torus::torus_2d(128, 128);
+        let cases = [
+            (auto_arities(t3.num_nodes()), t3),
+            (auto_arities(t2.num_nodes()), t2),
+            (vec![4, 4, 3], Torus::mesh(&[8, 6])),
+            (vec![4, 3, 5], Torus::torus(&[5, 4, 3])),
+        ];
+        for (arities, t) in &cases {
+            let (_, pe_order) = Hierarchy::factor_torus(t, arities).unwrap();
+            let nd = t.dims().len();
+            let mut size = 1;
+            for (level, &a) in arities.iter().enumerate() {
+                size *= a;
+                let mut level_extent = None;
+                for block in pe_order.chunks(size) {
+                    let (mut lo, mut hi) = (vec![usize::MAX; nd], vec![0; nd]);
+                    for &node in block {
+                        let c = t.coords(node);
+                        for d in 0..nd {
+                            lo[d] = lo[d].min(c.get(d));
+                            hi[d] = hi[d].max(c.get(d));
+                        }
+                    }
+                    let extent: Vec<usize> = (0..nd).map(|d| hi[d] - lo[d] + 1).collect();
+                    // `size` distinct nodes inside a box of volume `size`:
+                    // the block fills the box, no wrap-around.
+                    let what = format!("{} level {} block at {lo:?}", t.name(), level + 1);
+                    assert_eq!(extent.iter().product::<usize>(), size, "{what}");
+                    let first = level_extent.get_or_insert_with(|| extent.clone());
+                    assert_eq!(first, &extent, "{what}");
+                    assert!((0..nd).all(|d| lo[d] % extent[d] == 0), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn name_reflects_shape() {
         let h = HierMapper::new(Hierarchy::new(vec![4, 8], vec![1, 3]));

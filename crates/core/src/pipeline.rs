@@ -91,7 +91,7 @@ pub fn two_phase(
 mod tests {
     use super::*;
     use crate::{RandomMap, TopoLb};
-    use topomap_partition::MultilevelKWay;
+    use topomap_partition::{GreedyLoad, MultilevelKWay};
     use topomap_taskgraph::gen;
     use topomap_topology::Torus;
 
@@ -135,6 +135,11 @@ mod tests {
         let good = two_phase(&tasks, &topo, &ml, &TopoLb::default());
         let bad = two_phase(&tasks, &topo, &ml, &RandomMap::new(5));
         assert!(good.hops_per_byte(&topo) < bad.hops_per_byte(&topo));
+        // GreedyLB: load-only groups placed at random, the paper's
+        // "essentially random" baseline. Its groups differ from the
+        // multilevel ones, so the two compare on hop-bytes.
+        let greedy = two_phase(&tasks, &topo, &GreedyLoad, &RandomMap::new(5));
+        assert!(good.hop_bytes(&topo) < greedy.hop_bytes(&topo));
     }
 
     #[test]

@@ -6,48 +6,49 @@
 //! The Charm++ model: the application is over-decomposed into migratable
 //! objects; the runtime *measures* per-object loads and communication
 //! during execution, stores them in a load-balancing **database**, and
-//! periodically hands that database to a pluggable **strategy** which
-//! returns a new object→processor assignment.
+//! periodically hands that database to a strategy which returns a new
+//! object→processor assignment. A strategy is the paper's two-phase
+//! pipeline, `topomap_core::pipeline::two_phase`, run on
+//! [`LbDatabase::to_task_graph`] with any `Partitioner` and any `Mapper`;
+//! its `task_placement()` is the assignment.
 //!
 //! This crate reproduces the pieces the paper relies on:
 //!
 //! - [`LbDatabase`] — per-object measured loads + communication records
 //!   (the "load information" of §5.1).
-//! - [`strategy`] — the strategy interface and the paper's lineup:
-//!   `RandomLB`, `GreedyLB`, `MetisLB` (multilevel partition, random
-//!   group placement), `TopoLB`, `TopoCentLB`, `RefineTopoLB`.
 //! - [`dump`] — the `+LBDump` mechanism: write the database of selected
-//!   steps to JSON files for offline study.
-//! - [`replay`] — the `+LBSim` mechanism: load a dump and run any strategy
-//!   on it, so "different strategies can be compared on exactly the same
-//!   load scenarios, which is not possible in actual execution" (§5.1).
+//!   steps to JSON files for offline study. `+LBSim` is
+//!   [`dump::read_step`] followed by `two_phase` on the loaded database,
+//!   so "different strategies can be compared on exactly the same load
+//!   scenarios, which is not possible in actual execution" (§5.1).
+//! - [`refine_lb`] — Charm++'s incremental `RefineLB`: repair drifted
+//!   loads with few migrations.
 //! - [`runtime`] — an instrumented threaded mini-runtime that actually
 //!   executes communicating objects and produces a measured database
 //!   (the measurement-based LB model; object migration included).
 //!
 //! ```
-//! use topomap_lb::{strategy, LbDatabase};
+//! use topomap_core::{pipeline::two_phase, TopoLb};
+//! use topomap_lb::LbDatabase;
+//! use topomap_partition::MultilevelKWay;
 //! use topomap_taskgraph::gen;
 //! use topomap_topology::Torus;
 //!
 //! // Build a database from a known workload (or measure one with
 //! // `runtime::Runtime`).
-//! let g = gen::stencil2d(8, 8, 4096.0, false);
+//! let g = gen::stencil2d(16, 16, 4096.0, false);
 //! let db = LbDatabase::from_task_graph(&g);
 //! let topo = Torus::torus_2d(8, 8);
 //!
-//! let topolb = strategy::by_name("TopoLB").unwrap();
-//! let report = topomap_lb::replay::evaluate(&db, &topo, topolb.as_ref());
-//! assert!(report.hops_per_byte < 2.0);
+//! let r = two_phase(&db.to_task_graph(), &topo, &MultilevelKWay::default(), &TopoLb::default());
+//! assert_eq!(r.task_placement().len(), 256);
+//! assert!(r.hops_per_byte(&topo) < 2.0);
 //! ```
 
 pub mod database;
 pub mod dump;
 pub mod refine_lb;
-pub mod replay;
 pub mod runtime;
-pub mod strategy;
 
 pub use database::{CommRecord, LbDatabase};
 pub use refine_lb::RefineLb;
-pub use strategy::{LbAssignment, LbStrategy};

@@ -10,8 +10,7 @@
 //! whose loads drift between LB steps.
 
 use crate::database::LbDatabase;
-use crate::strategy::LbAssignment;
-use topomap_topology::Topology;
+use topomap_topology::{NodeId, Topology};
 
 /// Incremental load-balance refiner.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +34,8 @@ impl Default for RefineLb {
 /// The result of a refinement: the new assignment plus what it cost.
 #[derive(Debug, Clone)]
 pub struct RefineOutcome {
-    pub assignment: LbAssignment,
+    /// `assignment[o]` = the processor object `o` now lives on.
+    pub assignment: Vec<NodeId>,
     /// Objects that changed processor.
     pub migrations: usize,
     /// Max processor load before/after.
@@ -44,17 +44,18 @@ pub struct RefineOutcome {
 }
 
 impl RefineLb {
-    /// Refine `current` against the measured `db` on `topo`.
+    /// Refine `current` (object → processor) against the measured `db` on
+    /// `topo`.
     pub fn rebalance(
         &self,
         db: &LbDatabase,
         topo: &dyn Topology,
-        current: &LbAssignment,
+        current: &[NodeId],
     ) -> RefineOutcome {
         let p = topo.num_nodes();
         let n = db.num_objects();
-        assert_eq!(current.num_objects(), n);
-        let mut proc_of = current.proc_of_obj.clone();
+        assert_eq!(current.len(), n);
+        let mut proc_of = current.to_vec();
 
         let mut loads = vec![0f64; p];
         for (o, &q) in proc_of.iter().enumerate() {
@@ -123,9 +124,7 @@ impl RefineLb {
 
         let max_after = loads.iter().fold(0.0f64, |m, &l| m.max(l));
         RefineOutcome {
-            assignment: LbAssignment {
-                proc_of_obj: proc_of,
-            },
+            assignment: proc_of,
             migrations,
             max_load_before: max_before,
             max_load_after: max_after,
@@ -136,7 +135,8 @@ impl RefineLb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy;
+    use topomap_core::{pipeline::two_phase, TopoLb};
+    use topomap_partition::{MultilevelKWay, Partition};
     use topomap_taskgraph::gen;
     use topomap_topology::Torus;
 
@@ -152,16 +152,13 @@ mod tests {
     fn repairs_gross_imbalance_with_few_migrations() {
         let db = skewed_db(32);
         let topo = Torus::torus_2d(4, 4);
-        // Pathological start: everything on processor 0... not allowed by
-        // LbAssignment semantics? It is: assignments may colocate objects.
-        let current = LbAssignment {
-            proc_of_obj: vec![0; 32],
-        };
-        let out = RefineLb::default().rebalance(&db, &topo, &current);
+        // Pathological start: everything on processor 0 (an assignment
+        // may colocate any number of objects).
+        let out = RefineLb::default().rebalance(&db, &topo, &[0; 32]);
         assert!(out.max_load_after < 0.2 * out.max_load_before);
         assert!(out.migrations >= 16, "migrations {}", out.migrations);
         // All objects accounted for.
-        assert_eq!(out.assignment.num_objects(), 32);
+        assert_eq!(out.assignment.len(), 32);
     }
 
     #[test]
@@ -171,9 +168,7 @@ mod tests {
             db.record_load(o, 1.0);
         }
         let topo = Torus::torus_2d(4, 4);
-        let current = LbAssignment {
-            proc_of_obj: (0..16).collect(),
-        };
+        let current: Vec<NodeId> = (0..16).collect();
         let out = RefineLb::default().rebalance(&db, &topo, &current);
         assert_eq!(out.migrations, 0);
         assert_eq!(out.assignment, current);
@@ -186,11 +181,17 @@ mod tests {
         let g = gen::stencil2d(8, 8, 2048.0, false);
         let mut db = LbDatabase::from_task_graph(&g);
         let topo = Torus::torus_2d(4, 4);
-        let base = strategy::by_name("TopoLB").unwrap().assign(&db, &topo);
+        let base = two_phase(
+            &db.to_task_graph(),
+            &topo,
+            &MultilevelKWay::default(),
+            &TopoLb::default(),
+        )
+        .task_placement();
         // Load spike on the objects of processor 0.
-        for o in 0..db.num_objects() {
-            if base.proc_of_obj[o] == 0 {
-                db.loads[o] *= 6.0;
+        for (load, &q) in db.loads.iter_mut().zip(&base) {
+            if q == 0 {
+                *load *= 6.0;
             }
         }
         let out = RefineLb {
@@ -199,33 +200,34 @@ mod tests {
         }
         .rebalance(&db, &topo, &base);
         assert!(out.max_load_after < out.max_load_before);
-        let before = crate::replay::report(&db, &topo, "b", &base);
-        let after = crate::replay::report(&db, &topo, "a", &out.assignment);
-        assert!(after.load_imbalance < before.load_imbalance);
+        let spiked = db.to_task_graph();
+        let imbalance = |a: &[NodeId]| Partition::new(a.to_vec(), 16).imbalance_for(&spiked);
+        assert!(imbalance(&out.assignment) < imbalance(&base));
         // Migration was incremental, not a remap.
         let changed = base
-            .proc_of_obj
             .iter()
-            .zip(&out.assignment.proc_of_obj)
+            .zip(&out.assignment)
             .filter(|(a, b)| a != b)
             .count();
         assert!(changed <= db.num_objects() / 3, "changed {changed}");
         // Hop-bytes stays in the same ballpark (< 2x).
-        assert!(after.hop_bytes <= 2.0 * before.hop_bytes.max(1.0));
+        let hop_bytes = |a: &[NodeId]| {
+            g.edges()
+                .map(|(x, y, w)| w * topo.distance(a[x], a[y]) as f64)
+                .sum::<f64>()
+        };
+        assert!(hop_bytes(&out.assignment) <= 2.0 * hop_bytes(&base).max(1.0));
     }
 
     #[test]
     fn respects_migration_cap() {
         let db = skewed_db(64);
         let topo = Torus::torus_2d(4, 4);
-        let current = LbAssignment {
-            proc_of_obj: vec![0; 64],
-        };
         let out = RefineLb {
             max_migrations: 5,
             ..Default::default()
         }
-        .rebalance(&db, &topo, &current);
+        .rebalance(&db, &topo, &[0; 64]);
         assert_eq!(out.migrations, 5);
     }
 }

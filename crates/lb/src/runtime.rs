@@ -20,11 +20,11 @@
 //! Rust-concurrency guidance this project follows.
 
 use crate::database::LbDatabase;
-use crate::strategy::LbAssignment;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::time::Instant;
 use topomap_taskgraph::{TaskGraph, TaskId};
+use topomap_topology::NodeId;
 
 /// Per-iteration behaviour of one object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,12 +112,13 @@ impl Runtime {
             .collect()
     }
 
-    /// Migrate objects to a new assignment (the LB step's output applied;
-    /// objects being plain data, migration is a move of ownership).
-    pub fn migrate(&mut self, a: &LbAssignment) {
-        assert_eq!(a.num_objects(), self.specs.len());
-        assert!(a.proc_of_obj.iter().all(|&p| p < self.num_procs));
-        self.assignment = a.proc_of_obj.clone();
+    /// Migrate objects to a new assignment, `placement[o]` = object `o`'s
+    /// processor (the LB step's output applied; objects being plain data,
+    /// migration is a move of ownership).
+    pub fn migrate(&mut self, placement: &[NodeId]) {
+        assert_eq!(placement.len(), self.specs.len());
+        assert!(placement.iter().all(|&p| p < self.num_procs));
+        self.assignment = placement.to_vec();
     }
 
     /// Execute `iterations` BSP iterations on `num_procs` worker threads,
@@ -211,6 +212,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topomap_core::{pipeline::two_phase, TopoLb};
+    use topomap_partition::MultilevelKWay;
     use topomap_taskgraph::gen;
 
     #[test]
@@ -258,9 +261,7 @@ mod tests {
         let g = gen::ring(6, 100.0);
         let mut rt = Runtime::from_task_graph(&g, 3, 1.0);
         assert_eq!(rt.objects_on(0), vec![0, 3]);
-        rt.migrate(&LbAssignment {
-            proc_of_obj: vec![0, 0, 1, 1, 2, 2],
-        });
+        rt.migrate(&[0, 0, 1, 1, 2, 2]);
         assert_eq!(rt.objects_on(0), vec![0, 1]);
         assert_eq!(rt.objects_on(2), vec![4, 5]);
         // Still runs correctly after migration.
@@ -275,9 +276,13 @@ mod tests {
         let mut rt = Runtime::from_task_graph(&g, 4, 1.0);
         let db = rt.run_instrumented(2);
         let topo = topomap_topology::Torus::torus_2d(2, 2);
-        let strategy = crate::strategy::by_name("TopoLB").unwrap();
-        let a = strategy.assign(&db, &topo);
-        rt.migrate(&a);
+        let r = two_phase(
+            &db.to_task_graph(),
+            &topo,
+            &MultilevelKWay::default(),
+            &TopoLb::default(),
+        );
+        rt.migrate(&r.task_placement());
         let db2 = rt.run_instrumented(2);
         assert_eq!(db2.num_objects(), 16);
         // The communication structure is assignment-independent.

@@ -15,7 +15,7 @@
 //! a pointer bump while the matrix itself is shared between all in-flight
 //! requests.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use topomap_topology::{CachedTopology, Topology};
 
@@ -39,6 +39,16 @@ type PlanKey = (String, Option<String>, Option<String>);
 pub struct OracleCaches {
     oracles: Mutex<LruCache<String, Arc<DistOracle>>>,
     plans: Mutex<LruCache<PlanKey, Arc<HierPlan>>>,
+}
+
+/// Lock one of the caches, taking it back from a poisoned mutex. A build
+/// that panics under the lock leaves the LRU consistent: every fallible
+/// step (spec parse, oracle or plan build) runs before the LRU is written,
+/// so the worst left behind is a counted miss and, for the oracle, a
+/// victim evicted ahead of an insert that never came. Without it, one
+/// panicking build would fail every later request.
+fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Hit/miss counters for both caches, as sampled by `Stats` requests.
@@ -65,7 +75,7 @@ impl OracleCaches {
     /// spec caches nothing and fails with the parser's message.
     pub fn oracle(&self, topo_spec: &str) -> Result<(Arc<DistOracle>, bool), String> {
         let spec = topo_spec.trim().to_string();
-        let mut oracles = self.oracles.lock().unwrap();
+        let mut oracles = lock(&self.oracles);
         if let Some(hit) = oracles.get(&spec) {
             return Ok((hit, true));
         }
@@ -91,7 +101,7 @@ impl OracleCaches {
     ) -> Result<(Arc<HierPlan>, bool), String> {
         let own = |spec: &str| spec.trim().to_string();
         let key = (own(topo_spec), hier_spec.map(own), dist_spec.map(own));
-        let mut plans = self.plans.lock().unwrap();
+        let mut plans = lock(&self.plans);
         plans.try_get_or_insert_with(key, |(topo, hier, dist)| {
             let plan = parse_hier_plan(topo, oracle, hier.as_deref(), dist.as_deref())?;
             Ok(Arc::new(plan))
@@ -100,8 +110,8 @@ impl OracleCaches {
 
     /// Snapshot the hit/miss counters of both caches.
     pub fn counters(&self) -> CacheCounters {
-        let o = self.oracles.lock().unwrap();
-        let p = self.plans.lock().unwrap();
+        let o = lock(&self.oracles);
+        let p = lock(&self.plans);
         CacheCounters {
             oracle_hits: o.hits(),
             oracle_misses: o.misses(),
@@ -185,6 +195,23 @@ mod tests {
         assert!(!caches.oracle("torus:4x4").unwrap().1);
         assert!(caches.oracle("torus:3x3").unwrap().1);
         assert!(!caches.oracle("torus:2x2").unwrap().1, "was evicted");
+    }
+
+    #[test]
+    fn a_build_that_panics_under_the_lock_disables_nothing() {
+        let caches = OracleCaches::new(8);
+        caches.oracle("torus:2x2").unwrap();
+        let poisoned = std::panic::catch_unwind(|| {
+            let _held = caches.oracles.lock().unwrap();
+            let _also = caches.plans.lock().unwrap();
+            panic!("builder panicked");
+        });
+        assert!(poisoned.is_err() && caches.oracles.is_poisoned());
+        assert!(caches.oracle("torus:2x2").unwrap().1, "entry survived");
+        let (o, hit) = caches.oracle("mesh:2x2").unwrap();
+        assert!(!hit);
+        assert!(caches.hier_plan("mesh:2x2", &o, None, None).is_ok());
+        assert_eq!(caches.counters().oracle_hits, 1);
     }
 
     #[test]

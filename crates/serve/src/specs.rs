@@ -30,6 +30,19 @@ fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
     Ok(dims)
 }
 
+/// Parse a size of at least `min`, so that no constructor's assert is
+/// reachable from a spec.
+fn parse_at_least<T>(s: &str, what: &str, min: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    match s.parse::<T>() {
+        Ok(v) if v >= min => Ok(v),
+        Ok(v) => Err(format!("{what} must be at least {min}, got {v}")),
+        Err(_) => Err(format!("bad {what} '{s}'")),
+    }
+}
+
 /// A parsed topology, split by capability: `simulate` needs routing,
 /// `map`/`eval` only need the metric.
 pub enum ParsedTopology {
@@ -72,35 +85,30 @@ pub fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
         "torus" => routed(Box::new(Torus::torus(&parse_dims(rest)?))),
         "mesh" => routed(Box::new(Torus::mesh(&parse_dims(rest)?))),
         "hypercube" => {
-            let d: u32 = rest
-                .parse()
-                .map_err(|_| format!("bad hypercube dims '{rest}'"))?;
+            let d = parse_at_least(rest, "hypercube dims", 0u32)?;
+            if d > 30 {
+                return Err(format!("hypercube dims must be at most 30, got {d}"));
+            }
             routed(Box::new(Hypercube::new(d)))
         }
         "ring" => {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| format!("bad ring size '{rest}'"))?;
+            let n = parse_at_least(rest, "ring size", 2)?;
             routed(Box::new(GraphTopology::ring(n)))
         }
         "star" => {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| format!("bad star size '{rest}'"))?;
+            let n = parse_at_least(rest, "star size", 2)?;
             routed(Box::new(GraphTopology::star(n)))
         }
         "crossbar" => {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| format!("bad crossbar size '{rest}'"))?;
+            let n = parse_at_least(rest, "crossbar size", 1)?;
             routed(Box::new(GraphTopology::complete(n)))
         }
         "fattree" => {
             let (a, l) = rest
                 .split_once(':')
                 .ok_or_else(|| format!("fattree spec is fattree:ARITY:LEVELS, got '{rest}'"))?;
-            let arity: usize = a.parse().map_err(|_| "bad fattree arity".to_string())?;
-            let levels: u32 = l.parse().map_err(|_| "bad fattree levels".to_string())?;
+            let arity = parse_at_least(a, "fattree arity", 2)?;
+            let levels = parse_at_least(l, "fattree levels", 1)?;
             Ok(ParsedTopology::MetricOnly(Box::new(FatTree::new(
                 arity, levels,
             ))))
@@ -600,6 +608,16 @@ mod tests {
             "nope:3",
             "hypercube:x",
             "fattree:4",
+            "ring:0",
+            "ring:1",
+            "star:0",
+            "star:1",
+            "crossbar:0",
+            "hypercube:31",
+            "hypercube:70",
+            "fattree:0:3",
+            "fattree:1:3",
+            "fattree:2:0",
             "dragonfly:4",
             "dragonfly:0:8",
             "dragonfly:4:x",

@@ -61,6 +61,32 @@ fn megabyte_of_open_brackets_is_a_bad_request_and_the_connection_lives() {
 }
 
 #[test]
+fn impossible_machine_is_a_bad_spec_and_the_next_map_succeeds() {
+    let server = spawn_ephemeral(ServeConfig::default()).unwrap();
+    let mut client = Client::connect_tcp(server.addr().to_string()).unwrap();
+
+    // A zero-node ring must be refused before its constructor asserts: a
+    // panic under the oracle cache's lock would fail every later request
+    // on every machine.
+    let mut req = stencil_request(1);
+    req.topology = "ring:0".to_string();
+    match client.map(req).unwrap() {
+        Response::Error { id, kind, message } => {
+            assert_eq!((id, kind), (1, ErrorKind::BadSpec), "{message}");
+            assert!(message.contains("ring size"), "{message}");
+        }
+        other => panic!("expected BadSpec, got {other:?}"),
+    }
+
+    match client.map(stencil_request(2)).unwrap() {
+        Response::MapOk { id, .. } => assert_eq!(id, 2),
+        other => panic!("expected MapOk, got {other:?}"),
+    }
+    drop(client);
+    server.join();
+}
+
+#[test]
 fn bad_coords_are_a_bad_workload_and_cost_no_worker() {
     let workers = 2;
     let server = spawn_ephemeral(ServeConfig {

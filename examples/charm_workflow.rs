@@ -2,16 +2,19 @@
 //!
 //! 1. run communicating objects on worker threads with instrumentation,
 //! 2. dump the measured LB database to disk (`+LBDump`),
-//! 3. replay the dump offline against every registered strategy
-//!    (`+LBSim`) — all strategies see the identical load scenario,
+//! 3. replay the dump offline through the paper's two-phase pipeline
+//!    (`+LBSim`), one row per (partitioner, mapper) pair — every row sees
+//!    the identical load scenario,
 //! 4. migrate the live runtime to the winning assignment and keep going.
 //!
 //! Run: `cargo run --release --example charm_workflow`
 
+use topomap::core::pipeline::two_phase;
 use topomap::lb::dump::{read_step, write_step, LbDump};
 use topomap::lb::runtime::Runtime;
-use topomap::lb::{replay, strategy};
+use topomap::partition::RandomPartition;
 use topomap::prelude::*;
+use topomap::serve::specs::parse_mapper;
 
 fn main() {
     let machine = Torus::torus_2d(4, 4);
@@ -50,39 +53,48 @@ fn main() {
     .expect("dump written");
     println!("dumped LB database to {}\n", path.display());
 
-    // --- 3. +LBSim: compare every strategy on the same scenario ---
+    // --- 3. +LBSim: compare every (phase 1, phase 2) pair on the same scenario ---
     let dump = read_step(&base, 0).expect("dump read");
+    let objects = dump.database.to_task_graph();
+    let multilevel = MultilevelKWay::default();
+    let rows: [(&str, &dyn Partitioner, &str); 7] = [
+        ("random", &RandomPartition::new(0x5eed), "random"),
+        // GreedyLB: load-only groups placed at random, the paper's
+        // "essentially random" baseline.
+        ("greedy-load", &GreedyLoad, "random"),
+        ("multilevel", &multilevel, "random"),
+        ("multilevel", &multilevel, "linear"),
+        ("multilevel", &multilevel, "topocentlb"),
+        ("multilevel", &multilevel, "topolb"),
+        ("multilevel", &multilevel, "refine"),
+    ];
     println!(
-        "{:<14} {:>14} {:>12} {:>14}",
-        "strategy", "hops-per-byte", "imbalance", "hop-bytes (KB)"
+        "{:<12} {:<11} {:>14} {:>10} {:>15}",
+        "phase 1", "phase 2", "hops-per-byte", "imbalance", "hop-bytes (KB)"
     );
-    let mut best: Option<(String, f64)> = None;
-    for name in strategy::all_names() {
-        let s = strategy::by_name(name).expect("registered");
-        let report = replay::evaluate(&dump.database, &machine, s.as_ref());
+    let mut best = None;
+    for (phase1, partitioner, phase2) in rows {
+        let mapper = parse_mapper(phase2, 0x5eed, Parallelism::serial()).expect("mapper name");
+        let r = two_phase(&objects, &machine, partitioner, mapper.as_ref());
+        let hop_bytes = r.hop_bytes(&machine);
         println!(
-            "{:<14} {:>14.3} {:>12.2} {:>14.1}",
-            report.strategy,
-            report.hops_per_byte,
-            report.load_imbalance,
-            report.hop_bytes / 1024.0
+            "{phase1:<12} {phase2:<11} {:>14.3} {:>10.2} {:>15.1}",
+            r.hops_per_byte(&machine),
+            r.partition.imbalance_for(&objects),
+            hop_bytes / 1024.0
         );
-        if best
-            .as_ref()
-            .map(|(_, h)| report.hops_per_byte < *h)
-            .unwrap_or(true)
-        {
-            best = Some((report.strategy.clone(), report.hops_per_byte));
+        if best.as_ref().is_none_or(|(_, h, _)| hop_bytes < *h) {
+            best = Some((format!("{phase1} + {phase2}"), hop_bytes, r));
         }
     }
-    let (winner, hpb) = best.expect("at least one strategy");
-    println!("\nwinner: {winner} (hops-per-byte {hpb:.3})");
+    let (winner, hop_bytes, result) = best.expect("at least one row");
+    println!(
+        "\nwinner: {winner} (hop-bytes {:.1} KB)",
+        hop_bytes / 1024.0
+    );
 
     // --- 4. migrate and continue ---
-    let assignment = strategy::by_name(&winner)
-        .expect("winner registered")
-        .assign(&dump.database, &machine);
-    runtime.migrate(&assignment);
+    runtime.migrate(&result.task_placement());
     let db2 = runtime.run_instrumented(2);
     println!(
         "resumed after migration: {} comm records re-measured, still {} objects",

@@ -16,8 +16,9 @@
 //! - [`core`] — the paper's contribution: TopoLB (three estimation
 //!   orders), TopoCentLB, RefineTopoLB, hop-byte metrics, and the
 //!   two-phase pipeline.
-//! - [`lb`] — the Charm++-style LB framework: measured database, strategy
-//!   registry, `+LBDump`/`+LBSim` dump & replay, threaded mini-runtime.
+//! - [`lb`] — the Charm++-style LB framework: measured database,
+//!   `+LBDump` step files (replayed through `core::pipeline::two_phase`),
+//!   RefineLB, threaded mini-runtime.
 //! - [`netsim`] — a discrete-event packet-level network simulator
 //!   (BigNetSim substitute) with wormhole/cut-through switching.
 //! - [`serve`] — mapping-as-a-service: a persistent mapping daemon with

@@ -2,10 +2,11 @@
 //! partitioning → mapping → network simulation, spanning every crate.
 
 use topomap::core::pipeline::two_phase;
-use topomap::lb::dump::{write_step, LbDump};
+use topomap::lb::dump::{read_step, step_path, write_step, LbDump};
 use topomap::lb::runtime::Runtime;
-use topomap::lb::{replay, strategy, LbDatabase};
+use topomap::lb::LbDatabase;
 use topomap::netsim::{trace, Trace, TraceOp};
+use topomap::partition::RandomPartition;
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
 
@@ -25,16 +26,20 @@ fn full_stack_life_cycle() {
     assert_eq!(db.num_objects(), 36);
     assert!(db.total_load() > 0.0);
 
-    // 3. Run TopoLB strategy on the measured database.
-    let topolb = strategy::by_name("TopoLB").expect("registered");
-    let assignment = topolb.assign(&db, &machine);
-    runtime.migrate(&assignment);
+    // 3. Run the paper's pipeline on the measured database.
+    let measured = db.to_task_graph();
+    let ml = MultilevelKWay::default();
+    let topolb = two_phase(&measured, &machine, &ml, &TopoLb::default());
+    runtime.migrate(&topolb.task_placement());
 
     // 4. Verify the placement beats random on the measured comm graph.
-    let report = replay::report(&db, &machine, "TopoLB", &assignment);
-    let random = strategy::by_name("RandomLB").unwrap();
-    let rnd_report = replay::evaluate(&db, &machine, random.as_ref());
-    assert!(report.hops_per_byte <= rnd_report.hops_per_byte);
+    let random = two_phase(
+        &measured,
+        &machine,
+        &RandomPartition::new(0x5eed),
+        &RandomMap::new(0x5eed),
+    );
+    assert!(topolb.hop_bytes(&machine) <= random.hop_bytes(&machine));
 
     // 5. Replay the *coalesced* application through the network simulator
     //    under both placements and confirm the ordering carries to time.
@@ -57,7 +62,8 @@ fn full_stack_life_cycle() {
     assert!(good.completion_ns <= bad.completion_ns);
 }
 
-/// The dump→replay path preserves every metric bit-for-bit.
+/// The `+LBDump` → `+LBSim` path preserves the placement and its
+/// hop-bytes bit for bit.
 #[test]
 fn dump_replay_is_lossless() {
     let dir = std::env::temp_dir().join("topomap-integration-dump");
@@ -72,9 +78,16 @@ fn dump_replay_is_lossless() {
     );
     let db = LbDatabase::from_task_graph(&g);
     let machine = Torus::torus_2d(4, 4);
+    let topolb = |db: &LbDatabase| {
+        two_phase(
+            &db.to_task_graph(),
+            &machine,
+            &MultilevelKWay::default(),
+            &TopoLb::default(),
+        )
+    };
 
-    let direct = replay::evaluate(&db, &machine, strategy::by_name("TopoLB").unwrap().as_ref());
-
+    let direct = topolb(&db);
     write_step(
         &base,
         &LbDump {
@@ -84,28 +97,39 @@ fn dump_replay_is_lossless() {
         },
     )
     .unwrap();
-    let via_file = replay::simulate_step(
-        &base,
-        7,
-        &machine,
-        &[strategy::by_name("TopoLB").unwrap().as_ref()],
-    )
-    .unwrap();
-    assert_eq!(via_file[0], direct);
-    std::fs::remove_file(topomap::lb::dump::step_path(&base, 7)).ok();
+    let dump = read_step(&base, 7).unwrap();
+    assert_eq!(dump.num_procs, machine.num_nodes());
+    let via_file = topolb(&dump.database);
+    assert_eq!(via_file.task_placement(), direct.task_placement());
+    assert_eq!(
+        via_file.hop_bytes(&machine).to_bits(),
+        direct.hop_bytes(&machine).to_bits()
+    );
+    std::fs::remove_file(step_path(&base, 7)).ok();
 }
 
 /// Two-phase pipeline handles every partitioner/mapper combination without
 /// violating coverage or injectivity, on an awkward task count (not a
-/// multiple of p).
+/// multiple of p) and on an over-decomposed LeanMD, where the
+/// load-balancing partitioners leave no processor without work.
 #[test]
 fn two_phase_all_combinations() {
-    let tasks = gen::random_geometric(95, 0.2, 10.0, 1000.0, 9);
-    let machine = Torus::torus_2d(4, 3);
-    let partitioners: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(topomap::partition::RandomPartition::new(2)),
-        Box::new(GreedyLoad),
-        Box::new(MultilevelKWay::default()),
+    let leanmd = gen::LeanMdConfig {
+        num_computes: 200,
+        ..Default::default()
+    };
+    let workloads = [
+        (
+            gen::random_geometric(95, 0.2, 10.0, 1000.0, 9),
+            Torus::torus_2d(4, 3),
+        ),
+        (gen::leanmd(16, &leanmd), Torus::torus_2d(4, 4)),
+    ];
+    // (phase 1, whether every processor must receive an object)
+    let partitioners: Vec<(Box<dyn Partitioner>, bool)> = vec![
+        (Box::new(RandomPartition::new(2)), false),
+        (Box::new(GreedyLoad), true),
+        (Box::new(MultilevelKWay::default()), true),
     ];
     let mappers: Vec<Box<dyn Mapper>> = vec![
         Box::new(RandomMap::new(2)),
@@ -113,18 +137,26 @@ fn two_phase_all_combinations() {
         Box::new(TopoLb::default()),
         Box::new(RefineTopoLb::new(TopoCentLb)),
     ];
-    for part in &partitioners {
-        for mapper in &mappers {
-            let r = two_phase(&tasks, &machine, part.as_ref(), mapper.as_ref());
-            let placement = r.task_placement();
-            assert_eq!(placement.len(), 95);
-            assert!(placement.iter().all(|&q| q < 12));
-            // Group mapping must be injective over the 12 groups.
-            let mut seen = [false; 12];
-            for g in 0..r.group_graph.num_tasks() {
-                let q = r.group_mapping.proc_of(g);
-                assert!(!seen[q]);
-                seen[q] = true;
+    for (tasks, machine) in &workloads {
+        let (n, p) = (tasks.num_tasks(), machine.num_nodes());
+        for (part, fills_every_proc) in &partitioners {
+            for mapper in &mappers {
+                let r = two_phase(tasks, machine, part.as_ref(), mapper.as_ref());
+                let placement = r.task_placement();
+                assert_eq!(placement.len(), n);
+                assert!(placement.iter().all(|&q| q < p));
+                // Group mapping must be injective over the p groups.
+                let mut seen = vec![false; p];
+                for g in 0..r.group_graph.num_tasks() {
+                    let q = r.group_mapping.proc_of(g);
+                    assert!(!seen[q]);
+                    seen[q] = true;
+                }
+                if *fills_every_proc {
+                    let mut busy = vec![false; p];
+                    placement.iter().for_each(|&q| busy[q] = true);
+                    assert!(busy.iter().all(|&b| b), "n = {n}: a processor left empty");
+                }
             }
         }
     }
