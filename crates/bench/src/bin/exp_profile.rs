@@ -93,7 +93,21 @@ fn main() {
     let topo = Torus::torus_2d(64, 64);
     profile("scaling_4096", || TopoLb::default().map(&tasks, &topo));
     let hier = HierMapper::for_torus(&topo).expect("a 64 x 64 torus factors into blocks");
-    profile("hier_4096", || hier.map(&tasks, &topo));
+    let report = profile("hier_4096", || hier.map(&tasks, &topo));
+    // The coarse step's decomposition: block table, coarse TopoLB,
+    // cluster sweeps.
+    let coarse = report.find_span("hier.coarse_map");
+    for step in [
+        "hier.coarse.table",
+        "hier.coarse.topolb",
+        "hier.coarse.sweeps",
+    ] {
+        assert!(
+            coarse.is_some_and(|c| c.children.iter().any(|s| s.name == step)),
+            "hier profile lost `{step}` under `hier.coarse_map`: {:?}",
+            report.span_names()
+        );
+    }
 
     // The paper's two phases on the benchmark's `scale` case: partition
     // 16,384 tasks into 1,024 groups, coalesce, place the groups.

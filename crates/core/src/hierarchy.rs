@@ -110,179 +110,26 @@ impl HierMapper {
         }
     }
 
-    /// Bottom-up leaf grouping: heavy-edge-matching coarsening (cluster
-    /// size capped at `a1`, merges heaviest edges first) until at most
-    /// `p/a1` clusters remain, then a serial incremental TopoLB places
-    /// the cluster graph on the leaf-block representative processors.
-    /// Returns the leaf index of every task.
+    /// Bottom-up leaf grouping: [`HierMapper::coarsen`], then
+    /// [`HierMapper::coarse_unit`] places the cluster graph on the
+    /// leaf-block representative processors and cluster-level sweeps
+    /// polish it. Returns the leaf index of every task.
     fn coarsen_to_leaves(&self, tasks: &TaskGraph, topo: &dyn Topology) -> Vec<usize> {
         let n = tasks.num_tasks();
         let a1 = self.hier.arities()[0];
         let leaves = self.hier.num_nodes() / a1;
-        let mut cluster_of: Vec<usize> = (0..n).collect();
-        let mut count = n;
-        let mut sizes = vec![1usize; n];
-        let mut coarse = tasks.clone();
-        {
-            let _span = obs::span("hier.coarsen");
-            while count > leaves {
-                // One matching pass over the current cluster graph,
-                // stopping as soon as enough merges are queued to hit
-                // the target count.
-                let needed = count - leaves;
-                let mut match_to = vec![usize::MAX; count];
-                let mut merged = 0usize;
-                for c in 0..count {
-                    if merged >= needed {
-                        break;
-                    }
-                    if match_to[c] != usize::MAX {
-                        continue;
-                    }
-                    let best = coarse
-                        .neighbors(c)
-                        .filter(|&(u, _)| {
-                            u != c && match_to[u] == usize::MAX && sizes[c] + sizes[u] <= a1
-                        })
-                        .max_by(|x, y| x.1.partial_cmp(&y.1).unwrap().then(y.0.cmp(&x.0)));
-                    if let Some((u, _)) = best {
-                        match_to[c] = u;
-                        match_to[u] = c;
-                        merged += 1;
-                    }
-                }
-                if merged == 0 {
-                    // Disconnected or saturated: force-pair smallest
-                    // with the largest partner that still fits.
-                    let mut order: Vec<usize> = (0..count).collect();
-                    order.sort_by_key(|&c| (sizes[c], c));
-                    let (mut lo, mut hi) = (0usize, count - 1);
-                    while lo < hi && merged < needed {
-                        let (c, u) = (order[lo], order[hi]);
-                        if sizes[c] + sizes[u] <= a1 {
-                            match_to[c] = u;
-                            match_to[u] = c;
-                            merged += 1;
-                            lo += 1;
-                            hi -= 1;
-                        } else {
-                            hi -= 1; // partner too big; try a smaller one
-                        }
-                    }
-                    if merged == 0 {
-                        break; // no pair fits; bin-pack fallback below
-                    }
-                }
-                let mut new_id = vec![usize::MAX; count];
-                let mut next = 0usize;
-                for c in 0..count {
-                    if new_id[c] != usize::MAX {
-                        continue;
-                    }
-                    new_id[c] = next;
-                    if match_to[c] != usize::MAX {
-                        new_id[match_to[c]] = next;
-                    }
-                    next += 1;
-                }
-                let mut new_sizes = vec![0usize; next];
-                for c in 0..count {
-                    new_sizes[new_id[c]] += sizes[c];
-                }
-                for cl in cluster_of.iter_mut() {
-                    *cl = new_id[*cl];
-                }
-                coarse = tasks.coalesce(&cluster_of, next);
-                sizes = new_sizes;
-                count = next;
-            }
-            if count > leaves {
-                // Matching stalled above the target (all pairs would
-                // overflow `a1`). Bin-pack clusters into `leaves` bins of
-                // capacity `a1`, splitting any cluster that no longer
-                // fits whole — guaranteed to succeed since `n <= p`.
-                let mut bin_of = vec![usize::MAX; count];
-                let mut load = vec![0usize; leaves];
-                let mut order: Vec<usize> = (0..count).collect();
-                order.sort_by_key(|&c| (std::cmp::Reverse(sizes[c]), c));
-                for &c in &order {
-                    if let Some(b) = (0..leaves).find(|&b| load[b] + sizes[c] <= a1) {
-                        bin_of[c] = b;
-                        load[b] += sizes[c];
-                    }
-                }
-                for cl in cluster_of.iter_mut() {
-                    *cl = bin_of[*cl]; // split clusters become MAX for now
-                }
-                for cl in cluster_of.iter_mut() {
-                    if *cl == usize::MAX {
-                        let b = (0..leaves).find(|&b| load[b] < a1).expect("n <= p");
-                        load[b] += 1;
-                        *cl = b;
-                    }
-                }
-                count = leaves;
-                coarse = tasks.coalesce(&cluster_of, count);
-            }
-            if obs::enabled() {
-                obs::counter_add("hier.coarsen.clusters", count as u64);
-            }
-        }
-        // Place the cluster graph on the leaf-block representatives: an
-        // incremental TopoLB over the restricted (origins-only) metric.
-        // On small, highly symmetric cluster graphs a single estimation
-        // order can tie-break into a twisted embedding that later
-        // pairwise swaps provably cannot undo, so there all three orders
-        // are tried and scored exactly (the coarse graph is tiny); the
-        // best start is then polished with cluster-level swap sweeps via
-        // [`Unit`] — one such swap exchanges whole blocks, exactly the
-        // repair task-level swaps cannot express later.
+        let (cluster_of, coarse) = self.coarsen(tasks);
+        let count = coarse.num_tasks();
         let _span = obs::span("hier.coarse_map");
-        let origins: Vec<NodeId> = (0..leaves).map(|g| self.pe(g * a1)).collect();
-        let blocks = CachedTopology::new(Restriction {
-            topo,
-            nodes: &origins,
-        });
-        let score = |m: &Mapping| -> f64 {
-            coarse
-                .edges()
-                .map(|(x, y, w)| w * blocks.distance(m.proc_of(x), m.proc_of(y)) as f64)
-                .sum()
-        };
-        let orders: &[EstimationOrder] = if count <= 32 {
-            &[
-                EstimationOrder::Second,
-                EstimationOrder::First,
-                EstimationOrder::Third,
-            ]
-        } else {
-            &[EstimationOrder::Second]
-        };
-        let best = orders
-            .iter()
-            .map(|&ord| {
-                let m = TopoLb::with_parallelism(ord, Parallelism::serial()).map(&coarse, &blocks);
-                (score(&m), m)
-            })
-            .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
-            .expect("non-empty portfolio")
-            .1;
-        let mut local_of = vec![usize::MAX; count];
-        let no_ext = |_: TaskId| -> NodeId { unreachable!("cluster graph has no external tasks") };
-        let mut unit = Unit::new(
-            &coarse,
-            topo,
-            (0..count).collect(),
-            origins,
-            &mut local_of,
-            &no_ext,
-        );
-        for cl in 0..count {
-            unit.slot_of[cl] = best.proc_of(cl);
-            unit.occupant[best.proc_of(cl)] = cl;
+        let mut unit = self.coarse_unit(&coarse, topo);
+        {
+            let _span = obs::span("hier.coarse.sweeps");
+            unit.sweeps(8);
         }
-        unit.sweeps(8);
-        let mut assign: Vec<usize> = unit.slot_of.clone();
+        if obs::enabled() {
+            obs::counter_add("hier.coarse.candidates", unit.evaluated);
+        }
+        let mut assign: Vec<usize> = unit.slot_of;
         // Origin distance is orientation-blind: on a wrap-heavy block
         // grid many twisted embeddings tie with the straight one, yet
         // the (translation-only) leaf placements can align their
@@ -392,6 +239,195 @@ impl HierMapper {
         // Cluster `cl` sits on slot (= leaf index) `assign[cl]`.
         cluster_of.iter().map(|&cl| assign[cl]).collect()
     }
+
+    /// Heavy-edge-matching coarsening: merge clusters along their
+    /// heaviest edges (cluster size capped at `a1`) until at most `p/a1`
+    /// clusters remain, bin-packing if matching stalls above that.
+    /// Returns every task's cluster and the cluster graph.
+    fn coarsen(&self, tasks: &TaskGraph) -> (Vec<usize>, TaskGraph) {
+        let _span = obs::span("hier.coarsen");
+        let n = tasks.num_tasks();
+        let a1 = self.hier.arities()[0];
+        let leaves = self.hier.num_nodes() / a1;
+        let mut cluster_of: Vec<usize> = (0..n).collect();
+        let mut count = n;
+        let mut sizes = vec![1usize; n];
+        let mut coarse = tasks.clone();
+        while count > leaves {
+            // One matching pass over the current cluster graph,
+            // stopping as soon as enough merges are queued to hit
+            // the target count.
+            let needed = count - leaves;
+            let mut match_to = vec![usize::MAX; count];
+            let mut merged = 0usize;
+            for c in 0..count {
+                if merged >= needed {
+                    break;
+                }
+                if match_to[c] != usize::MAX {
+                    continue;
+                }
+                let best = coarse
+                    .neighbors(c)
+                    .filter(|&(u, _)| {
+                        u != c && match_to[u] == usize::MAX && sizes[c] + sizes[u] <= a1
+                    })
+                    .max_by(|x, y| x.1.partial_cmp(&y.1).unwrap().then(y.0.cmp(&x.0)));
+                if let Some((u, _)) = best {
+                    match_to[c] = u;
+                    match_to[u] = c;
+                    merged += 1;
+                }
+            }
+            if merged == 0 {
+                // Disconnected or saturated: force-pair smallest
+                // with the largest partner that still fits.
+                let mut order: Vec<usize> = (0..count).collect();
+                order.sort_by_key(|&c| (sizes[c], c));
+                let (mut lo, mut hi) = (0usize, count - 1);
+                while lo < hi && merged < needed {
+                    let (c, u) = (order[lo], order[hi]);
+                    if sizes[c] + sizes[u] <= a1 {
+                        match_to[c] = u;
+                        match_to[u] = c;
+                        merged += 1;
+                        lo += 1;
+                        hi -= 1;
+                    } else {
+                        hi -= 1; // partner too big; try a smaller one
+                    }
+                }
+                if merged == 0 {
+                    break; // no pair fits; bin-pack fallback below
+                }
+            }
+            let mut new_id = vec![usize::MAX; count];
+            let mut next = 0usize;
+            for c in 0..count {
+                if new_id[c] != usize::MAX {
+                    continue;
+                }
+                new_id[c] = next;
+                if match_to[c] != usize::MAX {
+                    new_id[match_to[c]] = next;
+                }
+                next += 1;
+            }
+            let mut new_sizes = vec![0usize; next];
+            for c in 0..count {
+                new_sizes[new_id[c]] += sizes[c];
+            }
+            for cl in cluster_of.iter_mut() {
+                *cl = new_id[*cl];
+            }
+            coarse = tasks.coalesce(&cluster_of, next);
+            sizes = new_sizes;
+            count = next;
+        }
+        if count > leaves {
+            // Matching stalled above the target (all pairs would
+            // overflow `a1`). Bin-pack clusters into `leaves` bins of
+            // capacity `a1`, splitting any cluster that no longer
+            // fits whole — guaranteed to succeed since `n <= p`.
+            let mut bin_of = vec![usize::MAX; count];
+            let mut load = vec![0usize; leaves];
+            let mut order: Vec<usize> = (0..count).collect();
+            order.sort_by_key(|&c| (std::cmp::Reverse(sizes[c]), c));
+            for &c in &order {
+                if let Some(b) = (0..leaves).find(|&b| load[b] + sizes[c] <= a1) {
+                    bin_of[c] = b;
+                    load[b] += sizes[c];
+                }
+            }
+            for cl in cluster_of.iter_mut() {
+                *cl = bin_of[*cl]; // split clusters become MAX for now
+            }
+            for cl in cluster_of.iter_mut() {
+                if *cl == usize::MAX {
+                    let b = (0..leaves).find(|&b| load[b] < a1).expect("n <= p");
+                    load[b] += 1;
+                    *cl = b;
+                }
+            }
+            count = leaves;
+            coarse = tasks.coalesce(&cluster_of, count);
+        }
+        if obs::enabled() {
+            obs::counter_add("hier.coarsen.clusters", count as u64);
+        }
+        (cluster_of, coarse)
+    }
+
+    /// Place the cluster graph on the leaf-block representatives: an
+    /// incremental TopoLB over the restricted (origins-only) metric.
+    /// On small, highly symmetric cluster graphs a single estimation
+    /// order can tie-break into a twisted embedding that later pairwise
+    /// swaps provably cannot undo, so there all three orders are tried
+    /// and scored exactly (the coarse graph is tiny). Returns the best
+    /// start as a [`Unit`] over the block origins, ready for
+    /// cluster-level swap sweeps — one such swap exchanges whole blocks,
+    /// exactly the repair task-level swaps cannot express later.
+    ///
+    /// The block table is built once, by one batched row gather per
+    /// origin, and the unit reuses it.
+    fn coarse_unit(&self, coarse: &TaskGraph, topo: &dyn Topology) -> Unit {
+        let a1 = self.hier.arities()[0];
+        let leaves = self.hier.num_nodes() / a1;
+        let count = coarse.num_tasks();
+        let origins: Vec<NodeId> = (0..leaves).map(|g| self.pe(g * a1)).collect();
+        let blocks = {
+            let _span = obs::span("hier.coarse.table");
+            CachedTopology::new(Restriction {
+                topo,
+                nodes: &origins,
+            })
+        };
+        let best = {
+            let _span = obs::span("hier.coarse.topolb");
+            let score = |m: &Mapping| -> f64 {
+                coarse
+                    .edges()
+                    .map(|(x, y, w)| w * blocks.distance(m.proc_of(x), m.proc_of(y)) as f64)
+                    .sum()
+            };
+            let orders: &[EstimationOrder] = if count <= 32 {
+                &[
+                    EstimationOrder::Second,
+                    EstimationOrder::First,
+                    EstimationOrder::Third,
+                ]
+            } else {
+                &[EstimationOrder::Second]
+            };
+            orders
+                .iter()
+                .map(|&ord| {
+                    let m =
+                        TopoLb::with_parallelism(ord, Parallelism::serial()).map(coarse, &blocks);
+                    (score(&m), m)
+                })
+                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
+                .expect("non-empty portfolio")
+                .1
+        };
+        let dmat = blocks.into_matrix();
+        let mut local_of = vec![usize::MAX; count];
+        let no_ext = |_: TaskId| -> NodeId { unreachable!("cluster graph has no external tasks") };
+        let mut unit = Unit::with_table(
+            coarse,
+            topo,
+            (0..count).collect(),
+            origins,
+            dmat,
+            &mut local_of,
+            &no_ext,
+        );
+        for cl in 0..count {
+            unit.slot_of[cl] = best.proc_of(cl);
+            unit.occupant[best.proc_of(cl)] = cl;
+        }
+        unit
+    }
 }
 
 /// Auto-chosen hierarchy arities for `p` processors: an innermost level of
@@ -434,6 +470,7 @@ pub fn auto_arities(p: usize) -> Vec<usize> {
 /// caller (a snapshot during Jacobi refinement, block-origin proxies
 /// during leaf construction), which is what makes units independent and
 /// the parallel result bit-identical to the serial one.
+#[derive(Clone)]
 struct Unit {
     ms: Vec<TaskId>,
     nodes: Vec<NodeId>,
@@ -443,17 +480,27 @@ struct Unit {
     occupant: Vec<usize>,
     /// slot×slot distance matrix.
     dmat: Vec<u32>,
-    /// task×slot cost against frozen external neighbors.
+    /// Smallest off-diagonal entry of `dmat`: the shortest an intra edge
+    /// can be.
+    dmin: u32,
+    /// task×slot cost against frozen external neighbors; empty when no
+    /// task has one (read through [`Unit::ext_at`]).
     ext: Vec<f64>,
+    /// Per task, the minimum of its `ext` row (0 for a task without
+    /// external neighbors, whose row is all zero).
+    ext_min: Vec<f64>,
     /// task index -> intra-unit neighbors as (task index, weight).
     intra: Vec<Vec<(usize, f64)>>,
+    /// Candidates [`Unit::sweeps`] has evaluated so far.
+    evaluated: u64,
 }
 
 impl Unit {
     /// Build tables for `ms` over `nodes`. `local_of` is an n-sized
     /// scratch array (all `usize::MAX` on entry; restored before
     /// returning). `ext_pos` gives the frozen position of any task
-    /// outside the unit.
+    /// outside the unit. The slot table costs `s(s−1)/2` scalar distance
+    /// calls — cheaper than a row gather at leaf sizes.
     fn new(
         tasks: &TaskGraph,
         topo: &dyn Topology,
@@ -462,10 +509,7 @@ impl Unit {
         local_of: &mut [usize],
         ext_pos: &dyn Fn(TaskId) -> NodeId,
     ) -> Unit {
-        let (m, s) = (ms.len(), nodes.len());
-        for (i, &t) in ms.iter().enumerate() {
-            local_of[t] = i;
-        }
+        let s = nodes.len();
         let mut dmat = vec![0u32; s * s];
         for a in 0..s {
             for b in (a + 1)..s {
@@ -474,9 +518,36 @@ impl Unit {
                 dmat[b * s + a] = d;
             }
         }
-        let mut ext = vec![0f64; m * s];
+        Unit::with_table(tasks, topo, ms, nodes, dmat, local_of, ext_pos)
+    }
+
+    /// [`Unit::new`] over a slot table the caller already holds
+    /// (`dmat[a * s + b] = topo.distance(nodes[a], nodes[b])`).
+    fn with_table(
+        tasks: &TaskGraph,
+        topo: &dyn Topology,
+        ms: Vec<TaskId>,
+        nodes: Vec<NodeId>,
+        dmat: Vec<u32>,
+        local_of: &mut [usize],
+        ext_pos: &dyn Fn(TaskId) -> NodeId,
+    ) -> Unit {
+        let (m, s) = (ms.len(), nodes.len());
+        debug_assert_eq!(dmat.len(), s * s);
+        for (i, &t) in ms.iter().enumerate() {
+            local_of[t] = i;
+        }
+        let mut dmin = u32::MAX;
+        for a in 0..s {
+            for b in (0..s).filter(|&b| b != a) {
+                dmin = dmin.min(dmat[a * s + b]);
+            }
+        }
+        let mut ext: Vec<f64> = Vec::new();
+        let mut ext_min = vec![0f64; m];
         let mut intra: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
         for (i, &t) in ms.iter().enumerate() {
+            let mut external = false;
             for (u, w) in tasks.neighbors(t) {
                 let li = local_of[u];
                 if li != usize::MAX {
@@ -484,11 +555,19 @@ impl Unit {
                         intra[i].push((li, w));
                     }
                 } else {
+                    external = true;
+                    ext.resize(m * s, 0.0);
                     let pu = ext_pos(u);
                     for (sl, &node) in nodes.iter().enumerate() {
                         ext[i * s + sl] += w * topo.distance(node, pu) as f64;
                     }
                 }
+            }
+            if external {
+                ext_min[i] = ext[i * s..(i + 1) * s]
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
             }
         }
         for &t in &ms {
@@ -500,9 +579,22 @@ impl Unit {
             slot_of: vec![usize::MAX; m],
             occupant: vec![usize::MAX; s],
             dmat,
+            dmin,
             ext,
+            ext_min,
             intra,
+            evaluated: 0,
         }
+    }
+
+    /// External cost of task `i` on slot `sl`: 0 in a unit whose tasks
+    /// have no external neighbors, which keeps no table.
+    #[inline]
+    fn ext_at(&self, i: usize, sl: usize) -> f64 {
+        self.ext
+            .get(i * self.nodes.len() + sl)
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Load current positions (`proc_of[t]` must be one of the unit's
@@ -532,7 +624,7 @@ impl Unit {
         let s = self.nodes.len();
         let mut total = 0.0;
         for (i, &sl) in self.slot_of.iter().enumerate() {
-            total += self.ext[i * s + sl];
+            total += self.ext_at(i, sl);
             for &(j, w) in &self.intra[i] {
                 total += 0.5 * w * self.dmat[sl * s + self.slot_of[j]] as f64;
             }
@@ -586,7 +678,7 @@ impl Unit {
                     continue;
                 }
                 let mut cost = if charge_ext {
-                    self.ext[next * s + sl]
+                    self.ext_at(next, sl)
                 } else {
                     0.0
                 };
@@ -613,7 +705,7 @@ impl Unit {
     fn delta_to(&self, i: usize, sl: usize, skip: usize) -> f64 {
         let s = self.nodes.len();
         let cur = self.slot_of[i];
-        let mut d = self.ext[i * s + sl] - self.ext[i * s + cur];
+        let mut d = self.ext_at(i, sl) - self.ext_at(i, cur);
         for &(j, w) in &self.intra[i] {
             if j != skip {
                 let sj = self.slot_of[j];
@@ -623,10 +715,103 @@ impl Unit {
         d
     }
 
+    /// Task `i` is *settled* when every intra edge sits at `dmin` and its
+    /// external cost at its current slot is its row minimum.
+    fn settled(&self, i: usize) -> bool {
+        let s = self.nodes.len();
+        let cur = self.slot_of[i];
+        self.intra[i]
+            .iter()
+            .all(|&(j, _)| self.dmat[cur * s + self.slot_of[j]] == self.dmin)
+            && self.ext_at(i, cur) == self.ext_min[i]
+    }
+
     /// Greedy improvement sweeps (pair swaps and moves to free slots),
     /// up to `max_sweeps` or until none improves. Returns accepted
     /// changes.
+    ///
+    /// Candidates whose tasks are all [settled](Unit::settled) are
+    /// skipped, exactly. The unit is injective, so every intra edge joins
+    /// two distinct slots before and after a move or swap, and is at
+    /// least `dmin` long. For a settled task each term of `delta_to` is
+    /// therefore `ext[sl] − ext_min ≥ 0` or `w · (d − dmin) ≥ 0`: every
+    /// partial f64 sum is ≥ 0, and neither its move nor its swap with
+    /// another settled task can pass `< −1e-12`. So a settled `i` scans
+    /// only the slots of unsettled tasks, and none at all when every task
+    /// is settled; an accept re-derives the moved tasks and their intra
+    /// neighbors. The same candidates are accepted in the same order as
+    /// without the skip.
     fn sweeps(&mut self, max_sweeps: usize) -> u64 {
+        let (m, s) = (self.ms.len(), self.nodes.len());
+        let mut settled: Vec<bool> = (0..m).map(|i| self.settled(i)).collect();
+        let mut unsettled = settled.iter().filter(|&&x| !x).count();
+        let mut changes = 0u64;
+        for _ in 0..max_sweeps {
+            let mut round = 0u64;
+            for i in 0..m {
+                if settled[i] && unsettled == 0 {
+                    continue;
+                }
+                let si = self.slot_of[i];
+                let mut moved = None;
+                for sl in 0..s {
+                    if sl == si {
+                        continue;
+                    }
+                    let j = self.occupant[sl];
+                    if settled[i] && (j == usize::MAX || settled[j]) {
+                        continue;
+                    }
+                    if j == usize::MAX {
+                        self.evaluated += 1;
+                        if self.delta_to(i, sl, usize::MAX) < -1e-12 {
+                            self.occupant[si] = usize::MAX;
+                            self.occupant[sl] = i;
+                            self.slot_of[i] = sl;
+                            moved = Some(usize::MAX);
+                            break; // i moved; restart its scan at next i
+                        }
+                    } else if j > i {
+                        self.evaluated += 1;
+                        if self.delta_to(i, sl, j) + self.delta_to(j, si, i) < -1e-12 {
+                            self.occupant[si] = j;
+                            self.occupant[sl] = i;
+                            self.slot_of[i] = sl;
+                            self.slot_of[j] = si;
+                            moved = Some(j);
+                            break;
+                        }
+                    }
+                }
+                // The partner of an accept (`usize::MAX` for a move).
+                let Some(j) = moved else { continue };
+                round += 1;
+                for k in [i, j].into_iter().filter(|&k| k != usize::MAX) {
+                    for t in std::iter::once(k).chain(self.intra[k].iter().map(|&(u, _)| u)) {
+                        let now = self.settled(t);
+                        if now != settled[t] {
+                            settled[t] = now;
+                            if now {
+                                unsettled -= 1;
+                            } else {
+                                unsettled += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            changes += round;
+            if round == 0 {
+                break;
+            }
+        }
+        changes
+    }
+
+    /// [`Unit::sweeps`] as it was before the settled-task skip, kept
+    /// verbatim as the differential oracle.
+    #[cfg(test)]
+    fn sweeps_naive(&mut self, max_sweeps: usize) -> u64 {
         let (m, s) = (self.ms.len(), self.nodes.len());
         let mut changes = 0u64;
         for _ in 0..max_sweeps {
@@ -691,6 +876,12 @@ impl Topology for Restriction<'_> {
 
     fn name(&self) -> String {
         format!("Restrict({} of {})", self.nodes.len(), self.topo.name())
+    }
+
+    /// One batched gather on the machine over the targets' nodes.
+    fn distances_into(&self, from: NodeId, targets: &[NodeId], out: &mut Vec<u32>) {
+        let on_machine: Vec<NodeId> = targets.iter().map(|&t| self.nodes[t]).collect();
+        self.topo.distances_into(self.nodes[from], &on_machine, out);
     }
 }
 
@@ -813,9 +1004,14 @@ impl Mapper for HierMapper {
             // this floor cannot lower its cost by moving (distinct nodes
             // are never closer), so a leaf pair containing only such
             // tasks is provably converged and skipped without building
-            // its tables. Sampled from the first block, which on the
-            // homogeneous machines this mapper targets is the global
-            // minimum; an under-sample merely skips less.
+            // its tables. Sampled from the first block. A sample can only
+            // over-estimate the global minimum, and an over-estimate
+            // treats loose edges as tight, so it skips *more* pairs — the
+            // skip is then no longer exact. `factor_torus` (with `a1 ≥ 2`
+            // each leaf block is a box of adjacent nodes, so it holds a
+            // pair 1 hop apart) and `from_fattree` (siblings at distance
+            // 2) put the global minimum in the first block;
+            // `identity_over` does not guarantee it.
             let dmin = {
                 let k = a1.max(2).min(p);
                 let mut d = u32::MAX;
@@ -970,8 +1166,11 @@ impl Mapper for HierMapper {
 mod tests {
     use super::*;
     use crate::{metrics, RandomMap, RefineTopoLb};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
     use topomap_taskgraph::gen;
-    use topomap_topology::{FatTree, GraphTopology};
+    use topomap_topology::{Dragonfly, FatTree, GraphTopology, Hypercube};
 
     #[test]
     fn valid_injective_mapping_on_torus() {
@@ -1122,6 +1321,197 @@ mod tests {
                     assert_eq!(first, &extent, "{what}");
                     assert!((0..nd).all(|d| lo[d] % extent[d] == 0), "{what}");
                 }
+            }
+        }
+    }
+
+    /// One machine per family with a hierarchy over it: torus, mesh,
+    /// mixed-wrap torus (factored), hypercube, dragonfly and a graph with
+    /// chords (identity layouts), fat-tree (its own tree, `dmin` = 2).
+    fn sweep_machines() -> Vec<(Box<dyn Topology>, HierMapper)> {
+        let factored = |t: Torus, arities: &[usize]| -> (Box<dyn Topology>, HierMapper) {
+            let h = HierMapper::for_torus_with(&t, arities).unwrap();
+            (Box::new(t), h)
+        };
+        let identity = |t: Box<dyn Topology>, arities: &[usize]| {
+            let h = HierMapper::new(Hierarchy::identity_over(t.as_ref(), arities).unwrap());
+            (t, h)
+        };
+        let chords: Vec<(usize, usize)> = (0..32)
+            .map(|i| (i, (i + 1) % 32))
+            .chain((0..32).step_by(5).map(|i| (i, (i * 7 + 11) % 32)))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let ft = FatTree::new(4, 3);
+        vec![
+            factored(Torus::torus_2d(8, 8), &[4, 4, 4]),
+            factored(Torus::mesh(&[6, 6]), &[6, 6]),
+            factored(Torus::new(&[8, 4], &[true, false]), &[4, 8]),
+            identity(Box::new(Hypercube::new(6)), &[4, 4, 4]),
+            identity(Box::new(Dragonfly::new(4, 8)), &[8, 4]),
+            identity(Box::new(GraphTopology::from_edges(32, &chords)), &[4, 4, 2]),
+            (Box::new(ft), HierMapper::new(Hierarchy::from_fattree(&ft))),
+        ]
+    }
+
+    /// Run [`Unit::sweeps`] and the skip-free oracle on copies of `unit`:
+    /// both must accept the same candidates in the same order — same
+    /// `slot_of`, `occupant` and return value. Returns the swept copy.
+    fn sweeps_match_oracle(unit: &Unit, max_sweeps: usize, what: &str) -> Unit {
+        let (mut fast, mut naive) = (unit.clone(), unit.clone());
+        let got = fast.sweeps(max_sweeps);
+        assert_eq!(got, naive.sweeps_naive(max_sweeps), "{what}: changes");
+        assert_eq!(fast.slot_of, naive.slot_of, "{what}: slot_of");
+        assert_eq!(fast.occupant, naive.occupant, "{what}: occupant");
+        fast
+    }
+
+    /// From `unit`'s own start and from a seeded random one: a bounded
+    /// call, a call to convergence, and a call from the converged state.
+    fn check_unit(unit: &Unit, max_sweeps: usize, seed: u64, what: &str) {
+        let mut random = unit.clone();
+        let mut slots: Vec<usize> = (0..unit.nodes.len()).collect();
+        slots.shuffle(&mut StdRng::seed_from_u64(seed));
+        random.reset();
+        for (i, &sl) in slots.iter().take(unit.ms.len()).enumerate() {
+            random.slot_of[i] = sl;
+            random.occupant[sl] = i;
+        }
+        for (start, from) in [(unit, "given"), (&random, "random")] {
+            let what = format!("{what}, {from} start");
+            let once = sweeps_match_oracle(start, max_sweeps, &what);
+            let converged = sweeps_match_oracle(&once, 64, &what);
+            sweeps_match_oracle(&converged, max_sweeps, &format!("{what}, converged"));
+        }
+    }
+
+    /// The settled-task skip accepts exactly what the skip-free sweep
+    /// accepts, on all three unit kinds (leaf units with block-origin
+    /// externals; pair units with frozen externals, after
+    /// `load_positions` and after `place_greedy(true)`; the coarse unit)
+    /// over every machine family, full and part-full.
+    #[test]
+    fn sweep_skip_matches_the_skip_free_oracle() {
+        for (topo, h) in sweep_machines() {
+            let topo = topo.as_ref();
+            let p = topo.num_nodes();
+            let a1 = h.hier.arities()[0];
+            let leaves = p / a1;
+            let side = (1..=p).rev().find(|d| p % d == 0 && d * d <= p).unwrap();
+            let graphs = [
+                gen::stencil2d(side, p / side, 512.0, false),
+                gen::random_graph(p, 4.0, 1.0, 1000.0, p as u64),
+                gen::random_graph(3 * p / 4, 3.0, 1.0, 1000.0, 7),
+            ];
+            for (gi, tasks) in graphs.iter().enumerate() {
+                let n = tasks.num_tasks();
+                let what = format!("{} graph {gi}", topo.name());
+                let mut local_of = vec![usize::MAX; n];
+
+                let (leaf_of, coarse) = h.coarsen(tasks);
+                let coarse = h.coarse_unit(&coarse, topo);
+                check_unit(&coarse, 8, 1, &format!("{what} coarse"));
+
+                let leaf_of: Vec<usize> = leaf_of.iter().map(|&cl| coarse.slot_of[cl]).collect();
+                let origin_of = |u: TaskId| h.pe(leaf_of[u] * a1);
+                for leaf in 0..leaves {
+                    let ms: Vec<TaskId> = (0..n).filter(|&t| leaf_of[t] == leaf).collect();
+                    let nodes = (0..a1).map(|o| h.pe(leaf * a1 + o)).collect();
+                    let mut unit = Unit::new(tasks, topo, ms, nodes, &mut local_of, &origin_of);
+                    unit.place_greedy(false);
+                    let what = format!("{what} leaf {leaf}");
+                    check_unit(&unit, 4 + h.leaf_refine_passes, leaf as u64, &what);
+                }
+
+                let snapshot = h.map(tasks, topo);
+                let snapshot = snapshot.as_slice();
+                let mut node_pos = vec![0usize; p];
+                for q in 0..p {
+                    node_pos[h.pe(q)] = q;
+                }
+                let frozen = |u: TaskId| snapshot[u];
+                for g in 0..leaves.saturating_sub(1) {
+                    let in_pair = |t: &usize| (g..g + 2).contains(&(node_pos[snapshot[*t]] / a1));
+                    let ms: Vec<TaskId> = (0..n).filter(in_pair).collect();
+                    let nodes = (g * a1..(g + 2) * a1).map(|q| h.pe(q)).collect();
+                    let mut unit = Unit::new(tasks, topo, ms, nodes, &mut local_of, &frozen);
+                    unit.load_positions(snapshot);
+                    check_unit(&unit, 4, g as u64, &format!("{what} pair {g} loaded"));
+                    unit.reset();
+                    unit.place_greedy(true);
+                    check_unit(&unit, 4, g as u64, &format!("{what} pair {g} rebuilt"));
+                }
+            }
+        }
+    }
+
+    /// On the benchmark's converged 2-D coarse unit (1,024 clusters of a
+    /// 128² stencil on the 32² grid of block origins), every cluster is
+    /// settled, so the sweep evaluates no candidate at all — where the
+    /// skip-free sweep scanned every (cluster, slot) pair once.
+    #[test]
+    fn converged_2d_coarse_unit_skips_every_candidate() {
+        let t = Torus::torus_2d(128, 128);
+        let tasks = gen::stencil2d(128, 128, 4096.0, false);
+        let h = HierMapper::for_torus(&t).unwrap();
+        let (_, coarse) = h.coarsen(&tasks);
+        let unit = h.coarse_unit(&coarse, &t);
+        assert_eq!(unit.ms.len(), 1024);
+        assert!((0..unit.ms.len()).all(|i| unit.settled(i)));
+        let swept = sweeps_match_oracle(&unit, 8, "2-D coarse unit");
+        assert_eq!(swept.evaluated, 0, "a candidate was evaluated");
+    }
+
+    /// The coarse step's block table is the machine's metric over the
+    /// block origins: `CachedTopology` over a `Restriction` to a scrambled
+    /// origin list matches scalar `distance` entry by entry, in its row
+    /// sums and in its diameter, and `Restriction::distances_into` matches
+    /// it over a scrambled, duplicated target list.
+    #[test]
+    fn restriction_table_and_gather_match_scalar_distance() {
+        let machines: Vec<Box<dyn Topology>> = vec![
+            Box::new(Torus::torus_2d(6, 5)),
+            Box::new(Torus::mesh_2d(4, 7)),
+            Box::new(Torus::new(&[4, 3, 2], &[true, false, true])),
+            Box::new(Hypercube::new(5)),
+            Box::new(FatTree::new(3, 3)),
+            Box::new(Dragonfly::new(4, 5)),
+            Box::new(GraphTopology::ring(21)),
+        ];
+        for (seed, m) in machines.iter().enumerate() {
+            let p = m.num_nodes();
+            let mut nodes: Vec<NodeId> = (0..p).filter(|q| q % 3 != 1).collect();
+            nodes.shuffle(&mut StdRng::seed_from_u64(seed as u64));
+            let k = nodes.len();
+            let restricted = Restriction {
+                topo: m.as_ref(),
+                nodes: &nodes,
+            };
+            let table = CachedTopology::new(Restriction {
+                topo: m.as_ref(),
+                nodes: &nodes,
+            });
+            let mut diameter = 0;
+            for a in 0..k {
+                let row: Vec<u32> = (0..k).map(|b| m.distance(nodes[a], nodes[b])).collect();
+                for (b, &d) in row.iter().enumerate() {
+                    assert_eq!(table.distance(a, b), d, "{} ({a}, {b})", m.name());
+                }
+                let sum: u64 = row.iter().map(|&d| d as u64).sum();
+                assert_eq!(table.sum_distance_from(a), sum, "{} row {a}", m.name());
+                diameter = row.into_iter().fold(diameter, u32::max);
+            }
+            assert_eq!(table.diameter(), diameter, "{}", m.name());
+
+            let targets: Vec<NodeId> = (0..k).rev().chain([0, k / 2, 0]).collect();
+            let mut got = Vec::new();
+            for from in 0..k {
+                restricted.distances_into(from, &targets, &mut got);
+                let want: Vec<u32> = targets
+                    .iter()
+                    .map(|&t| m.distance(nodes[from], nodes[t]))
+                    .collect();
+                assert_eq!(got, want, "{} from {from}", m.name());
             }
         }
     }

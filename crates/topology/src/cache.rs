@@ -21,21 +21,20 @@ pub struct CachedTopology<T> {
 }
 
 impl<T: Topology> CachedTopology<T> {
-    /// Precompute the matrix (O(p²) `inner.distance` calls, once).
+    /// Precompute the matrix, once: one batched
+    /// [`Topology::distances_sum_into`] row gather per node, which every
+    /// override answers with the values of `inner.distance`.
     pub fn new(inner: T) -> Self {
         let n = inner.num_nodes();
+        let all: Vec<NodeId> = (0..n).collect();
         let mut dist = vec![0u32; n * n];
         let mut row_sums = vec![0u64; n];
         let mut diameter = 0u32;
+        let mut row = Vec::with_capacity(n);
         for a in 0..n {
-            let mut sum = 0u64;
-            for b in 0..n {
-                let d = inner.distance(a, b);
-                dist[a * n + b] = d;
-                sum += d as u64;
-                diameter = diameter.max(d);
-            }
-            row_sums[a] = sum;
+            row_sums[a] = inner.distances_sum_into(a, &all, &mut row);
+            diameter = row.iter().copied().fold(diameter, u32::max);
+            dist[a * n..(a + 1) * n].copy_from_slice(&row);
         }
         CachedTopology {
             inner,
@@ -54,6 +53,12 @@ impl<T: Topology> CachedTopology<T> {
     /// Unwrap.
     pub fn into_inner(self) -> T {
         self.inner
+    }
+
+    /// Unwrap the row-major `p × p` distance matrix
+    /// (`distance(a, b)` at `a * p + b`).
+    pub fn into_matrix(self) -> Vec<u32> {
+        self.dist
     }
 
     /// Memory held by the cache, in bytes.
@@ -127,6 +132,12 @@ mod tests {
         }
         assert_eq!(c.diameter(), t.diameter());
         assert_eq!(c.name(), t.name());
+        let n = t.num_nodes();
+        let matrix = c.into_matrix();
+        assert_eq!(matrix.len(), n * n);
+        for (k, &d) in matrix.iter().enumerate() {
+            assert_eq!(d, t.distance(k / n, k % n));
+        }
     }
 
     #[test]

@@ -37,6 +37,43 @@ fn arb_connected_graph() -> impl Strategy<Value = GraphTopology> {
     })
 }
 
+/// Strategy producing small hierarchies: one to three levels of arity
+/// 1–4 with strictly increasing level distances.
+fn arb_hierarchy() -> impl Strategy<Value = Hierarchy> {
+    proptest::collection::vec((1usize..=4, 1u32..=3), 1..=3).prop_map(|levels| {
+        let arities = levels.iter().map(|&(a, _)| a).collect();
+        let dists = levels
+            .iter()
+            .scan(0u32, |d, &(_, step)| {
+                *d += step;
+                Some(*d)
+            })
+            .collect();
+        Hierarchy::new(arities, dists)
+    })
+}
+
+/// `CachedTopology::new` builds its table from batched row gathers
+/// (`distances_sum_into`); every entry, row sum and the diameter must
+/// equal what scalar `distance` gives.
+fn cache_matches_scalar_distance<T: Topology + Clone>(t: &T) -> Result<(), TestCaseError> {
+    let c = CachedTopology::new(t.clone());
+    let n = t.num_nodes();
+    let mut diameter = 0;
+    for a in 0..n {
+        let mut sum = 0u64;
+        for b in 0..n {
+            let d = t.distance(a, b);
+            prop_assert_eq!(c.distance(a, b), d, "{} ({}, {})", t.name(), a, b);
+            sum += d as u64;
+            diameter = diameter.max(d);
+        }
+        prop_assert_eq!(c.sum_distance_from(a), sum, "{} row {}", t.name(), a);
+    }
+    prop_assert_eq!(c.diameter(), diameter, "{}", t.name());
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn torus_metric_axioms(t in arb_torus(), seed in any::<u64>()) {
@@ -168,16 +205,29 @@ proptest! {
 
     #[test]
     fn cached_topology_is_transparent(t in arb_torus()) {
+        cache_matches_scalar_distance(&t)?;
         let c = CachedTopology::new(t.clone());
-        let n = t.num_nodes();
-        for a in 0..n {
+        for a in 0..t.num_nodes() {
             prop_assert_eq!(c.sum_distance_from(a), t.sum_distance_from(a));
-            for b in 0..n {
-                prop_assert_eq!(c.distance(a, b), t.distance(a, b));
-            }
         }
         prop_assert_eq!(c.diameter(), t.diameter());
         prop_assert_eq!(c.links(), t.links());
+    }
+
+    /// The same table check on the other five families.
+    #[test]
+    fn cached_table_matches_scalar_distance_beyond_tori(
+        dims in 1u32..=6,
+        (arity, levels) in (2usize..=4, 1u32..=3),
+        d in arb_dragonfly(),
+        g in arb_connected_graph(),
+        h in arb_hierarchy(),
+    ) {
+        cache_matches_scalar_distance(&Hypercube::new(dims))?;
+        cache_matches_scalar_distance(&FatTree::new(arity, levels))?;
+        cache_matches_scalar_distance(&d)?;
+        cache_matches_scalar_distance(&g)?;
+        cache_matches_scalar_distance(&h)?;
     }
 
     #[test]

@@ -276,6 +276,40 @@ fn hier_mapper_hop_bytes_match_goldens() {
     }
 }
 
+/// `proc_of` hashes recorded from the hierarchy mapper as it stood before
+/// its coarse step read the coarse TopoLB's block table and its sweeps
+/// skipped settled tasks: the two `scale` benchmark cases, then one
+/// full-machine random graph per hierarchy family at 1 and 8 threads.
+/// Compare-only — a change that claims bit-identical mappings must
+/// reproduce every value without editing it.
+#[test]
+fn hier_mapper_hashes_match_recorded_goldens() {
+    const SCALE_3D: u64 = 0x976d_e062_0a54_9325;
+    const SCALE_2D: u64 = 0xc032_34c5_bf16_e325;
+    const FAMILY: [u64; 4] = [
+        0x9789_9336_feae_1df7,
+        0xb323_ad71_483e_78cf,
+        0x9eac_52c0_65e1_f1a1,
+        0xfd00_bc27_fd3d_5e93,
+    ];
+    let t3 = Torus::torus_3d(16, 16, 16);
+    let s3 = gen::stencil3d(16, 16, 16, 4096.0, false);
+    let m3 = HierMapper::for_torus(&t3).unwrap().map(&s3, &t3);
+    assert_eq!(fnv(FNV_INIT, &m3), SCALE_3D, "stencil3d 16³ → torus 16³");
+    let t2 = Torus::torus_2d(128, 128);
+    let s2 = gen::stencil2d(128, 128, 4096.0, false);
+    let m2 = HierMapper::for_torus(&t2).unwrap().map(&s2, &t2);
+    assert_eq!(fnv(FNV_INIT, &m2), SCALE_2D, "stencil2d 128² → torus 128²");
+    for (family, want) in FAMILY.into_iter().enumerate() {
+        let (topo, base) = hier_family(family);
+        let g = gen::random_graph(topo.num_nodes(), 4.0, 1.0, 1000.0, 11 + family as u64);
+        for par in [Parallelism::serial(), Parallelism::eager(8)] {
+            let m = base.clone().with_parallelism(par).map(&g, topo.as_ref());
+            assert_eq!(fnv(FNV_INIT, &m), want, "family {family}");
+        }
+    }
+}
+
 /// Pinned proptest regression (`workspace_properties.proptest-regressions`
 /// shrank to `seed = 2883168991836340068`). The offline proptest stand-in
 /// does not replay regression files, so the case is pinned here as an
