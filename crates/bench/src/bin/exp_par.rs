@@ -17,9 +17,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use topomap_core::par::Executor;
-use topomap_core::refine::refine_mapping_with;
 use topomap_core::{metrics::hop_bytes_many, obs, Curve, EstimationOrder::*, HierMapper, Mapper};
-use topomap_core::{Mapping, Parallelism, RandomMap, RcbMap, RefineTopoLb, SfcMap};
+use topomap_core::{Mapping, Parallelism, RandomMap, RcbMap, SfcMap};
 use topomap_core::{SimulatedAnnealingMap, TopoLb};
 use topomap_taskgraph::{gen, TaskGraph};
 use topomap_topology::Torus;
@@ -27,9 +26,8 @@ use topomap_topology::Torus;
 const GRID: &[usize] = &[64, 256, 1024, 4096, 16384];
 /// Third order is O(p³) (2048 takes 5 s). The last three sites are deleted ones, for older commits.
 #[rustfmt::skip]
-const SITES: [(&str, &[usize]); 10] = [
+const SITES: [(&str, &[usize]); 8] = [
     ("topolb3.refold", &[64, 256, 1024, 2048]),
-    ("refine.converged", &[64, 256, 1024, 4096]), ("refine.random", &[64, 256, 1024, 4096]),
     ("hop_bytes_many", GRID), ("sfc.curve_keys", GRID), ("rcb.frontier", GRID),
     ("hier.leaves", GRID), ("topolb2.general", GRID), ("topolb2.uniform", GRID),
     ("anneal.quick", GRID),
@@ -61,19 +59,9 @@ fn prepare(site: &str, p: usize) -> Run {
             std::env::set_var("TOPOMAP_THREADS", par.resolved_threads().to_string());
             drop(SimulatedAnnealingMap::quick(1).map(&g, &t));
         }),
-        "hop_bytes_many" => {
+        _ => {
             let maps: Vec<Mapping> = (0..64).map(|i| RandomMap::new(i).map(&s, &t)).collect();
             Box::new(move |par| drop(hop_bytes_many(&s, &t, &maps, par)))
-        }
-        // Converged means the random graph's own fixed point: its edges stay longer than a hop, so
-        // every window is scanned to its end (a converged stencil is all tight: nothing to scan).
-        "refine.converged" => {
-            let start = RefineTopoLb::new(TopoLb::default()).map(&g, &t);
-            Box::new(move |par| _ = refine_mapping_with(&g, &t, &mut start.clone(), 3, par))
-        }
-        _ => {
-            let start = RandomMap::new(1).map(&s, &t);
-            Box::new(move |par| _ = refine_mapping_with(&s, &t, &mut start.clone(), 3, par))
         }
     }
 }

@@ -6,7 +6,7 @@
 use crate::cases::{self, Case, Measure, Scale, Workload, CASES};
 use crate::Record;
 use std::time::Instant;
-use topomap_core::refine::refine_mapping_with;
+use topomap_core::refine::refine_mapping;
 use topomap_core::{
     metrics, ContentionRefine, IdentityMap, Mapper, Mapping, Parallelism, RefineTopoLb,
 };
@@ -245,13 +245,7 @@ impl Instance<'_> {
             for pass in 0..=RefineTopoLb::new(IdentityMap).max_passes {
                 let accepts = match pass {
                     0 => 0,
-                    _ => refine_mapping_with(
-                        self.tasks,
-                        self.topo(),
-                        &mut m,
-                        1,
-                        Parallelism::default(),
-                    ),
+                    _ => refine_mapping(self.tasks, self.topo(), &mut m, 1),
                 };
                 out.push(Record {
                     mapper: (*entry).into(),

@@ -45,19 +45,29 @@
 //!   already evaluated there (or skipped by the same argument) against an
 //!   identical delta and provably still rejects, so later passes evaluate
 //!   only the dirty frontier of the previous pass's accepts.
-//! - **Windowed speculation**: workers evaluate a window of the filtered
-//!   candidate stream in serial enumeration order against the current
-//!   (frozen) mapping; the main thread applies the first improving
-//!   candidate and restarts the stream just past it.
+//! - **Sweep rows** ([`Row`]): a dirty row `a` with at least `p/4`
+//!   partners left tabulates, under the current mapping,
+//!   `h[q] = Σ_{j∈N(a)} c_aj · (d(P(j), q) − cur_d[a→j])`, accumulated in
+//!   `tasks.neighbors(a)` order from one [`Topology::distances_into`] row
+//!   per neighbour, and `da[q] = d(P(a), q)`. A move to a free `q` is then
+//!   `h[q]`, and a swap with a non-neighbour `b` is `h[P(b)]` followed by
+//!   `b`'s terms read from `da` in `neighbors(b)` order. `distance` is
+//!   symmetric (the [`Topology`] contract), so these are the cached
+//!   kernels' f64 operations in their order on the same values: the same
+//!   bits. A swap with one of `a`'s neighbours skips the shared edge in
+//!   both sums and so keeps the cached kernel. The row is dropped on every
+//!   accept and rebuilt at the next evaluation that still has `p/4`
+//!   partners ahead.
 //!
-//! Skipped candidates are provably rejecting and evaluated candidates are
-//! exactly those the serial full sweep would reject before the next
-//! accept, so the accepted exchange sequence — and the final mapping — is
-//! bit-identical to the naive full sweep ([`refine_mapping_naive`], the
-//! differential-suite oracle) for every thread count.
+//! Skipped candidates are provably rejecting and evaluated candidates
+//! get the naive sweep's deltas bit for bit, in its order, so the accepted
+//! exchange sequence — and the final mapping — is bit-identical to the
+//! naive full sweep ([`refine_mapping_naive`], the differential-suite
+//! oracle). The sweep runs on the calling thread: with a candidate at
+//! ≈ δ(b) table loads, no batch of them repays a fork-join round trip.
 
 use crate::obs;
-use crate::par::{Executor, Parallelism};
+use crate::par::Parallelism;
 use crate::{Mapper, Mapping};
 use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::Topology;
@@ -67,33 +77,21 @@ pub struct RefineTopoLb<M> {
     inner: M,
     /// Maximum full sweeps (each sweep covers all task pairs).
     pub max_passes: usize,
-    /// Thread configuration for the candidate scans (result-invariant).
-    pub par: Parallelism,
 }
 
 impl<M: Mapper> RefineTopoLb<M> {
     pub fn new(inner: M) -> Self {
-        RefineTopoLb {
-            inner,
-            max_passes: 8,
-            par: Parallelism::default(),
-        }
+        Self::with_passes(inner, 8)
     }
 
     pub fn with_passes(inner: M, max_passes: usize) -> Self {
-        RefineTopoLb {
-            inner,
-            max_passes,
-            par: Parallelism::default(),
-        }
+        RefineTopoLb { inner, max_passes }
     }
 
-    pub fn with_parallelism(inner: M, par: Parallelism) -> Self {
-        RefineTopoLb {
-            inner,
-            max_passes: 8,
-            par,
-        }
+    /// [`RefineTopoLb::new`]: the sweep is serial, so `par` is accepted
+    /// and ignored (the inner mapper takes its own).
+    pub fn with_parallelism(inner: M, _par: Parallelism) -> Self {
+        Self::new(inner)
     }
 }
 
@@ -163,8 +161,7 @@ fn improves(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, c: Candidate) -
 /// What one sweep knows about the current mapping, per adjacency slot of
 /// the task graph: slot `off[t] + k` is the `k`-th entry `(j, c)` of
 /// `tasks.neighbors(t)`. O(|E| + n); built once per sweep and refreshed
-/// only around the tasks an accepted exchange moved, so workers borrow it
-/// immutably between accepts.
+/// only around the tasks an accepted exchange moved.
 struct EdgeState {
     off: Vec<usize>,
     /// The slot of `(j → t)`.
@@ -298,15 +295,65 @@ impl EdgeState {
         }
         delta
     }
+}
 
-    /// [`improves`] through the cached kernels.
-    fn improves(&self, tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, c: Candidate) -> bool {
-        match c {
-            Candidate::Swap(a, b) => self.swap_delta(tasks, topo, m, a, b) < -1e-12,
-            Candidate::Move(a, q) => {
-                m.task_on(q).is_none() && self.move_delta(tasks, topo, m, a, q) < -1e-12
+/// One sweep row's tables (module doc): `h` and `da` for the row task
+/// `a`, valid under the mapping they were built from.
+struct Row {
+    /// Every processor, the targets of each row gather.
+    nodes: Vec<usize>,
+    /// Scratch: one neighbour's distance row.
+    dj: Vec<u32>,
+    h: Vec<f64>,
+    da: Vec<u32>,
+    /// `stamp[j] == a` iff `j ∈ N(a)` for the task `a` last built.
+    stamp: Vec<usize>,
+}
+
+impl Row {
+    fn new(n: usize, p: usize) -> Self {
+        Row {
+            nodes: (0..p).collect(),
+            dj: Vec::with_capacity(p),
+            h: vec![0.0; p],
+            da: Vec::with_capacity(p),
+            stamp: vec![usize::MAX; n],
+        }
+    }
+
+    /// Tabulate row `a` under `m`: `(δa + 1) · p` table reads.
+    fn build(
+        &mut self,
+        tasks: &TaskGraph,
+        topo: &dyn Topology,
+        m: &Mapping,
+        state: &EdgeState,
+        a: TaskId,
+    ) {
+        self.h.fill(0.0);
+        for ((j, c), &d) in tasks.neighbors(a).zip(state.lengths(a)) {
+            self.stamp[j] = a;
+            topo.distances_into(m.proc_of(j), &self.nodes, &mut self.dj);
+            let d = d as f64;
+            for (h, &dq) in self.h.iter_mut().zip(&self.dj) {
+                *h += c * (dq as f64 - d);
             }
         }
+        topo.distances_into(m.proc_of(a), &self.nodes, &mut self.da);
+    }
+
+    /// Whether `b` is a neighbour of the row task `a`.
+    fn adjacent(&self, a: TaskId, b: TaskId) -> bool {
+        self.stamp[b] == a
+    }
+
+    /// [`EdgeState::swap_delta`] of the row task and a non-neighbour `b`.
+    fn swap_delta(&self, tasks: &TaskGraph, state: &EdgeState, m: &Mapping, b: TaskId) -> f64 {
+        let mut delta = self.h[m.proc_of(b)];
+        for ((j, c), &d) in tasks.neighbors(b).zip(state.lengths(b)) {
+            delta += c * (self.da[m.proc_of(j)] as f64 - d as f64);
+        }
+        delta
     }
 }
 
@@ -388,14 +435,6 @@ impl DirtyTracker {
     }
 }
 
-/// Position in the serial candidate enumeration: row `a`, next swap
-/// partner `b`, next move target `q` (moves follow all of a row's swaps).
-struct SweepCursor {
-    a: usize,
-    b: usize,
-    q: usize,
-}
-
 /// First entry of the ascending `ids` at or after `from`, or `end`.
 fn first_at_or_after(ids: &[usize], from: usize, end: usize) -> usize {
     let i = ids.partition_point(|&t| t < from);
@@ -404,205 +443,122 @@ fn first_at_or_after(ids: &[usize], from: usize, end: usize) -> usize {
 
 /// Refine an existing mapping in place; returns the number of accepted
 /// exchanges. Exposed so the refiner can be applied to mappings from any
-/// source (e.g. replayed LB databases). Runs with the default
-/// [`Parallelism`]; the thread count never changes the result.
+/// source (e.g. replayed LB databases).
 pub fn refine_mapping(
     tasks: &TaskGraph,
     topo: &dyn Topology,
     m: &mut Mapping,
     max_passes: usize,
 ) -> usize {
-    refine_mapping_with(tasks, topo, m, max_passes, Parallelism::default())
-}
-
-/// [`refine_mapping`] with an explicit thread configuration.
-pub fn refine_mapping_with(
-    tasks: &TaskGraph,
-    topo: &dyn Topology,
-    m: &mut Mapping,
-    max_passes: usize,
-    par: Parallelism,
-) -> usize {
     let _sweep_span = obs::span("refine.sweep");
     // Sampled once so the counters emitted at the end are all-or-nothing
     // for this run.
     let prof = obs::enabled();
-    let exec = Executor::new(par);
     let n = tasks.num_tasks();
     let p = topo.num_nodes();
-    let moves = p > n;
-    // Serial nanoseconds per candidate, for the pool's cutoff: a delta is
-    // one distance evaluation per neighbour of either task, 35 ns per
-    // unit of 1 + δ̄ when a window is scanned to its end (converged sweeps
-    // measure 26–38 with the benchmark host at its fast speed, 35–50 at
-    // its slow one; a window that hits early costs less than it says).
-    let candidate_ns = 35 * (1 + 2 * tasks.num_edges() / n.max(1));
-    // Window sizing: small after an accepted exchange (the next
-    // improvement tends to be nearby, so speculation past it is wasted),
-    // growing while a region of the sweep yields nothing. Window sizes
-    // depend only on the accept/reject history, never on thread count.
-    let min_window = 64 * exec.threads().max(1);
-    let max_window = 4096 * exec.threads().max(1);
+    // A row's partners, in enumeration order: swap partners `b < n`, then
+    // (when `p > n`) move targets `q` as `n + q`.
+    let end = if p > n { n + p } else { n };
 
     let mut state = EdgeState::new(tasks, topo, m);
     let mut dirty = DirtyTracker::new(n, p);
+    let mut row = Row::new(n, p);
     // Clean threshold: a candidate untouched since the start of the
     // *previous* pass was evaluated (or skipped, inductively) there
     // against a bit-identical delta and still rejects. 0 = nothing clean.
     let mut s: u64 = 0;
 
-    // All candidate bookkeeping (filtering, accept/reject counting) runs
-    // on the main thread in serial enumeration order, so the counters are
-    // thread-invariant by construction: rejected counts exactly the
-    // candidates the dirty serial sweep would evaluate and decline, not
-    // the speculative extras workers touched.
-    let (mut c_acc, mut c_rej, mut c_skip) = (0u64, 0u64, 0u64);
+    let (mut c_acc, mut c_rej, mut c_skip, mut c_rows) = (0u64, 0u64, 0u64, 0u64);
     let mut passes_run = 0u64;
-    let mut accepted = 0usize;
-    let mut batch: Vec<(Candidate, u64)> = Vec::new();
     for _ in 0..max_passes {
         passes_run += 1;
         let pass_start_g = dirty.generation();
-        let mut improved = false;
-
-        // Ascending dirty id lists: a clean row's candidates against clean
-        // partners are skipped wholesale without touching them.
-        let mut dirty_tasks: Vec<TaskId> = (0..n).filter(|&t| dirty.task_epoch(t) > s).collect();
-        let mut dirty_procs: Vec<usize> = if moves {
-            (0..p).filter(|&q| dirty.proc_epoch(q) > s).collect()
-        } else {
-            Vec::new()
-        };
-
-        let mut cur = SweepCursor { a: 0, b: 1, q: 0 };
-        let mut window = min_window;
-        loop {
-            // Fill the next window of the filtered stream in serial order.
-            // Each entry carries how many candidates the filter had skipped
-            // in this window before it: a hit charges only the skips the
-            // serial sweep has passed by then, the rest are met again.
-            batch.clear();
-            let mut skipped = 0u64;
-            while batch.len() < window && cur.a < n {
-                let a = cur.a;
+        let accepted_before = c_acc;
+        // Ascending dirty partners (tasks, then `n + q` for processors),
+        // read only by clean rows to skip clean partners wholesale. An
+        // accept dirties the row it happens in, so the list is rebuilt
+        // lazily, at the next clean row.
+        let mut dirty_ids: Vec<usize> = Vec::new();
+        let mut stale = true;
+        for a in 0..n {
+            let mut row_dirty = dirty.task_epoch(a) > s;
+            if !row_dirty && stale {
+                dirty_ids.clear();
+                dirty_ids.extend((0..n).filter(|&t| dirty.task_epoch(t) > s));
+                dirty_ids.extend((n..end).filter(|&k| dirty.proc_epoch(k - n) > s));
+                stale = false;
+            }
+            let mut tight_a = state.tight(a);
+            let mut have_row = false;
+            let mut k = a + 1;
+            loop {
                 // A dirty row evaluates against every partner, a clean one
                 // only against dirty ones: nothing else can have changed.
-                let row_dirty = dirty.task_epoch(a) > s;
-                let tight_a = state.tight(a);
-                while cur.b < n && batch.len() < window {
-                    let b = if row_dirty {
-                        cur.b
+                let next = if row_dirty {
+                    k
+                } else {
+                    first_at_or_after(&dirty_ids, k, end)
+                };
+                c_skip += (next - k) as u64;
+                k = next;
+                if k >= n && tight_a {
+                    c_skip += (end - k) as u64;
+                    break;
+                }
+                if k == end {
+                    break;
+                }
+                if k < n && tight_a && state.tight(k) {
+                    c_skip += 1;
+                    k += 1;
+                    continue;
+                }
+                if !have_row && row_dirty && 4 * (end - k) >= p {
+                    row.build(tasks, topo, m, &state, a);
+                    have_row = true;
+                    c_rows += 1;
+                }
+                let (c, delta) = if k < n {
+                    let delta = if have_row && !row.adjacent(a, k) {
+                        row.swap_delta(tasks, &state, m, k)
                     } else {
-                        first_at_or_after(&dirty_tasks, cur.b, n)
+                        state.swap_delta(tasks, topo, m, a, k)
                     };
-                    skipped += (b - cur.b) as u64;
-                    cur.b = b;
-                    if b == n {
-                        break;
-                    }
-                    if tight_a && state.tight(b) {
-                        skipped += 1;
+                    (Candidate::Swap(a, k), delta)
+                } else {
+                    let q = k - n;
+                    let delta = if m.task_on(q).is_some() {
+                        0.0 // occupied: rejected unevaluated, as the naive sweep does
+                    } else if have_row {
+                        row.h[q]
                     } else {
-                        batch.push((Candidate::Swap(a, b), skipped));
-                    }
-                    cur.b += 1;
+                        state.move_delta(tasks, topo, m, a, q)
+                    };
+                    (Candidate::Move(a, q), delta)
+                };
+                k += 1;
+                if delta >= -1e-12 {
+                    c_rej += 1;
+                    continue;
                 }
-                if cur.b >= n && moves {
-                    if tight_a {
-                        skipped += (p - cur.q) as u64;
-                        cur.q = p;
-                    }
-                    while cur.q < p && batch.len() < window {
-                        let q = if row_dirty {
-                            cur.q
-                        } else {
-                            first_at_or_after(&dirty_procs, cur.q, p)
-                        };
-                        skipped += (q - cur.q) as u64;
-                        cur.q = q;
-                        if q == p {
-                            break;
-                        }
-                        batch.push((Candidate::Move(a, q), skipped));
-                        cur.q += 1;
-                    }
+                c_acc += 1;
+                if prof {
+                    obs::series_push("refine.delta_hb", delta);
                 }
-                if cur.b >= n && (!moves || cur.q >= p) {
-                    cur.a += 1;
-                    cur.b = cur.a + 1;
-                    cur.q = 0;
+                match c {
+                    Candidate::Swap(a, b) => dirty.record_swap(tasks, a, b),
+                    Candidate::Move(a, q) => dirty.record_move(tasks, a, m.proc_of(a), q),
                 }
-            }
-            if batch.is_empty() {
-                c_skip += skipped;
-                break;
-            }
-
-            // First improving candidate in the window, if any: each worker
-            // takes its chunk's first hit, the min over chunks is the
-            // global first — independent of the chunking.
-            let frozen = &*m;
-            let cands = &batch;
-            let hit = exec
-                .map_chunks(cands.len(), candidate_ns, |range| {
-                    range
-                        .clone()
-                        .find(|&k| state.improves(tasks, topo, frozen, cands[k].0))
-                })
-                .into_iter()
-                .flatten()
-                .min();
-            match hit {
-                Some(k) => {
-                    let (c, skipped_before) = batch[k];
-                    c_skip += skipped_before;
-                    c_rej += k as u64;
-                    c_acc += 1;
-                    if prof {
-                        // Pure re-evaluation against the pre-swap mapping:
-                        // cannot perturb the refinement itself.
-                        let d = match c {
-                            Candidate::Swap(a, b) => swap_delta(tasks, topo, m, a, b),
-                            Candidate::Move(a, q) => move_delta(tasks, topo, m, a, q),
-                        };
-                        obs::series_push("refine.delta_hb", d);
-                    }
-                    // Apply, bump epochs, and restart the stream just past
-                    // the accepted candidate; re-filtering the remainder
-                    // against the grown epochs and the refreshed lengths
-                    // picks up candidates this exchange dirtied mid-pass.
-                    match c {
-                        Candidate::Swap(a, b) => {
-                            dirty.record_swap(tasks, a, b);
-                            cur = SweepCursor { a, b: b + 1, q: 0 };
-                        }
-                        Candidate::Move(a, q) => {
-                            dirty.record_move(tasks, a, m.proc_of(a), q);
-                            cur = SweepCursor { a, b: n, q: q + 1 };
-                        }
-                    }
-                    state.apply(tasks, topo, m, c);
-                    if cur.b >= n && (!moves || cur.q >= p) {
-                        cur.a += 1;
-                        cur.b = cur.a + 1;
-                        cur.q = 0;
-                    }
-                    dirty_tasks = (0..n).filter(|&t| dirty.task_epoch(t) > s).collect();
-                    if moves {
-                        dirty_procs = (0..p).filter(|&q| dirty.proc_epoch(q) > s).collect();
-                    }
-                    accepted += 1;
-                    improved = true;
-                    window = min_window;
-                }
-                None => {
-                    c_skip += skipped;
-                    c_rej += batch.len() as u64;
-                    window = (window * 2).min(max_window);
-                }
+                state.apply(tasks, topo, m, c);
+                // The exchange moved `a`: its row is dirty, its looseness
+                // may have changed and its tables are stale.
+                row_dirty = true;
+                tight_a = state.tight(a);
+                have_row = false;
+                stale = true;
             }
         }
-        if !improved {
+        if c_acc == accepted_before {
             break;
         }
         s = pass_start_g;
@@ -613,14 +569,27 @@ pub fn refine_mapping_with(
         obs::counter_add("refine.swaps_accepted", c_acc);
         obs::counter_add("refine.swaps_rejected", c_rej);
         obs::counter_add("refine.passes", passes_run);
+        obs::counter_add("refine.rows_built", c_rows);
     }
-    accepted
+    c_acc as usize
+}
+
+/// [`refine_mapping`]. The sweep is serial: `par` is accepted and
+/// ignored.
+pub fn refine_mapping_with(
+    tasks: &TaskGraph,
+    topo: &dyn Topology,
+    m: &mut Mapping,
+    max_passes: usize,
+    _par: Parallelism,
+) -> usize {
+    refine_mapping(tasks, topo, m, max_passes)
 }
 
 /// The pre-rewrite semantics: a plain serial full sweep evaluating every
-/// candidate in enumeration order, no dirty tracking, no speculation, no
-/// obs output. The differential suite pins [`refine_mapping_with`]
-/// bit-identical to this for every thread count.
+/// candidate in enumeration order, no dirty tracking, no cached state, no
+/// obs output. The differential suite pins [`refine_mapping`]
+/// bit-identical to this.
 #[doc(hidden)]
 pub fn refine_mapping_naive(
     tasks: &TaskGraph,
@@ -666,7 +635,7 @@ impl<M: Mapper> Mapper for RefineTopoLb<M> {
             let _initial_span = obs::span("refine.initial");
             self.inner.map(tasks, topo)
         };
-        refine_mapping_with(tasks, topo, &mut m, self.max_passes, self.par);
+        refine_mapping(tasks, topo, &mut m, self.max_passes);
         m
     }
 
@@ -838,8 +807,8 @@ mod tests {
     #[test]
     fn dirty_sweep_matches_naive_sweep() {
         // The in-module smoke version of the differential suite: same
-        // graphs, the full windowed dirty sweep at 1 and 4 threads versus
-        // the serial full-enumeration oracle.
+        // graphs, the dirty sweep (handed 1 and 4 threads, which it
+        // ignores) versus the serial full-enumeration oracle.
         for (seed, n, (rows, cols)) in [(1u64, 24usize, (5usize, 5usize)), (2, 18, (4, 6))] {
             let tasks = gen::random_graph(n, 3.0, 1.0, 100.0, seed);
             let topo = Torus::torus_2d(rows, cols);
@@ -853,6 +822,27 @@ mod tests {
                 assert_eq!(acc, acc_naive, "accept count (seed {seed}, {threads}t)");
                 assert_eq!(got, want, "mapping (seed {seed}, {threads}t)");
             }
+        }
+    }
+
+    #[test]
+    fn row_sweep_matches_naive_sweep_with_moves() {
+        // p > n at a size where rows carry the sweep (no benchmark case
+        // has free processors): 200 tasks of degree 8 on 256 processors.
+        let tasks = gen::random_graph(200, 8.0, 1.0, 100.0, 3);
+        let topo = Torus::torus_2d(16, 16);
+        for (start, base) in [
+            ("random", RandomMap::new(3).map(&tasks, &topo)),
+            ("topocentlb", TopoCentLb.map(&tasks, &topo)),
+        ] {
+            let mut want = base.clone();
+            let acc_naive = refine_mapping_naive(&tasks, &topo, &mut want, 8);
+            let mut got = base;
+            let (acc, report) = obs::record(|| refine_mapping(&tasks, &topo, &mut got, 8));
+            assert_eq!(acc, acc_naive, "accept count ({start} start)");
+            assert_eq!(got, want, "mapping ({start} start)");
+            let rows = report.counter("refine.rows_built").unwrap_or(0);
+            assert!(rows > 0, "{start} start never took the row path");
         }
     }
 
@@ -884,8 +874,9 @@ mod tests {
         }
     }
 
-    /// The state against a from-scratch recompute, and its kernels against
-    /// the stateless ones on every swap and every move to a free processor.
+    /// The state against a from-scratch recompute, and its kernels — and a
+    /// freshly built row of every task — against the stateless ones on
+    /// every swap and every move to a free processor.
     fn audit_edge_state(state: &EdgeState, tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) {
         let n = tasks.num_tasks();
         for t in 0..n {
@@ -915,6 +906,31 @@ mod tests {
                     state.move_delta(tasks, topo, m, a, q).to_bits(),
                     move_delta(tasks, topo, m, a, q).to_bits(),
                     "move({a},{q}) on {}",
+                    topo.name()
+                );
+            }
+        }
+        let mut row = Row::new(n, m.num_procs());
+        for a in 0..n {
+            row.build(tasks, topo, m, state, a);
+            for b in (0..n).filter(|&b| b != a) {
+                let adjacent = tasks.neighbors(a).any(|(j, _)| j == b);
+                assert_eq!(row.adjacent(a, b), adjacent, "stamp of {b} in row {a}");
+                if adjacent {
+                    continue;
+                }
+                assert_eq!(
+                    row.swap_delta(tasks, state, m, b).to_bits(),
+                    swap_delta(tasks, topo, m, a, b).to_bits(),
+                    "row swap({a},{b}) on {}",
+                    topo.name()
+                );
+            }
+            for q in (0..m.num_procs()).filter(|&q| m.task_on(q).is_none()) {
+                assert_eq!(
+                    row.h[q].to_bits(),
+                    move_delta(tasks, topo, m, a, q).to_bits(),
+                    "row move({a},{q}) on {}",
                     topo.name()
                 );
             }

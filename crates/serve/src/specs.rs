@@ -491,10 +491,10 @@ impl MapperSpec {
             MapperSpec::Random => Box::new(RandomMap::new(seed)),
             MapperSpec::TopoLb(order) => Box::new(TopoLb::with_parallelism(*order, par)),
             MapperSpec::TopoCentLb => Box::new(TopoCentLb),
-            MapperSpec::Refine { init } => Box::new(RefineTopoLb::with_parallelism(
-                init.build(seed, par, plan)?,
-                par,
-            )),
+            // The sweep is serial; `par` reaches the initial mapper only.
+            MapperSpec::Refine { init } => {
+                Box::new(RefineTopoLb::new(init.build(seed, par, plan)?))
+            }
             MapperSpec::Identity => Box::new(IdentityMap),
             MapperSpec::Linear => Box::new(LinearOrderMap::bfs()),
             MapperSpec::Anneal => Box::new(SimulatedAnnealingMap::new(seed)),

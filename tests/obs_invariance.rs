@@ -522,6 +522,35 @@ fn refine_ledger_accounts_for_every_candidate_of_every_pass() {
     }
 }
 
+/// A random start on a 24×24 stencil leaves every row loose and long, so
+/// the sweep prices rows from tables (`refine.rows_built` > 0, at most
+/// one per row and pass plus one per accept), and the count is the same
+/// whatever thread count the caller hands it.
+#[test]
+fn refine_builds_rows_on_a_random_start() {
+    let g = gen::stencil2d(24, 24, 1024.0, false);
+    let topo = Torus::torus_2d(24, 24);
+    let start = RandomMap::new(1).map(&g, &topo);
+    let rows: Vec<u64> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let mut m = start.clone();
+            let par = Parallelism::eager(threads);
+            let (_, report) = obs::record(|| refine_mapping_with(&g, &topo, &mut m, 8, par));
+            let rows = counter(&report, "refine.rows_built");
+            let passes = counter(&report, "refine.passes");
+            let accepted = counter(&report, "refine.swaps_accepted");
+            assert!(rows <= 576 * passes + accepted, "{rows} rows built");
+            rows
+        })
+        .collect();
+    assert!(rows[0] > 0, "no row built");
+    assert_eq!(
+        rows[0], rows[1],
+        "refine.rows_built depends on thread count"
+    );
+}
+
 /// A pool that is *not* eager — `Parallelism::fixed`, what `--threads 4`
 /// and `TOPOMAP_THREADS=4` make — engages at a real size: the hierarchy's
 /// leaf phase on 4096 processors clears the per-thread work cutoff and
