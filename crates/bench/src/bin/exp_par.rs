@@ -132,8 +132,4 @@ fn main() {
         let (one, two) = (region(adds, 0), region(adds, usize::MAX));
         println!("region of {adds} adds: serial {one:.1} us, two threads {two:.1} us");
     }
-    for threads in [2usize, 8] {
-        let us = secs(|| drop(Executor::new(Parallelism::fixed(threads)))) * 1e6;
-        println!("Executor::new + drop at {threads} threads: {us:.1} us");
-    }
 }

@@ -30,7 +30,7 @@ fn root_elapsed_ms(report: &obs::Report) -> f64 {
 
 /// Record `run`, hold the report to the acceptance gate — a usable
 /// profile has a span tree of >= 3 phases, at least one non-zero counter
-/// and, if a region fanned out, the pool workers' probes — and stamp it.
+/// and, if a region fanned out, its workers' probes — and stamp it.
 fn profile<R>(name: &str, run: impl FnOnce() -> R) -> obs::Report {
     let (_, report) = obs::record(run);
     assert!(
@@ -87,7 +87,7 @@ fn main() {
     );
 
     // Where the time goes at 4096 processors, flat and hierarchical (the
-    // matrix's `hier` row; a pool of more than one thread shows up as
+    // matrix's `hier` row; more than one thread shows up as
     // `par.regions.parallel` in the second).
     let tasks = gen::stencil2d(64, 64, 1024.0, true);
     let topo = Torus::torus_2d(64, 64);

@@ -110,6 +110,13 @@ impl ContentionReport {
     }
 }
 
+/// How many of the busiest links to analyze per iteration.
+const HOT_LINKS: usize = 4;
+/// How many top-contributing task pairs to consider per hot link.
+const PAIRS_PER_LINK: usize = 2;
+/// Cap on candidate exchanges per iteration (after dedup).
+const MAX_CANDIDATES: usize = 24;
+
 /// The contention-aware refinement loop. See the module docs for the
 /// algorithm; construct with [`Default`] and override fields as needed.
 #[derive(Debug, Clone)]
@@ -119,20 +126,14 @@ pub struct ContentionRefine {
     /// Total simulator-invocation budget, counting the baseline run —
     /// the CLI's `--sim-iters`. At least 2 to do anything.
     pub sim_budget: usize,
-    /// How many of the busiest links to analyze per iteration.
-    pub hot_links: usize,
-    /// How many top-contributing task pairs to consider per hot link.
-    pub pairs_per_link: usize,
-    /// Cap on candidate exchanges per iteration (after dedup).
-    pub max_candidates: usize,
     /// Allowed hop-bytes regression per accepted exchange, as a fraction
     /// of the current hop-bytes: candidates with `delta_hb > hb_slack·HB`
     /// are discarded before simulation. Trading a *bounded* amount of the
     /// proxy for real makespan is the point of the loop.
     pub hb_slack: f64,
-    /// Read by nothing (the guard is `max_candidates` deltas of O(δ) beside
-    /// dozens of simulations). `benchmark/src/cases.rs` builds this struct
-    /// with it; ROADMAP item 8(g) removes both.
+    /// Read by nothing (the guard is `MAX_CANDIDATES` deltas of O(δ)
+    /// beside dozens of simulations). `benchmark/src/cases.rs` builds this
+    /// struct with it; ROADMAP item 1(g) removes both.
     pub par: Parallelism,
 }
 
@@ -141,9 +142,6 @@ impl Default for ContentionRefine {
         ContentionRefine {
             max_iters: 16,
             sim_budget: 64,
-            hot_links: 4,
-            pairs_per_link: 2,
-            max_candidates: 24,
             hb_slack: 0.10,
             par: Parallelism::default(),
         }
@@ -189,7 +187,7 @@ impl ContentionRefine {
             let _iter_span = obs::span("contention.iter");
             iterations += 1;
 
-            let hot = hot_link_ranking(&cur.link_busy_ns, self.hot_links);
+            let hot = hot_link_ranking(&cur.link_busy_ns, HOT_LINKS);
             if hot.is_empty() {
                 break; // nothing crossed the network
             }
@@ -297,7 +295,7 @@ impl ContentionRefine {
         for per_link in &contrib {
             let mut pairs: Vec<(&(TaskId, TaskId), &f64)> = per_link.iter().collect();
             pairs.sort_by(|x, y| y.1.total_cmp(x.1).then(x.0.cmp(y.0)));
-            for (&(u, v), _) in pairs.into_iter().take(self.pairs_per_link) {
+            for (&(u, v), _) in pairs.into_iter().take(PAIRS_PER_LINK) {
                 for (t, peer) in [(u, v), (v, u)] {
                     let (pt, pp) = (m.proc_of(t), m.proc_of(peer));
                     for q in topo.neighbors(pp) {
@@ -315,7 +313,7 @@ impl ContentionRefine {
                 }
             }
         }
-        cands.truncate(self.max_candidates);
+        cands.truncate(MAX_CANDIDATES);
         cands
     }
 }

@@ -12,7 +12,7 @@
 //! the production mapper.
 
 use crate::obs;
-use crate::par::{Executor, Parallelism};
+use crate::par::Parallelism;
 use crate::{metrics, Mapper, Mapping};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -76,11 +76,11 @@ impl GeneticMap {
 /// holds the unused processors so crossover/mutation stay permutations.
 type Genome = Vec<usize>;
 
-/// Hop-bytes of each genome, fanned out over the executor. Each genome's
+/// Hop-bytes of each genome, fanned out over `par`. Each genome's
 /// edge sum runs on a single worker in edge order, so the values match a
 /// per-genome serial evaluation exactly.
 fn batch_fitness(
-    exec: &Executor,
+    par: Parallelism,
     tasks: &TaskGraph,
     topo: &dyn Topology,
     genomes: &[Genome],
@@ -92,7 +92,7 @@ fn batch_fitness(
         .map(|g| Mapping::new(g[..n].to_vec(), p))
         .collect();
     obs::counter_add("genetic.fitness_evaluations", genomes.len() as u64);
-    metrics::hop_bytes_many_in(exec, tasks, topo, &maps)
+    metrics::hop_bytes_many(tasks, topo, &maps, par)
 }
 
 /// Position-based crossover that preserves permutation validity: child
@@ -124,7 +124,6 @@ impl Mapper for GeneticMap {
         assert!(n <= p, "need at least as many processors as tasks");
         let _map_span = obs::span("genetic.map");
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let exec = Executor::new(self.par);
 
         // Initial population of random permutations of all p processors.
         let init_span = obs::span("genetic.init_pop");
@@ -136,7 +135,7 @@ impl Mapper for GeneticMap {
             })
             .collect();
         obs::counter_add("genetic.initial_pop", genomes.len() as u64);
-        let fits = batch_fitness(&exec, tasks, topo, &genomes, n, p);
+        let fits = batch_fitness(self.par, tasks, topo, &genomes, n, p);
         let mut pop: Vec<(f64, Genome)> = fits.into_iter().zip(genomes).collect();
         pop.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
         drop(init_span);
@@ -165,7 +164,7 @@ impl Mapper for GeneticMap {
                 children.push(child);
             }
             children_bred += children.len() as u64;
-            let fits = batch_fitness(&exec, tasks, topo, &children, n, p);
+            let fits = batch_fitness(self.par, tasks, topo, &children, n, p);
             next.extend(fits.into_iter().zip(children));
             next.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
             pop = next;

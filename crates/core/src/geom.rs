@@ -22,7 +22,7 @@
 //!   bisection of the processor block: each task half receives exactly
 //!   as many processors as its share of the machine, so the recursion
 //!   bottoms out with ≤ 1 task per processor. Independent sub-bisections
-//!   fan out on the `par` pool level by level; results are combined in
+//!   fan out on `par` threads level by level; results are combined in
 //!   subproblem order, so the mapping is bit-identical at every thread
 //!   count (the workspace-wide ordered-reduction discipline).
 //!
@@ -254,7 +254,7 @@ fn active_axes(lo: &[f64; 3], hi: &[f64; 3]) -> Vec<usize> {
     (0..3).filter(|&d| hi[d] > lo[d]).collect()
 }
 
-/// Curve keys for a whole point set, fanned on the pool (element-wise,
+/// Curve keys for a whole point set, fanned out by `par` (element-wise,
 /// so chunk order never changes the result).
 fn curve_keys(pts: &[[f64; 3]], curve: Curve, exec: &Executor) -> Vec<u64> {
     let (lo, hi) = bounding_box(pts);
@@ -615,7 +615,7 @@ impl RcbMap {
         while !frontier.is_empty() {
             levels += 1;
             let avg = frontier.iter().map(|j| j.tasks.len()).sum::<usize>() / frontier.len();
-            // Fan the level's independent bisections on the pool; chunk
+            // Fan the level's independent bisections out on `par`; chunk
             // results are recombined in job order, so the schedule never
             // affects which task lands where. A level costs 90 ns a task
             // (measured 84–108 averaged over the levels of a run).

@@ -15,7 +15,7 @@
 //! 2. **Leaf sub-mapping**: each innermost container (≤ `a1` tasks on
 //!    `a1` processors) is an independent table-driven [`Unit`] job —
 //!    attraction-ordered greedy growth plus local improvement sweeps —
-//!    dispatched on the `par` pool via one `map_chunks` region. Leaves
+//!    dispatched on `par` threads via one `map_chunks` region. Leaves
 //!    only read shared immutable state and write disjoint tasks, so the
 //!    merged result is bit-identical for every thread count.
 //! 3. **Cross-leaf refinement**: Jacobi-style passes that pair up the
@@ -27,8 +27,7 @@
 //!
 //! Table work drops from the flat kernels' O(p²)-ish to
 //! O(coarsen + Σ_leaves a1² ·  d̄) with the leaf and refinement terms
-//! embarrassingly parallel — exactly the shape the PR-1 pool was built
-//! for.
+//! embarrassingly parallel — exactly the shape a `par` region is for.
 
 use crate::par::Executor;
 use crate::{obs, EstimationOrder, Mapper, Mapping, Parallelism, TopoLb};
@@ -36,7 +35,7 @@ use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{CachedTopology, Hierarchy, NodeId, Topology, Torus};
 
 /// Serial nanoseconds a [`Unit`] job costs per pair of its slots (greedy
-/// growth plus its sweeps), for the pool's cutoff: measured 45 on a 2-D
+/// growth plus its sweeps), for `par`'s cutoff: measured 45 on a 2-D
 /// stencil and 150–200 on a degree-6 random graph; the lower one is
 /// declared, so a region that fans out has at least the work it claims.
 const PAIR_NS: usize = 45;
@@ -914,7 +913,7 @@ impl Mapper for HierMapper {
         // --- 1. group tasks into innermost containers ---
         let leaf_of = self.coarsen_to_leaves(tasks, topo);
 
-        // --- 2. independent leaf sub-mappings on the pool ---
+        // --- 2. independent leaf sub-mappings, one `par` region ---
         let members: Vec<Vec<TaskId>> = {
             let mut v = vec![Vec::new(); leaves];
             for (t, &g) in leaf_of.iter().enumerate() {

@@ -43,6 +43,8 @@
 //! assert!(hpb_lb < hpb_rand); // topology-awareness wins
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod anneal;
 pub mod contention;
 pub mod estimation;

@@ -33,29 +33,15 @@ pub fn hop_bytes_many(
     maps: &[Mapping],
     par: Parallelism,
 ) -> Vec<f64> {
-    hop_bytes_many_in(&Executor::new(par), tasks, topo, maps)
-}
-
-/// [`hop_bytes_many`] on an existing executor (lets callers amortize the
-/// worker pool over many batches, e.g. one per GA generation).
-pub fn hop_bytes_many_in(
-    exec: &Executor,
-    tasks: &TaskGraph,
-    topo: &dyn Topology,
-    maps: &[Mapping],
-) -> Vec<f64> {
     // One distance evaluation (25 ns) per edge per mapping.
     let map_ns = 25 * tasks.num_edges();
-    let chunks = exec.map_chunks(maps.len(), map_ns, |range| {
-        range
-            .map(|i| hop_bytes(tasks, topo, &maps[i]))
-            .collect::<Vec<_>>()
-    });
-    let mut out = Vec::with_capacity(maps.len());
-    for c in chunks {
-        out.extend(c);
-    }
-    out
+    Executor::new(par)
+        .map_chunks(maps.len(), map_ns, |range| {
+            range
+                .map(|i| hop_bytes(tasks, topo, &maps[i]))
+                .collect::<Vec<_>>()
+        })
+        .concat()
 }
 
 /// Hop-bytes contributed by a single task:

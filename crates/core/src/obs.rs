@@ -5,7 +5,7 @@
 //! The paper's whole argument runs through measurement — hop-bytes
 //! explains contention only because the simulator exposes per-link
 //! utilization to confirm it. This module gives every layer of the
-//! reproduction (the mappers, the `par` pool, `netsim`) the same
+//! reproduction (the mappers, `par`'s threads, `netsim`) the same
 //! treatment: *where* does time and contention go inside a run?
 //!
 //! ## Design constraints
@@ -21,17 +21,16 @@
 //!    with profiling ON is bit-identical to OFF — the invariance suite
 //!    (`tests/obs_invariance.rs`) pins this for every mapper, topology
 //!    family, and thread count.
-//! 3. **Thread-safe.** Counters and series may be bumped from pool
+//! 3. **Thread-safe.** Counters and series may be bumped from `par`
 //!    workers; spans form a per-thread tree via a thread-local stack.
 //! 4. **Scoped to the run.** [`record`] installs a fresh recorder in a
 //!    thread-local for the duration of its closure, so two runs recorded
 //!    side by side on two threads get two reports, and a nested `record`
 //!    keeps its probes out of the enclosing report. The two places that
 //!    hand work to other threads carry the caller's recorder along with
-//!    [`current`] and [`within`]: the `par` pool around every worker's
-//!    chunk, and the mapping server in its workers, acceptor and
-//!    connection handlers. A thread nobody hands a recorder to records
-//!    nothing.
+//!    [`current`] and [`within`]: `par` around every worker's chunk, and
+//!    the mapping server in its workers, acceptor and connection
+//!    handlers. A thread nobody hands a recorder to records nothing.
 //!
 //! ## Model
 //!
@@ -106,7 +105,7 @@ pub struct Recorder(Arc<Mutex<Option<Inner>>>);
 
 impl Recorder {
     fn lock(&self) -> MutexGuard<'_, Option<Inner>> {
-        // The recorder must survive a panicking worker (the pool already
+        // The recorder must survive a panicking worker (`par` already
         // propagates the panic); poisoning carries no extra information here.
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -733,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_workers_record_into_the_callers_report() {
+    fn region_workers_record_into_the_callers_report() {
         let (chunks, r) = record(|| {
             Executor::new(Parallelism::eager(2)).map_chunks(100, 1, |range| {
                 counter_add("obs.test.chunks", 1);

@@ -15,33 +15,30 @@
 //! sites and what each measured, and `exp_par` reproduces it.
 //!
 //! [`Parallelism`] is the user-facing knob (the thread count);
-//! [`Executor`] owns the worker pool for one mapping run. The pool is a
-//! fork-join broadcaster: workers park on a condvar between regions, and
-//! one pool amortizes thread spawns over the regions of a run. The first
-//! region that clears [`MIN_CHUNK_NS`] spawns it, so a run whose regions
-//! all stay below the cutoff never starts a thread.
+//! [`Executor`] is its resolution for one mapping run. A region that
+//! clears [`MIN_CHUNK_NS`] fans out on one `std::thread::scope`: chunk 0
+//! runs on the caller, every other chunk on a scoped thread of its own,
+//! and the scope joins them all before the region returns. A run whose
+//! regions all stay below the cutoff never starts a thread.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::panic::resume_unwind;
 use std::time::Instant;
 
 use crate::obs;
 
 /// The serial cutoff, per chunk: a region runs on the calling thread
 /// unless each thread's share of its estimated serial work
-/// (`len · ns_per_item / threads` nanoseconds) reaches this. It is over
-/// twice the round trip of an **empty** two-thread region on the
-/// benchmark host, 33–47 µs (`exp_par`), so a chunk does at least double
-/// the work of the handshake that delivers it and the smallest region
-/// that fans out takes about three quarters of its serial time — the
-/// "two threads beat one by 1.3×" bar each surviving call site was kept
-/// for. (Measured there: a two-thread region of `W` µs of serial adds
-/// takes `W/2 + 34` — 43 for 22, 76–78 for 85–97, 207–211 for 342–362.)
-/// Call sites state their estimates in one unit, with 25 ns per topology
-/// distance evaluation as the yardstick.
+/// (`len · ns_per_item / threads` nanoseconds) reaches this. It was set
+/// at over twice the 33–47 µs round trip of an **empty** two-thread
+/// region on the parked worker pool this layer used to keep (2-vCPU
+/// host, `exp_par`), so the smallest region that fans out would take
+/// about three quarters of its serial time — the "two threads beat one
+/// by 1.3×" bar each surviving call site was kept for. A scoped spawn and
+/// join reads ≈ 52 µs on that host, and a region at the cutoff then
+/// takes ≈ 0.9 of its serial time; DESIGN.md §6 has the readings and
+/// leaves the retuning open. Call sites state their estimates in one
+/// unit, with 25 ns per topology distance evaluation as the yardstick.
 const MIN_CHUNK_NS: usize = 100_000;
 
 /// Thread-count selection.
@@ -132,13 +129,11 @@ fn chunk_range(len: usize, k: usize, i: usize) -> Range<usize> {
     start..end
 }
 
-/// Per-run executor: a resolved thread count plus, once a region has
-/// fanned out, a parked worker pool.
+/// Per-run executor: a resolved thread count and the serial cutoff.
 pub struct Executor {
     threads: usize,
     /// Estimated serial nanoseconds below which a region stays serial.
     min_region_ns: usize,
-    pool: OnceLock<Pool>,
 }
 
 impl Executor {
@@ -157,13 +152,7 @@ impl Executor {
         Executor {
             threads,
             min_region_ns,
-            pool: OnceLock::new(),
         }
-    }
-
-    /// Resolved thread count (1 = everything runs on the caller).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Run `f` over `0..len` split into contiguous chunks and return the
@@ -201,172 +190,35 @@ impl Executor {
             }
             return vec![f(0..len)];
         }
-        let pool = self.pool.get_or_init(|| Pool::new(self.threads));
         let k = self.threads;
         let region_start = prof.then(Instant::now);
-        let mut out: Vec<Option<T>> = Vec::with_capacity(k);
-        out.resize_with(k, || None);
-        {
-            let slots = Slots(out.as_mut_ptr());
-            let f = &f;
-            pool.broadcast(&move |i: usize| {
-                let chunk = || f(chunk_range(len, k, i));
-                let r = if prof {
-                    let busy = format!("par.worker.{i}.busy_ns");
-                    obs::within(rec.as_ref(), || obs::time_counter(&busy, chunk))
-                } else {
-                    chunk()
-                };
-                // Sound: each worker index writes exactly one distinct slot,
-                // and broadcast() does not return until every worker is done.
-                unsafe { slots.set(i, r) };
-            });
-        }
+        let chunk = |i: usize| {
+            let run = || f(chunk_range(len, k, i));
+            if prof {
+                let busy = format!("par.worker.{i}.busy_ns");
+                obs::within(rec.as_ref(), || obs::time_counter(&busy, run))
+            } else {
+                run()
+            }
+        };
+        // Chunk 0 runs on the caller. If it panics, the scope joins every
+        // worker before re-raising, so no thread outlives the borrows of
+        // `f`; a worker's own panic is re-raised here with its payload.
+        let out = std::thread::scope(|s| {
+            let chunk = &chunk;
+            let workers: Vec<_> = (1..k).map(|i| s.spawn(move || chunk(i))).collect();
+            let first = chunk(0);
+            let rest = workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)));
+            std::iter::once(first).chain(rest).collect()
+        });
         if let Some(t) = region_start {
             obs::counter_add("par.regions.parallel", 1);
             obs::counter_add("par.chunks", k as u64);
             obs::counter_add("par.wall_ns", t.elapsed().as_nanos() as u64);
         }
-        out.into_iter().map(|r| r.expect("chunk result")).collect()
-    }
-}
-
-/// Raw slot pointer handed to workers; disjointness of indices makes the
-/// unsynchronized writes race-free. Accessed only through [`Slots::set`]
-/// so closures capture the whole wrapper (edition-2021 closures would
-/// otherwise capture the raw pointer field, which is not `Sync`).
-struct Slots<T>(*mut Option<T>);
-unsafe impl<T: Send> Send for Slots<T> {}
-unsafe impl<T: Send> Sync for Slots<T> {}
-impl<T> Slots<T> {
-    /// Safety: `i` must be in bounds and written by at most one thread
-    /// while the buffer outlives all writers.
-    unsafe fn set(&self, i: usize, v: T) {
-        *self.0.add(i) = Some(v);
-    }
-}
-
-/// One fork-join region's job: called once per worker with its index.
-type Job = &'static (dyn Fn(usize) + Sync);
-
-struct PoolState {
-    /// Current job + generation counter; bumping the generation publishes
-    /// a new job to the workers.
-    job: Mutex<JobCell>,
-    work_cv: Condvar,
-    /// Count of workers finished with the current job.
-    done: Mutex<usize>,
-    done_cv: Condvar,
-    panicked: AtomicBool,
-}
-
-struct JobCell {
-    generation: u64,
-    job: Option<Job>,
-    shutdown: bool,
-}
-
-/// Fork-join worker pool. The caller participates as worker 0, so a pool
-/// for `threads` threads spawns `threads - 1` OS threads.
-struct Pool {
-    state: Arc<PoolState>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Pool {
-    fn new(threads: usize) -> Self {
-        debug_assert!(threads > 1);
-        let state = Arc::new(PoolState {
-            job: Mutex::new(JobCell {
-                generation: 0,
-                job: None,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done: Mutex::new(0),
-            done_cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        });
-        let handles = (1..threads)
-            .map(|index| {
-                let state = Arc::clone(&state);
-                std::thread::Builder::new()
-                    .name(format!("topomap-par-{index}"))
-                    .spawn(move || worker_loop(&state, index))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Pool { state, handles }
-    }
-
-    /// Run `job(i)` once for every worker index `0..threads`, index 0 on
-    /// the calling thread. Returns only after all workers finished, which
-    /// is what makes the lifetime erasure below sound: the job reference
-    /// cannot dangle while any worker still holds it.
-    fn broadcast(&self, job: &(dyn Fn(usize) + Sync)) {
-        let job: Job = unsafe { std::mem::transmute(job) };
-        *self.state.done.lock().unwrap() = 0;
-        {
-            let mut cell = self.state.job.lock().unwrap();
-            cell.generation += 1;
-            cell.job = Some(job);
-        }
-        self.state.work_cv.notify_all();
-
-        let mine = catch_unwind(AssertUnwindSafe(|| job(0)));
-
-        let workers = self.handles.len();
-        let mut done = self.state.done.lock().unwrap();
-        while *done != workers {
-            done = self.state.done_cv.wait(done).unwrap();
-        }
-        drop(done);
-
-        match mine {
-            Err(payload) => resume_unwind(payload),
-            Ok(()) if self.state.panicked.swap(false, Ordering::Relaxed) => {
-                panic!("topomap-par worker thread panicked");
-            }
-            Ok(()) => {}
-        }
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut cell = self.state.job.lock().unwrap();
-            cell.shutdown = true;
-        }
-        self.state.work_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(state: &PoolState, index: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut cell = state.job.lock().unwrap();
-            loop {
-                if cell.shutdown {
-                    return;
-                }
-                if cell.generation != seen {
-                    seen = cell.generation;
-                    break cell.job.expect("published job");
-                }
-                cell = state.work_cv.wait(cell).unwrap();
-            }
-        };
-        if catch_unwind(AssertUnwindSafe(|| job(index))).is_err() {
-            state.panicked.store(true, Ordering::Relaxed);
-        }
-        let mut done = state.done.lock().unwrap();
-        *done += 1;
-        state.done_cv.notify_all();
+        out
     }
 }
 
@@ -421,22 +273,23 @@ mod tests {
     #[test]
     fn below_threshold_runs_single_chunk() {
         let exec = Executor::new(Parallelism::fixed(4));
+        let caller = std::thread::current().id();
+        let on_caller = |r: Range<usize>| (r.len(), std::thread::current().id());
         // One nanosecond short of four full chunks, and a one-item region
         // of any size: both stay on the caller and neither starts a thread.
-        let chunks = exec.map_chunks(4 * MIN_CHUNK_NS - 1, 1, |r| r.len());
-        assert_eq!(chunks, vec![4 * MIN_CHUNK_NS - 1]);
-        assert_eq!(exec.map_chunks(1, usize::MAX, |r| r.len()), vec![1]);
-        assert!(exec.pool.get().is_none(), "pool spawned by a serial region");
-        // At the cutoff the region fans out.
-        assert_eq!(exec.map_chunks(4 * MIN_CHUNK_NS, 1, |r| r.len()).len(), 4);
-        assert!(exec.pool.get().is_some());
+        let chunks = exec.map_chunks(4 * MIN_CHUNK_NS - 1, 1, on_caller);
+        assert_eq!(chunks, vec![(4 * MIN_CHUNK_NS - 1, caller)]);
+        assert_eq!(exec.map_chunks(1, usize::MAX, on_caller), vec![(1, caller)]);
+        // At the cutoff the region fans out, chunk 0 still on the caller.
+        let chunks = exec.map_chunks(4 * MIN_CHUNK_NS, 1, on_caller);
+        assert_eq!(chunks.len(), 4);
+        assert_eq!(chunks[0].1, caller);
+        assert!(chunks[1..].iter().all(|&(_, id)| id != caller));
     }
 
     #[test]
-    fn pool_survives_many_regions() {
+    fn many_regions_each_fan_out_on_distinct_threads() {
         let exec = Executor::new(Parallelism::eager(4));
-        assert!(exec.pool.get().is_none(), "pool spawned before any region");
-        let mut seen = std::collections::HashSet::new();
         for round in 0..200usize {
             let chunks = exec.map_chunks(97, 1, |r| {
                 let sum = r.map(|i| i * round).sum::<usize>();
@@ -444,15 +297,16 @@ mod tests {
             });
             let total: usize = chunks.iter().map(|&(_, sum)| sum).sum();
             assert_eq!(total, (0..97).map(|i| i * round).sum::<usize>());
-            seen.extend(chunks.into_iter().map(|(id, _)| id));
+            let ids: std::collections::HashSet<_> = chunks.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids.len(), 4, "round {round}");
         }
-        // Spawned once, by the first region: 200 regions ran on the same
-        // three workers plus the caller.
-        assert_eq!(seen.len(), 4);
     }
 
     #[test]
     fn worker_panic_propagates_to_caller() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
         let exec = Executor::new(Parallelism::eager(2));
         let result = catch_unwind(AssertUnwindSafe(|| {
             exec.map_chunks(100, 1, |r| {
@@ -461,8 +315,29 @@ mod tests {
                 0usize
             })
         }));
+        let payload = result.expect_err("worker panic swallowed");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+
+        // The caller's chunk panics while the worker is still running: the
+        // panic reaches the caller only after the scope joined the worker,
+        // which is what keeps the worker's borrows of the closure sound.
+        // The sleep only makes a missing join visible; with the join the
+        // flag is set before the panic arrives on every schedule.
+        let worker_done = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            exec.map_chunks(100, 1, |r| {
+                if r.start == 0 {
+                    panic!("caller chunk");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                worker_done.store(true, Ordering::SeqCst);
+                0usize
+            })
+        }));
         assert!(result.is_err());
-        // The pool must still be usable for the next region.
+        assert!(worker_done.load(Ordering::SeqCst), "panic outran the join");
+
+        // The executor is still usable for the next region.
         let ok: usize = exec.map_chunks(10, 1, |r| r.len()).into_iter().sum();
         assert_eq!(ok, 10);
     }
