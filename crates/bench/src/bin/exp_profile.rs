@@ -1,5 +1,6 @@
 //! Profiled smoke run: exercise every mapper family, one simulator run,
-//! the two 4096-processor kernels, the two-phase pipeline at 16,384 tasks
+//! the two 4096-processor kernels, TopoLB's general f64 kernel on a
+//! 2,048-task weighted graph, the two-phase pipeline at 16,384 tasks
 //! and the contention loop with the observability layer armed, validate
 //! the reports (span tree with at least three phases, non-zero counters),
 //! and stamp them as `PROFILE_<name>.json` in the working directory
@@ -92,6 +93,18 @@ fn main() {
     let tasks = gen::stencil2d(64, 64, 1024.0, true);
     let topo = Torus::torus_2d(64, 64);
     profile("scaling_4096", || TopoLb::default().map(&tasks, &topo));
+
+    // The general f64 kernel at scale: the benchmark's `place_weighted`
+    // random graph of 2,048 tasks with unequal weights.
+    let weighted = gen::random_graph(2048, 8.0, 512.0, 4096.0, 2);
+    let wtopo = Torus::torus_3d(8, 16, 16);
+    let report = profile("weighted_2048", || TopoLb::default().map(&weighted, &wtopo));
+    assert!(
+        report.counter("estimation.kernel_general") == Some(1)
+            && report.counter("estimation.rescan_cells").unwrap_or(0) > 0
+            && report.counter("estimation.event_cells").unwrap_or(0) > 0,
+        "weighted profile did not fold rows on the general kernel"
+    );
     let hier = HierMapper::for_torus(&topo).expect("a 64 x 64 torus factors into blocks");
     let report = profile("hier_4096", || hier.map(&tasks, &topo));
     // The coarse step's decomposition: block table, coarse TopoLB,

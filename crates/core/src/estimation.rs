@@ -21,8 +21,8 @@
 //! ## Incremental-gain structure
 //!
 //! The original implementation kept a dense `n × p` fest table and
-//! rescanned every unassigned task's row after each placement — the
-//! quadratic cliff of ROADMAP Open item 1. [`EstimationState`] instead
+//! rescanned every unassigned task's row after each placement, O(n·p)
+//! per placement and O(n²·p) per map. [`EstimationState`] instead
 //! maintains gain structure only for the **active frontier** (unassigned
 //! tasks with at least one placed neighbor):
 //!
@@ -30,10 +30,13 @@
 //!   contributions indexed by *position in the free list* (kept in sync
 //!   with the free list's `swap_remove`s), allocated lazily on activation.
 //! - A placement triggers one **edge event** per unplaced neighbor of the
-//!   placed task: a fused row-update + stats fold over the free list.
+//!   placed task: a row update, then a stats fold over the free list.
 //! - Every other active task takes the O(1) subtraction fast path (its
 //!   fest only lost the entry of the processor just occupied), falling
 //!   back to a full refold only when its argmin processor was taken.
+//! - Every fold of a row is `fold_row`'s two passes: a branch-free
+//!   minimum and striped sum, then a scan of the cache-hot row for the
+//!   smallest id at that minimum.
 //! - Task selection follows §4.1: while the frontier is non-empty the
 //!   max-gain active task wins; otherwise (start of the run or of a new
 //!   connected component) the lowest-id virgin task is picked — for virgin
@@ -134,20 +137,16 @@ pub struct GenEstimationState<'a> {
 }
 
 /// Fold `FMin`/argmin/`FSum` over `(fest, proc)` pairs in free-list
-/// position order with the lowest-id tie-break.
+/// position order with the lowest-id tie-break — the defining fold, which
+/// the naive oracle spells out the same way.
 ///
 /// `FSum` uses a **4-lane striped** accumulation: position `i` adds into
-/// lane `i mod 4` and the total is `(s0 + s1) + (s2 + s3)`. This breaks
-/// the serial add-latency chain of a plain running sum (the dominant cost
-/// of the fused edge-event folds) while staying a *fixed* floating-point
-/// expression. The `(FMin, argmin)` pair is the lexicographic minimum of
-/// the `(fest, proc)` multiset — a unique value independent of fold order.
-///
-/// Every stats fold — serial or inside a worker — goes through this one
-/// accumulation pattern, and a task's fold is never split across workers,
-/// so the floating-point result is independent of the thread count. The
-/// naive oracle shares the same pattern, which is what makes the two
-/// kernels bit-identical.
+/// lane `i mod 4` and the total is `(s0 + s1) + (s2 + s3)`, a *fixed*
+/// floating-point expression. The `(FMin, argmin)` pair is the
+/// lexicographic minimum of the `(fest, proc)` multiset — a unique value
+/// independent of fold order. Rows fold through [`fold_row`], which
+/// computes the same bits in two passes that vectorize; this form remains
+/// for the virgin `best_proc` fold, which has no row.
 #[inline]
 fn fold_stats(iter: impl Iterator<Item = (f64, NodeId)>) -> (f64, NodeId, f64) {
     let mut min = f64::INFINITY;
@@ -161,6 +160,56 @@ fn fold_stats(iter: impl Iterator<Item = (f64, NodeId)>) -> (f64, NodeId, f64) {
         }
     }
     (min, argmin, (s[0] + s[1]) + (s[2] + s[3]))
+}
+
+/// [`fold_stats`] over `fest[i] = row[i] + w · fac[i]` with processor
+/// `free[i]`, bit for bit, in two passes. Pass 1 keeps the striped sum and
+/// a per-lane `if f < m { f } else { m }` minimum — no data-dependent
+/// branch, so it vectorizes. Pass 2 rescans the now cache-hot row for the
+/// smallest id whose recomputed `fest` equals that minimum (reading ids
+/// only in 16-cell chunks that hold such a cell) and returns that cell's
+/// own `fest`.
+///
+/// The pair cannot differ from the fused fold's. NaN fails every `<` and
+/// `==`, so it enters neither fold's minimum nor either argmin. `-0.0` and
+/// `0.0` compare equal, so both folds pick the smallest id among the cells
+/// `==` the numeric minimum and report that cell's value, sign bit
+/// included, whichever zero a lane kept. A row is always folded whole by
+/// one thread, so no result depends on the thread count. Every row has
+/// `row.len()` free positions; `fac` and `free` are at least that long.
+fn fold_row(row: &[f64], w: f64, fac: &[f64], free: &[NodeId]) -> (f64, NodeId, f64) {
+    let fac = &fac[..row.len()];
+    let (mut m, mut s) = ([f64::INFINITY; 4], [0.0f64; 4]);
+    let mut lane = |k: usize, r: f64, fq: f64| {
+        let f = r + w * fq;
+        s[k] += f;
+        m[k] = if f < m[k] { f } else { m[k] };
+    };
+    let (mut rc, mut fc) = (row.chunks_exact(4), fac.chunks_exact(4));
+    for (r, fq) in (&mut rc).zip(&mut fc) {
+        (0..4).for_each(|k| lane(k, r[k], fq[k]));
+    }
+    for (k, (&r, &fq)) in rc.remainder().iter().zip(fc.remainder()).enumerate() {
+        lane(k, r, fq);
+    }
+    let min = m[0].min(m[1]).min(m[2].min(m[3]));
+    let (mut fmin, mut argmin) = (f64::INFINITY, NONE);
+    let mut scan = |at: usize, r: &[f64], fq: &[f64]| {
+        for (i, (&r, &fq)) in r.iter().zip(fq).enumerate() {
+            let (f, q) = (r + w * fq, free[at + i]);
+            if f == min && q < argmin {
+                (fmin, argmin) = (f, q);
+            }
+        }
+    };
+    for (c, (r, fq)) in row.chunks_exact(16).zip(fac.chunks_exact(16)).enumerate() {
+        if (0..16).fold(false, |hit, k| hit | (r[k] + w * fq[k] == min)) {
+            scan(16 * c, r, fq);
+        }
+    }
+    let tail = row.len() / 16 * 16;
+    scan(tail, &row[tail..], &fac[tail..]);
+    (fmin, argmin, (s[0] + s[1]) + (s[2] + s[3]))
 }
 
 impl<'a> GenEstimationState<'a> {
@@ -356,19 +405,29 @@ impl<'a> GenEstimationState<'a> {
         self.free_pos[q] != NONE
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        if let Some(s) = self.free_slots.pop() {
-            s
-        } else {
+    /// `j`'s row slot, and whether `j` just joined the frontier with an
+    /// empty pooled row to be written on first touch — the free set only
+    /// shrinks, so entries for procs taken later are simply dropped,
+    /// never read stale.
+    fn activate(&mut self, j: TaskId) -> (usize, bool) {
+        if self.row_slot[j] != NONE {
+            return (self.row_slot[j], false);
+        }
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.rows.push(Vec::new());
             self.rows.len() - 1
-        }
+        });
+        self.row_slot[j] = slot;
+        self.active_pos[j] = self.active.len();
+        self.active.push(j);
+        self.rows[slot].clear();
+        (slot, true)
     }
 
     /// Commit the placement `t → q` and update the frontier structure:
-    /// one fused row-update + stats fold per unplaced neighbor of `t`
-    /// (edge events), the O(1) subtraction fast path for every other
-    /// frontier task, O(p) + a frontier-wide refold for order three.
+    /// one row update + stats fold per unplaced neighbor of `t` (edge
+    /// events), the O(1) subtraction fast path for every other frontier
+    /// task, O(p) + a frontier-wide refold for order three.
     pub fn assign(&mut self, t: TaskId, q: NodeId) {
         assert!(self.placement[t] == NONE, "task {t} already placed");
         assert!(self.free_pos[q] != NONE, "processor {q} not free");
@@ -460,13 +519,14 @@ impl<'a> GenEstimationState<'a> {
         // unless the argmin was q. A non-neighbor's row and weight are
         // untouched by the edge events below, so this pass commutes with
         // them and is fused with the row shrink (one pass over the
-        // frontier instead of two).
+        // frontier instead of two). Argmin hits are collected there and
+        // refolded after it.
         let factor_pre = match self.order {
             EstimationOrder::First => 0.0,
             _ => self.avg_all.avg(q),
         };
         let step = self.step;
-        let (mut full, mut fast) = (0u64, 0u64);
+        let (mut rescans, mut fast) = (Vec::new(), 0u64);
         for i in 0..self.active.len() {
             let u = self.active[i];
             let s = self.row_slot[u];
@@ -474,94 +534,43 @@ impl<'a> GenEstimationState<'a> {
             if self.nbr_stamp[u] == step {
                 continue; // handled by its edge event below
             }
-            let wu = self.unassigned_wgt[u];
             if self.fmin_proc[u] == q {
-                let row = &self.rows[s];
-                let (min, argmin, sum) = fold_stats(
-                    row[..flen]
-                        .iter()
-                        .zip(&self.avg_free[..flen])
-                        .zip(&self.free[..flen])
-                        .map(|((&r, &fq), &qq)| (r + wu * fq, qq)),
-                );
-                self.fmin[u] = min;
-                self.fmin_proc[u] = argmin;
-                self.fsum[u] = sum;
-                full += 1;
+                rescans.push(u);
             } else {
-                self.fsum[u] -= v + wu * factor_pre;
+                self.fsum[u] -= v + self.unassigned_wgt[u] * factor_pre;
                 fast += 1;
             }
         }
-        obs::counter_add("estimation.fest_full_scan", full);
+        // `avg_free` is the positional factor column for orders one/two
+        // (all-zero for first order); third order exited above.
+        for &u in &rescans {
+            let row = &self.rows[self.row_slot[u]];
+            (self.fmin[u], self.fmin_proc[u], self.fsum[u]) =
+                fold_row(row, self.unassigned_wgt[u], &self.avg_free, &self.free);
+        }
         obs::counter_add("estimation.fest_incremental", fast);
 
-        // Edge events: fused row update + stats fold per unplaced
-        // neighbor. Activations allocate a pooled row and write it on
-        // first touch — the free set only shrinks, so entries for procs
-        // taken later are simply dropped, never read stale.
-        // `avg_free` is the positional factor column for orders one/two
-        // (all-zero for first order); third order exited above, so the hot
-        // loops below read it directly instead of dispatching per element.
-        let mut full_scans = 0u64;
+        // Edge events: the row gains the c·d(·, q) column, then refolds.
         for &(j, c) in &nbrs {
-            let wj = self.unassigned_wgt[j];
-            let mut min = f64::INFINITY;
-            let mut argmin = NONE;
-            let mut s = [0.0f64; 4];
-            if self.row_slot[j] == NONE {
-                let slot = self.alloc_slot();
-                self.row_slot[j] = slot;
-                self.active_pos[j] = self.active.len();
-                self.active.push(j);
-                let mut row = std::mem::take(&mut self.rows[slot]);
-                row.clear();
-                row.reserve(flen);
-                let dist = &self.dist_scratch[..flen];
-                let fac = &self.avg_free[..flen];
-                let free = &self.free[..flen];
-                for (i, ((&d, &fq), &qi2)) in dist.iter().zip(fac).zip(free).enumerate() {
-                    let r = c * d as f64;
-                    row.push(r);
-                    let f = r + wj * fq;
-                    s[i & 3] += f;
-                    if f < min || (f == min && qi2 < argmin) {
-                        min = f;
-                        argmin = qi2;
-                    }
-                }
-                self.rows[slot] = row;
+            let (slot, fresh) = self.activate(j);
+            let (row, dist) = (&mut self.rows[slot], &self.dist_scratch[..flen]);
+            if fresh {
+                row.extend(dist.iter().map(|&d| c * d as f64));
             } else {
-                let slot = self.row_slot[j];
-                let mut row = std::mem::take(&mut self.rows[slot]);
-                let dist = &self.dist_scratch[..flen];
-                let fac = &self.avg_free[..flen];
-                let free = &self.free[..flen];
-                for (i, (((rv, &d), &fq), &qi2)) in row[..flen]
-                    .iter_mut()
-                    .zip(dist)
-                    .zip(fac)
-                    .zip(free)
-                    .enumerate()
-                {
-                    let r = *rv + c * d as f64;
-                    *rv = r;
-                    let f = r + wj * fq;
-                    s[i & 3] += f;
-                    if f < min || (f == min && qi2 < argmin) {
-                        min = f;
-                        argmin = qi2;
-                    }
+                for (r, &d) in row.iter_mut().zip(dist) {
+                    *r += c * d as f64;
                 }
-                self.rows[slot] = row;
             }
-            self.fmin[j] = min;
-            self.fmin_proc[j] = argmin;
-            self.fsum[j] = (s[0] + s[1]) + (s[2] + s[3]);
-            full_scans += 1;
+            (self.fmin[j], self.fmin_proc[j], self.fsum[j]) =
+                fold_row(row, self.unassigned_wgt[j], &self.avg_free, &self.free);
         }
         obs::counter_add("estimation.row_events", nbrs.len() as u64);
-        obs::counter_add("estimation.fest_full_scan", full_scans);
+        obs::counter_add(
+            "estimation.fest_full_scan",
+            (rescans.len() + nbrs.len()) as u64,
+        );
+        obs::counter_add("estimation.rescan_cells", (rescans.len() * flen) as u64);
+        obs::counter_add("estimation.event_cells", (nbrs.len() * flen) as u64);
     }
 
     /// Third-order tail of [`Self::assign`]: the free-set average changes
@@ -579,25 +588,18 @@ impl<'a> GenEstimationState<'a> {
 
         // Row updates per edge event (folds happen frontier-wide below).
         for &(j, c) in nbrs {
-            if self.row_slot[j] == NONE {
-                let slot = self.alloc_slot();
-                self.row_slot[j] = slot;
-                self.active_pos[j] = self.active.len();
-                self.active.push(j);
-                let mut row = std::mem::take(&mut self.rows[slot]);
-                row.clear();
-                row.extend((0..flen).map(|i| c * self.dist_scratch[self.free[i]] as f64));
-                self.rows[slot] = row;
+            let (slot, fresh) = self.activate(j);
+            let (row, dist) = (&mut self.rows[slot], &self.dist_scratch);
+            if fresh {
+                row.extend(self.free.iter().map(|&r| c * dist[r] as f64));
             } else {
-                let slot = self.row_slot[j];
-                let mut row = std::mem::take(&mut self.rows[slot]);
-                for (i, v) in row.iter_mut().enumerate() {
-                    *v += c * self.dist_scratch[self.free[i]] as f64;
+                for (v, &r) in row.iter_mut().zip(&self.free) {
+                    *v += c * dist[r] as f64;
                 }
-                self.rows[slot] = row;
             }
         }
         obs::counter_add("estimation.row_events", nbrs.len() as u64);
+        obs::counter_add("estimation.event_cells", (nbrs.len() * flen) as u64);
 
         self.factor_free.clear();
         let fdiv = flen as f64;
@@ -613,17 +615,15 @@ impl<'a> GenEstimationState<'a> {
             range
                 .map(|i| {
                     let u = this.active[i];
-                    let s = this.row_slot[u];
-                    let row = &this.rows[s];
+                    let row = &this.rows[this.row_slot[u]];
                     let wu = this.unassigned_wgt[u];
-                    let (min, argmin, sum) = fold_stats(
-                        (0..flen).map(|i2| (row[i2] + wu * this.factor_free[i2], this.free[i2])),
-                    );
+                    let (min, argmin, sum) = fold_row(row, wu, &this.factor_free, &this.free);
                     (u, min, argmin, sum)
                 })
                 .collect::<Vec<_>>()
         });
         obs::counter_add("estimation.fest_full_scan", self.active.len() as u64);
+        obs::counter_add("estimation.rescan_cells", (self.active.len() * flen) as u64);
         for chunk in parts {
             for (u, min, argmin, sum) in chunk {
                 self.fmin[u] = min;
@@ -985,6 +985,45 @@ mod tests {
         let mut state = GenEstimationState::new(&tasks, &topo, EstimationOrder::Second);
         state.assign(0, 0);
         state.assign(0, 1);
+    }
+
+    /// `fold_row` is `fold_stats` bit for bit on random rows, on rows with
+    /// planted ties whose ids run against position order, on signed zeros
+    /// and NaN, and at every length 0–7 (the remainder lanes) and beyond.
+    #[test]
+    fn fold_row_matches_fold_stats() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let check = |row: &[f64], w: f64, fac: &[f64], free: &[NodeId]| {
+            let (m, q, s) = fold_row(row, w, fac, free);
+            let cells = row.iter().zip(fac).zip(free);
+            let (wm, wq, ws) = fold_stats(cells.map(|((&r, &f), &q)| (r + w * f, q)));
+            assert_eq!(
+                (m.to_bits(), q, s.to_bits()),
+                (wm.to_bits(), wq, ws.to_bits()),
+                "row {row:?}, w {w}, fac {fac:?}, free {free:?}"
+            );
+        };
+        for len in (0..40).chain([255, 256, 257, 1500]) {
+            let scattered: Vec<NodeId> = (0..len).map(|i| (i * 7919 + 13) % 8191).collect();
+            let descending: Vec<NodeId> = (0..len).rev().collect();
+            let row: Vec<f64> = (0..len).map(|_| (rnd() % 1_000_000) as f64 / 8.0).collect();
+            let fac: Vec<f64> = (0..len).map(|_| (rnd() % 64) as f64 / 7.0).collect();
+            check(&row, 3.5, &fac, &scattered);
+            let row: Vec<f64> = (0..len).map(|_| (rnd() % 3) as f64).collect();
+            check(&row, 2.0, &vec![1.5; len], &descending);
+            // fac = −0.0 leaves every row value, the sign of zero included,
+            // as its own fest.
+            let row: Vec<f64> = (0..len)
+                .map(|_| [0.0, -0.0, f64::NAN, 1.0][(rnd() % 4) as usize])
+                .collect();
+            check(&row, 1.0, &vec![-0.0; len], &descending);
+        }
     }
 
     #[test]

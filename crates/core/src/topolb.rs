@@ -23,8 +23,10 @@ use topomap_topology::Topology;
 /// tighter but O(p³) — the paper keeps it for comparison, and so do we
 /// (see the `estimation_order` ablation bench).
 ///
-/// `par` selects the thread count for the estimation scans; any setting
-/// produces the same mapping bit-for-bit (see [`crate::par`]).
+/// `par` selects the thread count for third-order TopoLB's frontier-wide
+/// refold, the one region the estimation kernels fan out; first and
+/// second order run serially at any setting. Every setting produces the
+/// same mapping bit-for-bit (see [`crate::par`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TopoLb {
     pub order: EstimationOrder,

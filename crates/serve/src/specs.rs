@@ -534,11 +534,11 @@ impl MapperSpec {
     /// factor. The near-linear mappers never trip the estimate.
     pub fn estimated_cost(&self, n: usize, p: usize) -> Duration {
         // `core.topolb.ns_per_cell` of the repo benchmark
-        // (benchmark/README.md): 15 on `place_weighted` (the generic f64
-        // kernel), 2.2 on `place_uniform`. One constant, the slower
-        // kernel's: under-estimating lets a job miss its deadline,
-        // over-estimating only swaps in the SFC lane early.
-        const CELL_NS: u64 = 15;
+        // (benchmark/README.md): ≈ 10 on `place_weighted` (the general
+        // f64 kernel, rounded up), 2.2 on `place_uniform`. One constant,
+        // the slower kernel's: under-estimating lets a job miss its
+        // deadline, over-estimating only swaps in the SFC lane early.
+        const CELL_NS: u64 = 10;
         let cells = (n as u64).saturating_mul(p as u64);
         let ns = match self {
             MapperSpec::TopoLb(_) | MapperSpec::TopoCentLb => cells.saturating_mul(CELL_NS),

@@ -424,7 +424,7 @@ fn fast_lane_rescues_deadline_and_warm_start_serves() {
     let mut client = Client::connect_tcp(handle.addr()).unwrap();
 
     // 64x64 stencil = 4096 tasks on a 64x64 torus: topolb's estimated
-    // n·p cost (~33ms) overruns a 20ms budget, so the opted-in fast
+    // n·p cost (~170ms) overruns a 20ms budget, so the opted-in fast
     // lane swaps in the near-linear SFC mapper and answers on time.
     let mut req = request_for(&SCENARIOS[0], 21);
     req.mapper = "topolb".to_string();

@@ -88,8 +88,11 @@ fn counter(r: &obs::Report, name: &str) -> u64 {
 /// exactly once, when its first endpoint is placed); every row event is
 /// folded in full (and argmin-hit refolds only add), so the full-scan
 /// count dominates the row events; and exactly one estimation kernel
-/// (general f64 or uniform-integer) is selected per run.
-fn check_topolb_counters(r: &obs::Report, g: &TaskGraph, order: EstimationOrder) {
+/// (general f64 or uniform-integer) is selected per run. The general
+/// kernel also counts the cells it folds per path: an edge event's or a
+/// refold's row is the free list after the placement, between `p − n + 1`
+/// and `p − 1` cells long.
+fn check_topolb_counters(r: &obs::Report, g: &TaskGraph, p: usize, order: EstimationOrder) {
     let n = g.num_tasks() as u64;
     assert_eq!(counter(r, "topolb.placements"), n);
     assert_eq!(counter(r, "estimation.assigns"), n);
@@ -120,6 +123,34 @@ fn check_topolb_counters(r: &obs::Report, g: &TaskGraph, order: EstimationOrder)
         assert_eq!(uni_runs, 0, "third order never takes the integer kernel");
     }
     assert_eq!(counter(r, &format!("topolb.order.{}", order.label())), 1);
+    let (event_cells, rescan_cells) = (
+        counter(r, "estimation.event_cells"),
+        counter(r, "estimation.rescan_cells"),
+    );
+    if uni_runs == 1 {
+        assert_eq!(
+            (event_cells, rescan_cells),
+            (0, 0),
+            "general-kernel counters only"
+        );
+        return;
+    }
+    // Argmin-hit rescans for orders one/two; the frontier refold (which
+    // folds the event rows too) for order three.
+    let rescans = match order {
+        EstimationOrder::Third => full,
+        _ => full - edges,
+    };
+    let (lo, hi) = (p as u64 + 1 - n, p as u64 - 1);
+    for (cells, rows, path) in [
+        (event_cells, edges, "event"),
+        (rescan_cells, rescans, "rescan"),
+    ] {
+        assert!(
+            (rows * lo..=rows * hi).contains(&cells),
+            "{path}_cells {cells} for {rows} rows of {lo}..={hi} cells, order {order:?}"
+        );
+    }
 }
 
 proptest! {
@@ -143,7 +174,7 @@ proptest! {
             let off = mapper.map(&g, topo.as_ref());
             let (on, report) = obs::record(|| mapper.map(&g, topo.as_ref()));
             prop_assert_eq!(&off, &on, "ON differs from OFF at {} threads", threads);
-            check_topolb_counters(&report, &g, order);
+            check_topolb_counters(&report, &g, topo.num_nodes(), order);
             reports.push(report);
         }
         // Thread-count invariance of the algorithm counters (the par.*
@@ -154,6 +185,8 @@ proptest! {
             "estimation.row_events",
             "estimation.fest_full_scan",
             "estimation.fest_incremental",
+            "estimation.event_cells",
+            "estimation.rescan_cells",
             "estimation.kernel_general",
             "estimation.kernel_uniform_int",
         ] {
