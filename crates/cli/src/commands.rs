@@ -40,6 +40,7 @@ USAGE:
 SPECS:
   topology: torus:8x8x8 | mesh:4x4 | hypercube:6 | ring:16 | star:9
             | crossbar:8 | fattree:ARITY:LEVELS | dragonfly:GROUPS:ROUTERS
+            (at most 16384 processors, e.g. torus:128x128)
   pattern:  stencil2d:16x16 | pstencil2d:8x8 (periodic) | stencil3d:8x8x8
             | leanmd:64 | ring:32 | all2all:16 | butterfly:64 | transpose:8
             | sweep2d:6x6 | tree:32 | random:N:AVGDEG

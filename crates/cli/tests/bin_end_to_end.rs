@@ -272,10 +272,21 @@ fn malformed_mapping_files_exit_1_without_a_panic() {
 
 #[test]
 fn errors_exit_nonzero_with_usage() {
-    let (ok, _out, err) = topomap(&["map", "--topology", "nonsense:3"]);
-    assert!(!ok);
-    assert!(err.contains("error:"), "{err}");
-    assert!(err.contains("USAGE"), "{err}");
+    // An oversized machine is refused by the spec parser before anything
+    // sized by it is allocated: an allocation failure would abort (134).
+    let tasks = tmp("usage-t.json");
+    let (ok, _, err) = topomap(&["gen", "--pattern", "stencil2d:4x4", "--out", &tasks]);
+    assert!(ok, "gen failed: {err}");
+    for spec in ["nonsense:3", "torus:99999999999x2", "torus:1024x1024"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_topomap"))
+            .args(["map", "--topology", spec, "--tasks", &tasks])
+            .args(["--mapper", "topolb"])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {err}");
+        assert!(err.contains("error:") && err.contains("USAGE"), "{err}");
+    }
 
     let (ok, _, _) = topomap(&[]);
     assert!(!ok, "no subcommand must fail");

@@ -43,23 +43,22 @@ pub struct SimulatedAnnealingMap {
     pub seed: u64,
     /// Swap proposals per temperature step.
     pub moves_per_temp: usize,
-    /// Initial temperature as a fraction of the seed mapping's hop-bytes
-    /// per edge (scale-free across workloads).
-    pub initial_temp_factor: f64,
     /// Geometric cooling rate per temperature step (e.g. 0.95).
     pub cooling: f64,
-    /// Stop once temperature falls below this fraction of the initial.
-    pub min_temp_fraction: f64,
 }
+
+/// Initial temperature as a fraction of the seed mapping's hop-bytes per
+/// edge (scale-free across workloads).
+const INITIAL_TEMP_FACTOR: f64 = 2.0;
+/// Stop once temperature falls below this fraction of the initial.
+const MIN_TEMP_FRACTION: f64 = 1e-3;
 
 impl Default for SimulatedAnnealingMap {
     fn default() -> Self {
         SimulatedAnnealingMap {
             seed: 0xA11EA1,
             moves_per_temp: 400,
-            initial_temp_factor: 2.0,
             cooling: 0.95,
-            min_temp_fraction: 1e-3,
         }
     }
 }
@@ -85,7 +84,6 @@ impl SimulatedAnnealingMap {
             seed,
             moves_per_temp: 100,
             cooling: 0.90,
-            ..Default::default()
         }
     }
 }
@@ -119,9 +117,9 @@ impl Mapper for SimulatedAnnealingMap {
 
         // Scale-free initial temperature: proportional to the average
         // per-edge hop-bytes of the seed.
-        let t0 = self.initial_temp_factor * cur_hb / tasks.num_edges() as f64;
+        let t0 = INITIAL_TEMP_FACTOR * cur_hb / tasks.num_edges() as f64;
         let mut temp = t0;
-        let t_min = t0 * self.min_temp_fraction;
+        let t_min = t0 * MIN_TEMP_FRACTION;
 
         while temp > t_min {
             // Generate one temperature step's proposals against the

@@ -86,7 +86,7 @@ const NONE: usize = usize::MAX;
 /// the **general** f64 kernel, correct for arbitrary edge weights,
 /// topologies and orders. [`EstimationState`] wraps it and swaps in the
 /// integer kernel ([`crate::estimation_uniform`]) when
-/// [`uniform_kernel`] detects that the run qualifies.
+/// `uniform_kernel` detects that the run qualifies.
 pub struct GenEstimationState<'a> {
     tasks: &'a TaskGraph,
     topo: &'a dyn Topology,

@@ -25,7 +25,7 @@ const NONE: usize = usize::MAX;
 /// Dense-table oracle twin of [`crate::estimation::EstimationState`].
 ///
 /// Mirrors the facade's kernel dispatch: when
-/// [`crate::estimation::uniform_kernel`] (the same predicate the fast
+/// `estimation::uniform_kernel` (the same predicate the fast
 /// side calls) detects the uniform-weight integer path, the oracle keeps
 /// a dense `n × p` table of *unweighted integer* distance sums and
 /// recomputes every minimum, sum and gain from it on demand — integer

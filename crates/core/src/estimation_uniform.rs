@@ -37,9 +37,9 @@
 //! unless the dropped processor *is* the argmin (a tying entry may drop,
 //! but the argmin still holds the minimum). The argmin-hit check
 //! `q == argmin` (exact ids, no tolerance) triggers the only refolds,
-//! and [`Self::best_proc`] is an O(1) lookup.
+//! and `best_proc` is an O(1) lookup.
 //!
-//! Kernel choice is decided by [`crate::estimation::uniform_kernel`],
+//! Kernel choice is decided by `estimation::uniform_kernel`,
 //! which the oracle shares, so both sides of the differential suite
 //! always pick the same path.
 
@@ -110,7 +110,7 @@ pub struct UniEstimationState<'a> {
     placed_cnt: Vec<u32>,
     nbr_stamp: Vec<usize>,
     step: usize,
-    /// Positional d(free[i], q) gather of the most recent placement
+    /// Positional `d(free[i], q)` gather of the most recent placement
     /// (feeds the edge folds).
     dist: Vec<u32>,
 }

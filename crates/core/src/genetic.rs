@@ -20,18 +20,19 @@ use rand::{Rng, SeedableRng};
 use topomap_taskgraph::TaskGraph;
 use topomap_topology::Topology;
 
+/// Probability a child position is taken from parent A in crossover.
+const CROSSOVER_BIAS: f64 = 0.5;
+/// Per-child expected number of mutation swaps.
+const MUTATION_SWAPS: f64 = 2.0;
+/// Individuals preserved unchanged each generation.
+const ELITE: usize = 4;
+
 /// Genetic-algorithm mapper over hop-bytes.
 #[derive(Debug, Clone)]
 pub struct GeneticMap {
     pub seed: u64,
     pub population: usize,
     pub generations: usize,
-    /// Probability a child position is taken from parent A in crossover.
-    pub crossover_bias: f64,
-    /// Per-child expected number of mutation swaps.
-    pub mutation_swaps: f64,
-    /// Individuals preserved unchanged each generation.
-    pub elite: usize,
     /// Thread configuration for the population fitness batches. Children
     /// are generated serially (the RNG stream fixes the search), only
     /// their fitness evaluation fans out, so any setting yields the same
@@ -45,9 +46,6 @@ impl Default for GeneticMap {
             seed: 0x6e6e,
             population: 48,
             generations: 300,
-            crossover_bias: 0.5,
-            mutation_swaps: 2.0,
-            elite: 4,
             par: Parallelism::default(),
         }
     }
@@ -143,7 +141,7 @@ impl Mapper for GeneticMap {
         let _evolve_span = obs::span("genetic.evolve");
         let mut children_bred = 0u64;
         for _gen in 0..self.generations {
-            let mut next: Vec<(f64, Genome)> = pop[..self.elite.min(pop.len())].to_vec();
+            let mut next: Vec<(f64, Genome)> = pop[..ELITE.min(pop.len())].to_vec();
             // Breed serially (the RNG draw order defines the algorithm),
             // then score the whole brood in one parallel batch.
             let mut children: Vec<Genome> = Vec::with_capacity(pop.len() - next.len());
@@ -153,9 +151,9 @@ impl Mapper for GeneticMap {
                     (0..3).map(|_| rng.gen_range(0..pop.len())).min().unwrap()
                 };
                 let (ia, ib) = (pick(&mut rng), pick(&mut rng));
-                let mut child = crossover(&pop[ia].1, &pop[ib].1, self.crossover_bias, &mut rng);
-                // Poisson-ish mutation: expected `mutation_swaps` swaps.
-                let swaps = (self.mutation_swaps * rng.gen_range(0.0..2.0)).round() as usize;
+                let mut child = crossover(&pop[ia].1, &pop[ib].1, CROSSOVER_BIAS, &mut rng);
+                // Poisson-ish mutation: expected `MUTATION_SWAPS` swaps.
+                let swaps = (MUTATION_SWAPS * rng.gen_range(0.0..2.0)).round() as usize;
                 for _ in 0..swaps {
                     let i = rng.gen_range(0..p);
                     let j = rng.gen_range(0..p);

@@ -13,14 +13,14 @@
 //!    placement reuses the paper's strongest kernel at 1/a1 of the
 //!    problem size.
 //! 2. **Leaf sub-mapping**: each innermost container (≤ `a1` tasks on
-//!    `a1` processors) is an independent table-driven [`Unit`] job —
+//!    `a1` processors) is an independent table-driven `Unit` job —
 //!    attraction-ordered greedy growth plus local improvement sweeps —
 //!    dispatched on `par` threads via one `map_chunks` region. Leaves
 //!    only read shared immutable state and write disjoint tasks, so the
 //!    merged result is bit-identical for every thread count.
 //! 3. **Cross-leaf refinement**: Jacobi-style passes that pair up the
 //!    leaves currently exchanging the most bytes and sweep each pair as
-//!    one [`Unit`] (swaps may cross the pair's leaf boundary), reading a
+//!    one `Unit` (swaps may cross the pair's leaf boundary), reading a
 //!    pass snapshot for outside neighbors. Per-unit work depends only on
 //!    the snapshot, so parallel == serial exactly; converged pairs are
 //!    remembered and the loop stops when no discontent pair remains.
@@ -40,6 +40,9 @@ use topomap_topology::{CachedTopology, Hierarchy, NodeId, Topology, Torus};
 /// declared, so a region that fans out has at least the work it claims.
 const PAIR_NS: usize = 45;
 
+/// Refine sweeps over each leaf's greedy placement, inside its leaf job.
+const LEAF_SWEEPS: usize = 6;
+
 /// Recursive partition-and-map over an explicit hardware hierarchy, with
 /// the leaf sub-mappings dispatched in parallel (deterministically).
 #[derive(Debug, Clone)]
@@ -52,8 +55,6 @@ pub struct HierMapper {
     pub pe_order: Option<Vec<NodeId>>,
     /// Cross-leaf Jacobi swap passes after the leaf sub-mappings.
     pub refine_passes: usize,
-    /// Intra-leaf refine sweeps inside each leaf job.
-    pub leaf_refine_passes: usize,
     /// Thread configuration for the leaf and refinement fan-outs.
     pub par: Parallelism,
 }
@@ -67,7 +68,6 @@ impl HierMapper {
             hier,
             pe_order: None,
             refine_passes: 4,
-            leaf_refine_passes: 2,
             par: Parallelism::default(),
         }
     }
@@ -954,7 +954,7 @@ impl Mapper for HierMapper {
                     &origin_of,
                 );
                 unit.place_greedy(false);
-                unit.sweeps(4 + self.leaf_refine_passes);
+                unit.sweeps(LEAF_SWEEPS);
                 unit.emit(&mut out);
             }
             out
@@ -1419,7 +1419,7 @@ mod tests {
                     let mut unit = Unit::new(tasks, topo, ms, nodes, &mut local_of, &origin_of);
                     unit.place_greedy(false);
                     let what = format!("{what} leaf {leaf}");
-                    check_unit(&unit, 4 + h.leaf_refine_passes, leaf as u64, &what);
+                    check_unit(&unit, LEAF_SWEEPS, leaf as u64, &what);
                 }
 
                 let snapshot = h.map(tasks, topo);

@@ -16,7 +16,7 @@
 //!
 //! [`Parallelism`] is the user-facing knob (the thread count);
 //! [`Executor`] is its resolution for one mapping run. A region that
-//! clears [`MIN_CHUNK_NS`] fans out on one `std::thread::scope`: chunk 0
+//! clears `MIN_CHUNK_NS` fans out on one `std::thread::scope`: chunk 0
 //! runs on the caller, every other chunk on a scoped thread of its own,
 //! and the scope joins them all before the region returns. A run whose
 //! regions all stay below the cutoff never starts a thread.
@@ -52,7 +52,7 @@ pub enum Threads {
 
 /// Parallelism configuration carried by every mapper: how many threads
 /// a region may fan out to. Which regions do is not configurable — a
-/// region below [`MIN_CHUNK_NS`] runs the same code on the calling
+/// region below `MIN_CHUNK_NS` runs the same code on the calling
 /// thread and computes exactly the same result (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
@@ -158,7 +158,7 @@ impl Executor {
     /// Run `f` over `0..len` split into contiguous chunks and return the
     /// per-chunk results in chunk order. Runs serially (a single chunk on
     /// the calling thread) at one thread or when the region is below
-    /// [`MIN_CHUNK_NS`]; callers must combine chunk results with a
+    /// `MIN_CHUNK_NS`; callers must combine chunk results with a
     /// chunking-invariant reduction so both paths agree bit-for-bit.
     ///
     /// `ns_per_item` is the caller's estimate of the serial nanoseconds

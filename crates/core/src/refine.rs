@@ -14,11 +14,11 @@
 //! Three layers keep the sweep off the quadratic cliff without changing its
 //! result:
 //!
-//! - **Per-edge current lengths** ([`EdgeState`]): the sweep keeps
+//! - **Per-edge current lengths** (`EdgeState`): the sweep keeps
 //!   `d(P(t), P(j))` for every task-graph edge, refreshed only around the
 //!   tasks an accepted exchange moved, so a candidate's delta measures the
 //!   *new* position of each edge and reads the old one — half the distance
-//!   calls of [`swap_delta`], the same f64 operations in the same order.
+//!   calls of `swap_delta`, the same f64 operations in the same order.
 //!   It also counts, per task, the edges longer than one hop, and the
 //!   filter skips a swap of two tasks with none (and every move of such a
 //!   task). That skip is exact:
@@ -32,7 +32,7 @@
 //!      sweep rejects at that moment (a fat-tree, whose shortest distance
 //!      is 2, simply never skips).
 //!
-//!   The stateless [`swap_delta`] / [`move_delta`] stay: the naive oracle,
+//!   The stateless `swap_delta` / `move_delta` stay: the naive oracle,
 //!   the annealer and ContentionRefine evaluate against mappings no sweep
 //!   state follows, and the tests hold the cached kernels to them bit for
 //!   bit.
@@ -45,7 +45,7 @@
 //!   already evaluated there (or skipped by the same argument) against an
 //!   identical delta and provably still rejects, so later passes evaluate
 //!   only the dirty frontier of the previous pass's accepts.
-//! - **Sweep rows** ([`Row`]): a dirty row `a` with at least `p/4`
+//! - **Sweep rows** (`Row`): a dirty row `a` with at least `p/4`
 //!   partners left tabulates, under the current mapping,
 //!   `h[q] = Σ_{j∈N(a)} c_aj · (d(P(j), q) − cur_d[a→j])`, accumulated in
 //!   `tasks.neighbors(a)` order from one [`Topology::distances_into`] row
@@ -652,21 +652,6 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use topomap_taskgraph::gen;
     use topomap_topology::{CachedTopology, Dragonfly, FatTree, GraphTopology, Hypercube, Torus};
-
-    #[test]
-    fn never_increases_hop_bytes() {
-        let tasks = gen::random_graph(24, 4.0, 1.0, 100.0, 7);
-        let topo = Torus::torus_2d(5, 5);
-        let base = RandomMap::new(3).map(&tasks, &topo);
-        let before = metrics::hop_bytes(&tasks, &topo, &base);
-        let mut refined = base.clone();
-        refine_mapping(&tasks, &topo, &mut refined, 8);
-        let after = metrics::hop_bytes(&tasks, &topo, &refined);
-        assert!(
-            after <= before + 1e-9,
-            "refine must not worsen: {before} -> {after}"
-        );
-    }
 
     #[test]
     fn improves_random_mapping_substantially() {

@@ -77,15 +77,15 @@ struct CentState<'a> {
     /// Positional free list; every live cost row is indexed in sync.
     free: Vec<usize>,
     free_pos: Vec<usize>,
-    /// comm_assigned[t] = total communication of t with placed tasks.
+    /// `comm_assigned[t]` = total communication of t with placed tasks.
     comm_assigned: Vec<f64>,
     heap: BinaryHeap<Entry>,
     pushes: u64,
     pops: u64,
     stale: u64,
     row_events: u64,
-    /// Pooled cost rows: rows[slot][i] = Σ over placed neighbors j of
-    /// the owning task of c · d(free[i], P(j)), accumulated in
+    /// Pooled cost rows: `rows[slot][i]` = Σ over placed neighbors j of
+    /// the owning task of `c · d(free[i], P(j))`, accumulated in
     /// placement order. A task owns a row iff it has a placed neighbor.
     rows: Vec<Vec<f64>>,
     free_slots: Vec<usize>,

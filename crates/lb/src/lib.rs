@@ -21,8 +21,6 @@
 //!   [`dump::read_step`] followed by `two_phase` on the loaded database,
 //!   so "different strategies can be compared on exactly the same load
 //!   scenarios, which is not possible in actual execution" (§5.1).
-//! - [`refine_lb`] — Charm++'s incremental `RefineLB`: repair drifted
-//!   loads with few migrations.
 //! - [`runtime`] — an instrumented threaded mini-runtime that actually
 //!   executes communicating objects and produces a measured database
 //!   (the measurement-based LB model; object migration included).
@@ -47,8 +45,6 @@
 
 pub mod database;
 pub mod dump;
-pub mod refine_lb;
 pub mod runtime;
 
 pub use database::{CommRecord, LbDatabase};
-pub use refine_lb::RefineLb;

@@ -10,7 +10,7 @@
 //! Events are handled earliest time first and, among equal times, in the
 //! order they were scheduled. No handler schedules before the time it is
 //! handling, so the event set is a monotone priority queue and
-//! [`EventQueue`] is a radix heap: with `last` the time of the latest pop,
+//! `EventQueue` is a radix heap: with `last` the time of the latest pop,
 //! bucket 0 holds the events at `last` and bucket `b > 0` those whose
 //! highest bit differing from `last` is bit `b − 1`. It pops in exactly
 //! the order of a binary heap keyed `(time, push counter)` without

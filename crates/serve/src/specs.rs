@@ -77,38 +77,66 @@ impl ParsedTopology {
     }
 }
 
-/// Parse a topology spec.
+/// The largest machine a topology spec may describe: `torus:128x128`, the
+/// biggest machine any workload, experiment or test maps, whose distance
+/// oracle (a p × p matrix of `u32`) takes 1 GiB.
+pub const MAX_PROCESSORS: usize = 16_384;
+
+/// Refuse a machine of `count` processors (`None` = the product
+/// overflowed) before anything sized by it is built.
+fn within_bound(spec: &str, count: Option<usize>) -> Result<(), String> {
+    match count {
+        Some(p) if p <= MAX_PROCESSORS => Ok(()),
+        Some(p) => Err(format!(
+            "topology '{spec}' has {p} processors, more than the {MAX_PROCESSORS} allowed"
+        )),
+        None => Err(format!(
+            "topology '{spec}' has more than the {MAX_PROCESSORS} processors allowed"
+        )),
+    }
+}
+
+/// Parse a topology spec. Every size is checked, with checked arithmetic,
+/// against [`MAX_PROCESSORS`] before a machine is constructed.
 pub fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     let routed = |t: Box<dyn RoutedTopology>| Ok(ParsedTopology::Routed(t));
+    let bound = |count: Option<usize>| within_bound(spec, count);
+    let grid = || -> Result<Vec<usize>, String> {
+        let dims = parse_dims(rest)?;
+        bound(dims.iter().try_fold(1usize, |p, &d| p.checked_mul(d)))?;
+        Ok(dims)
+    };
     match kind {
-        "torus" => routed(Box::new(Torus::torus(&parse_dims(rest)?))),
-        "mesh" => routed(Box::new(Torus::mesh(&parse_dims(rest)?))),
+        "torus" => routed(Box::new(Torus::torus(&grid()?))),
+        "mesh" => routed(Box::new(Torus::mesh(&grid()?))),
         "hypercube" => {
             let d = parse_at_least(rest, "hypercube dims", 0u32)?;
-            if d > 30 {
-                return Err(format!("hypercube dims must be at most 30, got {d}"));
-            }
+            bound(1usize.checked_shl(d))?;
             routed(Box::new(Hypercube::new(d)))
         }
         "ring" => {
             let n = parse_at_least(rest, "ring size", 2)?;
+            bound(Some(n))?;
             routed(Box::new(GraphTopology::ring(n)))
         }
         "star" => {
             let n = parse_at_least(rest, "star size", 2)?;
+            bound(Some(n))?;
             routed(Box::new(GraphTopology::star(n)))
         }
         "crossbar" => {
             let n = parse_at_least(rest, "crossbar size", 1)?;
+            bound(Some(n))?;
             routed(Box::new(GraphTopology::complete(n)))
         }
         "fattree" => {
             let (a, l) = rest
                 .split_once(':')
                 .ok_or_else(|| format!("fattree spec is fattree:ARITY:LEVELS, got '{rest}'"))?;
-            let arity = parse_at_least(a, "fattree arity", 2)?;
+            let arity: usize = parse_at_least(a, "fattree arity", 2)?;
             let levels = parse_at_least(l, "fattree levels", 1)?;
+            bound(arity.checked_pow(levels))?;
             Ok(ParsedTopology::MetricOnly(Box::new(FatTree::new(
                 arity, levels,
             ))))
@@ -126,6 +154,7 @@ pub fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
             if groups == 0 || routers == 0 {
                 return Err(format!("dragonfly needs positive sizes, got '{rest}'"));
             }
+            bound(groups.checked_mul(routers))?;
             routed(Box::new(Dragonfly::new(groups, routers)))
         }
         other => Err(format!(
@@ -586,6 +615,8 @@ mod tests {
             ("crossbar:6", 6),
             ("fattree:2:3", 8),
             ("dragonfly:4:8", 32),
+            ("torus:128x128", MAX_PROCESSORS),
+            ("hypercube:14", MAX_PROCESSORS),
         ] {
             let t = parse_topology(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(t.as_topology().num_nodes(), n, "{spec}");
@@ -621,6 +652,16 @@ mod tests {
             "dragonfly:4",
             "dragonfly:0:8",
             "dragonfly:4:x",
+            // Above MAX_PROCESSORS, or a size that overflows usize.
+            "torus:5x29x113",
+            "ring:16385",
+            "crossbar:16385",
+            "dragonfly:128:129",
+            "fattree:2:15",
+            "hypercube:64",
+            "torus:99999999999x2",
+            "mesh:4294967296x4294967296",
+            "fattree:16:16",
         ] {
             assert!(parse_topology(spec).is_err(), "{spec} should fail");
         }

@@ -67,16 +67,24 @@ fn impossible_machine_is_a_bad_spec_and_the_next_map_succeeds() {
 
     // A zero-node ring must be refused before its constructor asserts: a
     // panic under the oracle cache's lock would fail every later request
-    // on every machine.
-    let mut req = stencil_request(1);
-    req.topology = "ring:0".to_string();
-    match client.map(req).unwrap() {
-        Response::Error { id, kind, message } => {
-            assert_eq!((id, kind), (1, ErrorKind::BadSpec), "{message}");
-            assert!(message.contains("ring size"), "{message}");
+    // on every machine. A million-node torus must be refused before its
+    // 4 TiB distance matrix is allocated: that failure aborts the process.
+    for (id, spec, needle) in [(1, "ring:0", "ring size"), (3, "torus:1024x1024", "16384")] {
+        let mut req = stencil_request(id);
+        req.topology = spec.to_string();
+        match client.map(req).unwrap() {
+            Response::Error {
+                id: got,
+                kind,
+                message,
+            } => {
+                assert_eq!((got, kind), (id, ErrorKind::BadSpec), "{message}");
+                assert!(message.contains(needle), "{message}");
+            }
+            other => panic!("expected BadSpec, got {other:?}"),
         }
-        other => panic!("expected BadSpec, got {other:?}"),
     }
+    assert_eq!(client.ping().unwrap(), PROTO_VERSION);
 
     match client.map(stencil_request(2)).unwrap() {
         Response::MapOk { id, .. } => assert_eq!(id, 2),

@@ -18,7 +18,7 @@
 //!   two-phase pipeline.
 //! - [`lb`] — the Charm++-style LB framework: measured database,
 //!   `+LBDump` step files (replayed through `core::pipeline::two_phase`),
-//!   RefineLB, threaded mini-runtime.
+//!   threaded mini-runtime.
 //! - [`netsim`] — a discrete-event packet-level network simulator
 //!   (BigNetSim substitute) with wormhole/cut-through switching.
 //! - [`serve`] — mapping-as-a-service: a persistent mapping daemon with

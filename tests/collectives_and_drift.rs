@@ -1,9 +1,7 @@
-//! Integration tests for the collective workloads and the load-drift
-//! re-balancing scenario (the runtime situation the Charm++ framework —
-//! and this library's RefineLB — exists for).
+//! Integration tests for the collective workloads: butterflies,
+//! all-reduce, transposes and overlaid phases, mapped and simulated end
+//! to end.
 
-use topomap::core::pipeline::two_phase;
-use topomap::lb::{LbDatabase, RefineLb};
 use topomap::netsim::config::NicModel;
 use topomap::netsim::trace::{allreduce_trace, reduce_broadcast_trace};
 use topomap::prelude::*;
@@ -94,59 +92,6 @@ fn transpose_stress() {
     assert!(
         pinned_hpb > 2.0,
         "pinned transpose must pay long routes, got {pinned_hpb}"
-    );
-}
-
-/// The full drift cycle: map with TopoLB, drift the loads, repair with
-/// RefineLB — imbalance is fixed with few migrations and the hop-byte
-/// quality of the topology-aware placement survives.
-#[test]
-fn load_drift_repair_cycle() {
-    let g0 = gen::stencil2d(8, 8, 4096.0, false);
-    let machine = Torus::torus_2d(4, 4);
-    let db0 = LbDatabase::from_task_graph(&g0);
-    let base = two_phase(
-        &db0.to_task_graph(),
-        &machine,
-        &MultilevelKWay::default(),
-        &TopoLb::default(),
-    )
-    .task_placement();
-
-    // Loads drift by up to 60%; communication unchanged.
-    let g1 = transform::perturb_loads(&transform::scale(&g0, 1.0, 1.0), 0.6, 99);
-    let db1 = LbDatabase::from_task_graph(&g1);
-
-    let out = RefineLb {
-        tolerance: 1.10,
-        ..Default::default()
-    }
-    .rebalance(&db1, &machine, &base);
-
-    let imbalance = |a: &[NodeId]| Partition::new(a.to_vec(), 16).imbalance_for(&g1);
-    let (drifted, refined) = (imbalance(&base), imbalance(&out.assignment));
-    assert!(
-        refined <= drifted,
-        "refinement must not worsen imbalance: {drifted} -> {refined}"
-    );
-    // Placement quality stays within 2x of the original TopoLB quality.
-    let hops_per_byte = |a: &[NodeId]| {
-        g0.edges()
-            .map(|(x, y, w)| w * machine.distance(a[x], a[y]) as f64)
-            .sum::<f64>()
-            / g0.total_comm()
-    };
-    assert!(hops_per_byte(&out.assignment) <= 2.0 * hops_per_byte(&base).max(1.0));
-    // Incremental: far fewer moves than a full remap.
-    let changed = base
-        .iter()
-        .zip(&out.assignment)
-        .filter(|(a, b)| a != b)
-        .count();
-    assert!(
-        changed < g0.num_tasks() / 2,
-        "changed {changed} of {}",
-        g0.num_tasks()
     );
 }
 

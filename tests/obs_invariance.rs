@@ -1,8 +1,10 @@
 //! Instrumentation-invariance suite: the observability layer must be
-//! **provably non-perturbing**. For every mapper, every topology family,
-//! and thread counts {1, 4}, a run with recording ON must produce a
-//! bit-identical result to the same run with recording OFF — and the
-//! counters it emits must be internally consistent and thread-invariant.
+//! **provably non-perturbing**. For every instrumented mapper, every
+//! topology family, and thread counts {1, 4}, a run with recording ON must
+//! produce a bit-identical result to the same run with recording OFF — and
+//! the counters it emits must be internally consistent and
+//! thread-invariant. (ON ≡ OFF for every registered mapper is also a check
+//! of `tests/mapper_invariants.rs`.)
 //! An OFF run is simply a run outside `obs::record`; each recording holds
 //! its own run alone, whatever the harness runs beside it.
 
@@ -326,25 +328,6 @@ proptest! {
         prop_assert_eq!(counter(&report, "pipeline.tasks"), n as u64);
         prop_assert_eq!(counter(&report, "pipeline.groups"), topo.num_nodes() as u64);
         prop_assert_eq!(counter(&report, "topolb.placements"), topo.num_nodes() as u64);
-    }
-
-    /// The baseline mappers carry no instrumentation but must still be
-    /// byte-identical under recording (they share the metric kernels).
-    #[test]
-    fn baseline_mappers_recording_is_invisible(
-        g in arb_task_graph(),
-        topo_idx in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        let topo = topology_for(topo_idx, 25);
-        for mapper in [
-            Box::new(RandomMap::new(seed)) as Box<dyn Mapper>,
-            Box::new(IdentityMap),
-        ] {
-            let off = mapper.map(&g, topo.as_ref());
-            let (on, _) = obs::record(|| mapper.map(&g, topo.as_ref()));
-            prop_assert_eq!(&off, &on, "{} perturbed by recording", mapper.name());
-        }
     }
 
     /// Netsim: recording must not shift a single simulated nanosecond,
