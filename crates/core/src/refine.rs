@@ -654,6 +654,21 @@ mod tests {
     use topomap_topology::{CachedTopology, Dragonfly, FatTree, GraphTopology, Hypercube, Torus};
 
     #[test]
+    fn never_increases_hop_bytes() {
+        let tasks = gen::random_graph(24, 4.0, 1.0, 100.0, 7);
+        let topo = Torus::torus_2d(5, 5);
+        let base = RandomMap::new(3).map(&tasks, &topo);
+        let before = metrics::hop_bytes(&tasks, &topo, &base);
+        let mut refined = base.clone();
+        refine_mapping(&tasks, &topo, &mut refined, 8);
+        let after = metrics::hop_bytes(&tasks, &topo, &refined);
+        assert!(
+            after <= before + 1e-9,
+            "refine must not worsen: {before} -> {after}"
+        );
+    }
+
+    #[test]
     fn improves_random_mapping_substantially() {
         let tasks = gen::stencil2d(6, 6, 100.0, false);
         let topo = Torus::torus_2d(6, 6);

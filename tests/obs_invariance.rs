@@ -330,6 +330,25 @@ proptest! {
         prop_assert_eq!(counter(&report, "topolb.placements"), topo.num_nodes() as u64);
     }
 
+    /// The baseline mappers carry no instrumentation but must still be
+    /// byte-identical under recording (they share the metric kernels).
+    #[test]
+    fn baseline_mappers_recording_is_invisible(
+        g in arb_task_graph(),
+        topo_idx in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let topo = topology_for(topo_idx, 25);
+        for mapper in [
+            Box::new(RandomMap::new(seed)) as Box<dyn Mapper>,
+            Box::new(IdentityMap),
+        ] {
+            let off = mapper.map(&g, topo.as_ref());
+            let (on, _) = obs::record(|| mapper.map(&g, topo.as_ref()));
+            prop_assert_eq!(&off, &on, "{} perturbed by recording", mapper.name());
+        }
+    }
+
     /// Netsim: recording must not shift a single simulated nanosecond,
     /// and the per-link byte heatmap must sum to the independently
     /// accumulated bytes x hops ledger.

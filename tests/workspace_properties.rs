@@ -2,7 +2,8 @@
 //! workload/topology/mapping combination.
 
 use proptest::prelude::*;
-use topomap::core::metrics::hop_bytes;
+use topomap::core::metrics::{hop_bytes, hops_per_byte, LinkLoads};
+use topomap::core::refine::refine_mapping;
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
 
@@ -11,8 +12,48 @@ fn arb_task_graph() -> impl Strategy<Value = TaskGraph> {
         .prop_map(|(n, deg, seed)| gen::random_graph(n, deg.min(n as f64 - 1.0), 1.0, 1000.0, seed))
 }
 
+fn arb_torus_for(n: usize) -> impl Strategy<Value = Torus> {
+    // A torus with at least n nodes, 1-3 dims.
+    (1usize..=3, any::<bool>()).prop_map(move |(dims, wrap)| {
+        let side = (n as f64).powf(1.0 / dims as f64).ceil() as usize + 1;
+        let d = vec![side.max(2); dims];
+        Torus::new(&d, &vec![wrap; dims])
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every mapper returns an injective, covering mapping, and its
+    /// hop-bytes is consistent with per-link routing loads.
+    #[test]
+    fn mappers_valid_and_metrics_consistent(
+        g in arb_task_graph(),
+        seed in any::<u64>(),
+        mapper_idx in 0usize..4,
+    ) {
+        let n = g.num_tasks();
+        let topo = Torus::torus_2d((n as f64).sqrt().ceil() as usize + 1,
+                                   (n as f64).sqrt().ceil() as usize + 1);
+        let mapper: Box<dyn Mapper> = match mapper_idx {
+            0 => Box::new(RandomMap::new(seed)),
+            1 => Box::new(TopoCentLb),
+            2 => Box::new(TopoLb::default()),
+            _ => Box::new(TopoLb::new(EstimationOrder::First)),
+        };
+        let m = mapper.map(&g, &topo);
+        // Injective over tasks.
+        let mut seen = std::collections::HashSet::new();
+        for t in 0..n {
+            prop_assert!(seen.insert(m.proc_of(t)));
+        }
+        // Hop-bytes equals total routed link load (shortest-path routing).
+        let hb = hop_bytes(&g, &topo, &m);
+        let ll = LinkLoads::compute(&g, &topo, &m);
+        prop_assert!((ll.total() - hb).abs() <= 1e-6 * hb.max(1.0));
+        // Hops-per-byte bounded by the diameter.
+        prop_assert!(hops_per_byte(&g, &topo, &m) <= topo.diameter() as f64 + 1e-9);
+    }
 
     /// Hop-bytes is invariant under relabeling processors by a topology
     /// automorphism (translation on a full torus).
@@ -39,6 +80,17 @@ proptest! {
         let a = hop_bytes(&g, &topo, &m);
         let b = hop_bytes(&g, &topo, &shifted);
         prop_assert!((a - b).abs() <= 1e-9 * a.max(1.0), "{a} vs {b}");
+    }
+
+    /// Refinement never increases hop-bytes, for any starting mapping.
+    #[test]
+    fn refinement_monotone(g in arb_task_graph(), seed in any::<u64>(), t in arb_torus_for(24)) {
+        prop_assume!(t.num_nodes() >= g.num_tasks());
+        let mut m = RandomMap::new(seed).map(&g, &t);
+        let before = hop_bytes(&g, &t, &m);
+        refine_mapping(&g, &t, &mut m, 3);
+        let after = hop_bytes(&g, &t, &m);
+        prop_assert!(after <= before + 1e-9);
     }
 
     /// The partition-coalesce pair conserves load and never increases
