@@ -267,6 +267,21 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
     let routed = topo.as_routed()?;
     let tasks = tgio::load(args.required("tasks")?).map_err(|e| e.to_string())?;
     let refine_contention = args.flag("refine-contention");
+    if !refine_contention {
+        if args.optional("sim-iters").is_some() {
+            return Err("--sim-iters needs --refine-contention".into());
+        }
+        if args.optional("out").is_some() {
+            return Err(
+                "--out needs --refine-contention (plain simulate writes no mapping)".into(),
+            );
+        }
+    }
+    let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
+    let sim_iters: usize = args.parsed_or("sim-iters", 64)?;
+    if sim_iters < 2 {
+        return Err("--sim-iters must be >= 2 (one baseline + one candidate run)".into());
+    }
     let mapping = match (args.optional("init"), args.optional("mapping")) {
         (Some(_), Some(_)) => {
             return Err(
@@ -282,7 +297,6 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
                     .into());
             }
             let seed: u64 = args.parsed_or("seed", 0)?;
-            let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
             let m = specs::MapperSpec::parse(Some(init_spec), None, None, None)?.build_on(
                 topo_spec,
                 topo.as_topology(),
@@ -307,16 +321,6 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
     let iterations: usize = args.parsed_or("iterations", 100)?;
     let bandwidth_mbps: f64 = args.parsed_or("bandwidth-mbps", 500.0)?;
     let compute_ns: u64 = args.parsed_or("compute-ns", 5_000)?;
-    if !refine_contention {
-        if args.optional("sim-iters").is_some() {
-            return Err("--sim-iters needs --refine-contention".into());
-        }
-        if args.optional("out").is_some() {
-            return Err(
-                "--out needs --refine-contention (plain simulate writes no mapping)".into(),
-            );
-        }
-    }
 
     let tr = trace::stencil_trace(&tasks, iterations, compute_ns);
     tr.check_matched()
@@ -341,11 +345,6 @@ pub fn cmd_simulate(args: &Args) -> Result<String, String> {
         let _ = writeln!(out, "max link util:      {:.3}", s.max_link_utilization);
 
         if refine_contention {
-            let sim_iters: usize = args.parsed_or("sim-iters", 64)?;
-            if sim_iters < 2 {
-                return Err("--sim-iters must be >= 2 (one baseline + one candidate run)".into());
-            }
-            let par = specs::parse_threads(args.optional("threads").unwrap_or("auto"))?;
             let refiner = ContentionRefine {
                 sim_budget: sim_iters,
                 par,

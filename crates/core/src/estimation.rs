@@ -27,8 +27,10 @@
 //! tasks with at least one placed neighbor):
 //!
 //! - Each active task owns a pooled, cache-friendly row of assigned
-//!   contributions indexed by *position in the free list* (kept in sync
-//!   with the free list's `swap_remove`s), allocated lazily on activation.
+//!   contributions indexed by *position in the free list*, allocated
+//!   lazily on activation. The placement, free list, frontier and slot
+//!   pool are the shared `frontier::Frontier`; the rows drop the free
+//!   position each placement vacates.
 //! - A placement triggers one **edge event** per unplaced neighbor of the
 //!   placed task: a row update, then a stats fold over the free list.
 //! - Every other active task takes the O(1) subtraction fast path (its
@@ -52,6 +54,7 @@
 //! bit-identical, see `tests/incremental_equivalence.rs`.
 
 use crate::estimation_uniform::UniEstimationState;
+use crate::frontier::{Frontier, NONE};
 use crate::obs;
 use crate::par::{Executor, Parallelism};
 use topomap_taskgraph::{TaskGraph, TaskId};
@@ -80,8 +83,6 @@ impl EstimationOrder {
     }
 }
 
-const NONE: usize = usize::MAX;
-
 /// Incrementally maintained estimation structure for one mapping run —
 /// the **general** f64 kernel, correct for arbitrary edge weights,
 /// topologies and orders. [`EstimationState`] wraps it and swaps in the
@@ -95,35 +96,24 @@ pub struct GenEstimationState<'a> {
     /// Machine-wide average distance table (second order; also seeds the
     /// third order's free-set sums).
     avg_all: AvgDistTable,
-    /// Free processors, positionally synced with every row below.
-    free: Vec<NodeId>,
-    free_pos: Vec<usize>,
+    /// Placement, free list, frontier and row slots.
+    pub(crate) front: Frontier,
     /// `avg_all.avg(free[i])` per position (second-order factor gather).
     avg_free: Vec<f64>,
     /// Σ_{q ∈ free} d(r, q) for each processor r (third order only).
     sum_free: Vec<f64>,
     /// Third-order factor per free-list position, rebuilt each placement.
     factor_free: Vec<f64>,
-    unassigned: Vec<TaskId>,
-    unassigned_pos: Vec<usize>,
     /// Total edge weight from t to its still-unassigned neighbors.
     unassigned_wgt: Vec<f64>,
-    placement: Vec<NodeId>,
-    /// The active frontier: unassigned tasks with ≥ 1 placed neighbor.
-    active: Vec<TaskId>,
-    active_pos: Vec<usize>,
-    /// Row pool. `rows[slot][i]` = Σ over placed neighbors j of the owning
-    /// task of `c · d(free[i], P(j))`, accumulated in placement order.
+    /// Row pool, indexed by `front.row_slot`. `rows[slot][i]` = Σ over
+    /// placed neighbors j of the owning task of `c · d(free[i], P(j))`,
+    /// accumulated in placement order.
     rows: Vec<Vec<f64>>,
-    free_slots: Vec<usize>,
-    row_slot: Vec<usize>,
     /// Per-active-task FMin value / argmin processor / Σ fest over free.
     fmin: Vec<f64>,
     fmin_proc: Vec<NodeId>,
     fsum: Vec<f64>,
-    /// Lowest task id that may still be virgin; advanced past placed
-    /// entries on assign (the virgin-selection rule is lowest id first).
-    virgin_cursor: usize,
     /// Stamp of the step in which a task last was an edge-event target.
     nbr_stamp: Vec<usize>,
     step: usize,
@@ -225,7 +215,7 @@ impl<'a> GenEstimationState<'a> {
     ) -> Self {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
-        assert!(n <= p, "need at least as many processors as tasks");
+        let front = Frontier::new(n, p);
         // Covers the distance tables; no initial fest scan exists anymore —
         // the frontier is empty until the first placement.
         let _init_span = obs::span("estimation.init");
@@ -251,24 +241,15 @@ impl<'a> GenEstimationState<'a> {
             order,
             p,
             avg_all,
-            free: (0..p).collect(),
-            free_pos: (0..p).collect(),
+            front,
             avg_free,
             sum_free,
             factor_free,
-            unassigned: (0..n).collect(),
-            unassigned_pos: (0..n).collect(),
             unassigned_wgt: w,
-            placement: vec![NONE; n],
-            active: Vec::new(),
-            active_pos: vec![NONE; n],
             rows: Vec::new(),
-            free_slots: Vec::new(),
-            row_slot: vec![NONE; n],
             fmin: vec![0.0; n],
             fmin_proc: vec![0; n],
             fsum: vec![0.0; n],
-            virgin_cursor: 0,
             nbr_stamp: vec![0; n],
             step: 0,
             dist_scratch: Vec::new(),
@@ -288,7 +269,7 @@ impl<'a> GenEstimationState<'a> {
             EstimationOrder::First => 0.0,
             EstimationOrder::Second => self.avg_all.avg(q),
             EstimationOrder::Third => {
-                let f = self.free.len();
+                let f = self.front.free.len();
                 if f == 0 {
                     0.0
                 } else {
@@ -312,27 +293,20 @@ impl<'a> GenEstimationState<'a> {
     /// Current `fest(t, q)` for unassigned task `t` and free processor `q`.
     #[inline]
     pub fn fest(&self, t: TaskId, q: NodeId) -> f64 {
-        debug_assert!(self.placement[t] == NONE, "task already placed");
-        debug_assert!(self.free_pos[q] != NONE, "processor not free");
-        let contrib = match self.row_slot[t] {
+        debug_assert!(!self.front.is_placed(t), "task already placed");
+        debug_assert!(self.front.is_free(q), "processor not free");
+        let contrib = match self.front.row_slot[t] {
             NONE => 0.0,
-            slot => self.rows[slot][self.free_pos[q]],
+            slot => self.rows[slot][self.front.free_pos[q]],
         };
         contrib + self.unassigned_wgt[t] * self.unplaced_factor(q)
-    }
-
-    /// Is `t` on the active frontier (unassigned with a placed neighbor)?
-    /// The maintained `FMin`/`FSum` stats exist only for active tasks.
-    #[doc(hidden)]
-    pub fn is_active(&self, t: TaskId) -> bool {
-        self.row_slot[t] != NONE
     }
 
     /// The maintained `(FMin, argmin, FSum)` triple of an active task —
     /// exposed for the differential test suite's checkpoint audits.
     #[doc(hidden)]
     pub fn stats(&self, t: TaskId) -> (f64, NodeId, f64) {
-        debug_assert!(self.is_active(t));
+        debug_assert!(self.front.is_active(t));
         (self.fmin[t], self.fmin_proc[t], self.fsum[t])
     }
 
@@ -341,10 +315,10 @@ impl<'a> GenEstimationState<'a> {
     /// `FAvg ≈ FMin` when nothing is placed near them) — their gain is 0.
     #[inline]
     pub fn gain(&self, t: TaskId) -> f64 {
-        if self.row_slot[t] == NONE {
+        if !self.front.is_active(t) {
             return 0.0;
         }
-        let f = self.free.len();
+        let f = self.front.free.len();
         if f == 0 {
             return 0.0;
         }
@@ -355,18 +329,13 @@ impl<'a> GenEstimationState<'a> {
     /// id) while the frontier is non-empty; otherwise the lowest-id virgin
     /// task (every virgin's gain is defined 0, so the id tie-break rules).
     pub fn select_task(&self) -> TaskId {
-        debug_assert!(!self.unassigned.is_empty());
-        if self.active.is_empty() {
-            let mut c = self.virgin_cursor;
-            while self.placement[c] != NONE {
-                c += 1;
-            }
-            return c;
+        if self.front.active.is_empty() {
+            return self.front.first_unplaced();
         }
-        let flen = self.free.len() as f64;
+        let flen = self.front.free.len() as f64;
         let mut best_t = NONE;
         let mut best_gain = f64::NEG_INFINITY;
-        for &t in &self.active {
+        for &t in &self.front.active {
             let g = self.fsum[t] / flen - self.fmin[t];
             if g > best_gain || (g == best_gain && t < best_t) {
                 best_gain = g;
@@ -380,48 +349,25 @@ impl<'a> GenEstimationState<'a> {
     /// for frontier tasks; virgin tasks fold their factor column once.
     #[inline]
     pub fn best_proc(&self, t: TaskId) -> NodeId {
-        if self.row_slot[t] != NONE {
+        if self.front.is_active(t) {
             return self.fmin_proc[t];
         }
+        let free = &self.front.free;
         let w = self.unassigned_wgt[t];
-        let (_, argmin, _) =
-            fold_stats((0..self.free.len()).map(|i| (w * self.factor_at(i), self.free[i])));
+        let (_, argmin, _) = fold_stats((0..free.len()).map(|i| (w * self.factor_at(i), free[i])));
         argmin
     }
 
-    pub fn num_free(&self) -> usize {
-        self.free.len()
-    }
-
-    pub fn num_unassigned(&self) -> usize {
-        self.unassigned.len()
-    }
-
-    pub fn free_procs(&self) -> &[NodeId] {
-        &self.free
-    }
-
-    pub fn is_free(&self, q: NodeId) -> bool {
-        self.free_pos[q] != NONE
-    }
-
-    /// `j`'s row slot, and whether `j` just joined the frontier with an
-    /// empty pooled row to be written on first touch — the free set only
-    /// shrinks, so entries for procs taken later are simply dropped,
-    /// never read stale.
+    /// `j`'s row slot, and whether `j` just joined the frontier — then
+    /// with an empty pooled row to be written on first touch.
     fn activate(&mut self, j: TaskId) -> (usize, bool) {
-        if self.row_slot[j] != NONE {
-            return (self.row_slot[j], false);
-        }
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
+        let (slot, fresh) = self.front.activate(j);
+        if slot == self.rows.len() {
             self.rows.push(Vec::new());
-            self.rows.len() - 1
-        });
-        self.row_slot[j] = slot;
-        self.active_pos[j] = self.active.len();
-        self.active.push(j);
-        self.rows[slot].clear();
-        (slot, true)
+        } else if fresh {
+            self.rows[slot].clear();
+        }
+        (slot, fresh)
     }
 
     /// Commit the placement `t → q` and update the frontier structure:
@@ -429,67 +375,28 @@ impl<'a> GenEstimationState<'a> {
     /// events), the O(1) subtraction fast path for every other frontier
     /// task, O(p) + a frontier-wide refold for order three.
     pub fn assign(&mut self, t: TaskId, q: NodeId) {
-        assert!(self.placement[t] == NONE, "task {t} already placed");
-        assert!(self.free_pos[q] != NONE, "processor {q} not free");
         obs::counter_add("estimation.assigns", 1);
-        self.placement[t] = q;
+        // Retire t's row to the pool and take q off the free list. Every
+        // live row shrinks at q's old position; those shrinks are fused
+        // into the passes below.
+        let qi = self.front.place(t, q);
         self.step += 1;
-
-        // Retire t from the frontier, releasing its row to the pool.
-        if self.row_slot[t] != NONE {
-            self.free_slots.push(self.row_slot[t]);
-            self.row_slot[t] = NONE;
-            let ai = self.active_pos[t];
-            let lasta = *self.active.last().unwrap();
-            self.active.swap_remove(ai);
-            if lasta != t {
-                self.active_pos[lasta] = ai;
-            }
-            self.active_pos[t] = NONE;
-        }
-
-        // Remove t from unassigned (swap-remove keeps O(1)).
-        let ti = self.unassigned_pos[t];
-        let last = *self.unassigned.last().unwrap();
-        self.unassigned.swap_remove(ti);
-        if last != t {
-            self.unassigned_pos[last] = ti;
-        }
-        self.unassigned_pos[t] = NONE;
-
-        // Advance the virgin cursor past placed entries (amortized O(n)
-        // over the whole run).
-        while self.virgin_cursor < self.placement.len()
-            && self.placement[self.virgin_cursor] != NONE
-        {
-            self.virgin_cursor += 1;
-        }
-
-        // Remove q from the free list. Every live row shrinks at the same
-        // position; those shrinks are fused into the passes below.
-        let qi = self.free_pos[q];
-        let lastq = *self.free.last().unwrap();
-        self.free.swap_remove(qi);
-        if lastq != q {
-            self.free_pos[lastq] = qi;
-        }
-        self.free_pos[q] = NONE;
         self.avg_free.swap_remove(qi);
 
-        if self.unassigned.is_empty() {
-            // The frontier is a subset of the unassigned set, so there are
+        if self.front.num_unplaced() == 0 {
+            // The frontier is a subset of the unplaced set, so there are
             // no live rows left to shrink.
-            debug_assert!(self.active.is_empty());
+            debug_assert!(self.front.active.is_empty());
             return;
         }
-        let flen = self.free.len();
+        let flen = self.front.free.len();
 
         // Unplaced neighbors of t: their rows gain the c·d(·, q) column
         // and their unassigned weight drops by c (adjacency order).
         let nbrs: Vec<(TaskId, f64)> = self
             .tasks
             .neighbors(t)
-            .filter(|&(j, _)| self.placement[j] == NONE)
+            .filter(|&(j, _)| !self.front.is_placed(j))
             .collect();
         for &(j, c) in &nbrs {
             self.unassigned_wgt[j] -= c;
@@ -497,9 +404,8 @@ impl<'a> GenEstimationState<'a> {
         }
 
         if self.order == EstimationOrder::Third {
-            for &u in &self.active {
-                let s = self.row_slot[u];
-                self.rows[s].swap_remove(qi);
+            for &u in &self.front.active {
+                self.rows[self.front.row_slot[u]].swap_remove(qi);
             }
             self.assign_third_order(q, &nbrs);
             return;
@@ -509,7 +415,7 @@ impl<'a> GenEstimationState<'a> {
         // topology query.
         if !nbrs.is_empty() {
             let mut scratch = std::mem::take(&mut self.dist_scratch);
-            self.topo.distances_into(q, &self.free, &mut scratch);
+            self.topo.distances_into(q, &self.front.free, &mut scratch);
             self.dist_scratch = scratch;
         }
 
@@ -527,10 +433,8 @@ impl<'a> GenEstimationState<'a> {
         };
         let step = self.step;
         let (mut rescans, mut fast) = (Vec::new(), 0u64);
-        for i in 0..self.active.len() {
-            let u = self.active[i];
-            let s = self.row_slot[u];
-            let v = self.rows[s].swap_remove(qi);
+        for &u in &self.front.active {
+            let v = self.rows[self.front.row_slot[u]].swap_remove(qi);
             if self.nbr_stamp[u] == step {
                 continue; // handled by its edge event below
             }
@@ -543,10 +447,11 @@ impl<'a> GenEstimationState<'a> {
         }
         // `avg_free` is the positional factor column for orders one/two
         // (all-zero for first order); third order exited above.
+        let free = &self.front.free;
         for &u in &rescans {
-            let row = &self.rows[self.row_slot[u]];
+            let (row, w) = (&self.rows[self.front.row_slot[u]], self.unassigned_wgt[u]);
             (self.fmin[u], self.fmin_proc[u], self.fsum[u]) =
-                fold_row(row, self.unassigned_wgt[u], &self.avg_free, &self.free);
+                fold_row(row, w, &self.avg_free, free);
         }
         obs::counter_add("estimation.fest_incremental", fast);
 
@@ -561,8 +466,9 @@ impl<'a> GenEstimationState<'a> {
                     *r += c * d as f64;
                 }
             }
+            let (w, free) = (self.unassigned_wgt[j], &self.front.free);
             (self.fmin[j], self.fmin_proc[j], self.fsum[j]) =
-                fold_row(row, self.unassigned_wgt[j], &self.avg_free, &self.free);
+                fold_row(row, w, &self.avg_free, free);
         }
         obs::counter_add("estimation.row_events", nbrs.len() as u64);
         obs::counter_add(
@@ -578,7 +484,7 @@ impl<'a> GenEstimationState<'a> {
     /// frontier refolds (the §4.4 O(p²)-per-iteration bound — unchanged,
     /// but now over the frontier instead of all unassigned tasks).
     fn assign_third_order(&mut self, q: NodeId, nbrs: &[(TaskId, f64)]) {
-        let flen = self.free.len();
+        let flen = self.front.free.len();
         let mut scratch = std::mem::take(&mut self.dist_scratch);
         self.topo.distances_into(q, &self.all_ids, &mut scratch);
         self.dist_scratch = scratch;
@@ -589,11 +495,11 @@ impl<'a> GenEstimationState<'a> {
         // Row updates per edge event (folds happen frontier-wide below).
         for &(j, c) in nbrs {
             let (slot, fresh) = self.activate(j);
-            let (row, dist) = (&mut self.rows[slot], &self.dist_scratch);
+            let (row, dist, free) = (&mut self.rows[slot], &self.dist_scratch, &self.front.free);
             if fresh {
-                row.extend(self.free.iter().map(|&r| c * dist[r] as f64));
+                row.extend(free.iter().map(|&r| c * dist[r] as f64));
             } else {
-                for (v, &r) in row.iter_mut().zip(&self.free) {
+                for (v, &r) in row.iter_mut().zip(free) {
                     *v += c * dist[r] as f64;
                 }
             }
@@ -603,27 +509,29 @@ impl<'a> GenEstimationState<'a> {
 
         self.factor_free.clear();
         let fdiv = flen as f64;
-        for i in 0..flen {
-            self.factor_free.push(self.sum_free[self.free[i]] / fdiv);
+        for &r in &self.front.free {
+            self.factor_free.push(self.sum_free[r] / fdiv);
         }
 
         // One item is one frontier row refolded over the free list, 2.5 ns
         // an element (measured 2.3–2.5 at 1024–2048 PEs).
         let this = &*self;
         let row_ns = 5 * (flen + 1) / 2;
-        let parts = this.exec.map_chunks(this.active.len(), row_ns, |range| {
+        let front = &this.front;
+        let parts = this.exec.map_chunks(front.active.len(), row_ns, |range| {
             range
                 .map(|i| {
-                    let u = this.active[i];
-                    let row = &this.rows[this.row_slot[u]];
+                    let u = front.active[i];
+                    let row = &this.rows[front.row_slot[u]];
                     let wu = this.unassigned_wgt[u];
-                    let (min, argmin, sum) = fold_row(row, wu, &this.factor_free, &this.free);
+                    let (min, argmin, sum) = fold_row(row, wu, &this.factor_free, &front.free);
                     (u, min, argmin, sum)
                 })
                 .collect::<Vec<_>>()
         });
-        obs::counter_add("estimation.fest_full_scan", self.active.len() as u64);
-        obs::counter_add("estimation.rescan_cells", (self.active.len() * flen) as u64);
+        let refolds = self.front.active.len();
+        obs::counter_add("estimation.fest_full_scan", refolds as u64);
+        obs::counter_add("estimation.rescan_cells", (refolds * flen) as u64);
         for chunk in parts {
             for (u, min, argmin, sum) in chunk {
                 self.fmin[u] = min;
@@ -638,8 +546,8 @@ impl<'a> GenEstimationState<'a> {
     fn fest_bruteforce(&self, t: TaskId, q: NodeId) -> f64 {
         let mut v = 0.0;
         for (j, c) in self.tasks.neighbors(t) {
-            if self.placement[j] != NONE {
-                v += c * self.topo.distance(q, self.placement[j]) as f64;
+            if self.front.is_placed(j) {
+                v += c * self.topo.distance(q, self.front.placement[j]) as f64;
             } else {
                 v += c * self.unplaced_factor(q);
             }
@@ -747,6 +655,14 @@ impl<'a> EstimationState<'a> {
         }
     }
 
+    /// The running kernel's placement bookkeeping.
+    fn front(&self) -> &Frontier {
+        match &self.inner {
+            Kernel::Gen(g) => &g.front,
+            Kernel::Uni(u) => &u.front,
+        }
+    }
+
     /// Current `fest(t, q)` for unassigned task `t` and free processor `q`.
     #[inline]
     pub fn fest(&self, t: TaskId, q: NodeId) -> f64 {
@@ -759,10 +675,7 @@ impl<'a> EstimationState<'a> {
     /// Is `t` on the active frontier (unassigned with a placed neighbor)?
     #[doc(hidden)]
     pub fn is_active(&self, t: TaskId) -> bool {
-        match &self.inner {
-            Kernel::Gen(g) => g.is_active(t),
-            Kernel::Uni(u) => u.is_active(t),
-        }
+        self.front().is_active(t)
     }
 
     /// The maintained `(FMin, FSum)` pair of an active task — exposed for
@@ -814,31 +727,19 @@ impl<'a> EstimationState<'a> {
     }
 
     pub fn num_free(&self) -> usize {
-        match &self.inner {
-            Kernel::Gen(g) => g.num_free(),
-            Kernel::Uni(u) => u.num_free(),
-        }
+        self.front().free.len()
     }
 
     pub fn num_unassigned(&self) -> usize {
-        match &self.inner {
-            Kernel::Gen(g) => g.num_unassigned(),
-            Kernel::Uni(u) => u.num_unassigned(),
-        }
+        self.front().num_unplaced()
     }
 
     pub fn free_procs(&self) -> &[NodeId] {
-        match &self.inner {
-            Kernel::Gen(g) => g.free_procs(),
-            Kernel::Uni(u) => u.free_procs(),
-        }
+        &self.front().free
     }
 
     pub fn is_free(&self, q: NodeId) -> bool {
-        match &self.inner {
-            Kernel::Gen(g) => g.is_free(q),
-            Kernel::Uni(u) => u.is_free(q),
-        }
+        self.front().is_free(q)
     }
 }
 
@@ -849,11 +750,12 @@ mod tests {
     use topomap_topology::Torus;
 
     fn check_invariants(state: &GenEstimationState<'_>) {
-        for &t in state.unassigned.iter() {
+        let unplaced = (0..state.tasks.num_tasks()).filter(|&t| !state.front.is_placed(t));
+        for t in unplaced {
             let mut min = f64::INFINITY;
             let mut argmin = NONE;
             let mut sum = 0.0;
-            for &q in state.free.iter() {
+            for &q in state.front.free.iter() {
                 let f = state.fest(t, q);
                 let bf = state.fest_bruteforce(t, q);
                 assert!(
@@ -866,7 +768,7 @@ mod tests {
                     argmin = q;
                 }
             }
-            if !state.is_active(t) {
+            if !state.front.is_active(t) {
                 continue; // stats are maintained for the frontier only
             }
             assert!(
@@ -897,8 +799,8 @@ mod tests {
             state.assign(t, q);
             check_invariants(&state);
         }
-        assert_eq!(state.num_unassigned(), 0);
-        assert_eq!(state.num_free(), 0);
+        assert_eq!(state.front.num_unplaced(), 0);
+        assert_eq!(state.front.free.len(), 0);
     }
 
     #[test]
@@ -927,7 +829,7 @@ mod tests {
             state.assign(t, q);
             check_invariants(&state);
         }
-        assert_eq!(state.num_free(), 4);
+        assert_eq!(state.front.free.len(), 4);
     }
 
     #[test]
@@ -954,19 +856,19 @@ mod tests {
         let tasks = gen::ring(6, 10.0);
         let topo = Torus::torus_2d(3, 3);
         let mut state = GenEstimationState::new(&tasks, &topo, EstimationOrder::Second);
-        assert!(state.active.is_empty());
+        assert!(state.front.active.is_empty());
         let t = state.select_task();
         let q = state.best_proc(t);
         state.assign(t, q);
         let mut want: Vec<TaskId> = tasks.neighbors(t).map(|(j, _)| j).collect();
         want.sort_unstable();
-        let mut got: Vec<TaskId> = state.active.clone();
+        let mut got: Vec<TaskId> = state.front.active.clone();
         got.sort_unstable();
         assert_eq!(got, want, "frontier must equal the placed task's neighbors");
         let t2 = state.select_task();
-        assert!(state.is_active(t2), "selection stays on the frontier");
+        assert!(state.front.is_active(t2), "selection stays on the frontier");
         state.assign(t2, state.best_proc(t2));
-        assert!(!state.is_active(t2));
+        assert!(!state.front.is_active(t2));
     }
 
     #[test]

@@ -43,11 +43,10 @@
 //! which the oracle shares, so both sides of the differential suite
 //! always pick the same path.
 
+use crate::frontier::{swap_remove_tracked, Frontier, NONE};
 use crate::obs;
 use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{NodeId, Topology};
-
-const NONE: usize = usize::MAX;
 
 /// Integer-exact estimation structure for uniform-weight task graphs on
 /// factor-uniform machines. Same surface as the general kernel.
@@ -58,23 +57,17 @@ pub struct UniEstimationState<'a> {
     c: f64,
     /// The constant unplaced-neighbor factor (0 for first order).
     kfac: f64,
-    free: Vec<NodeId>,
-    /// u32 mirror of `free`, kept in lockstep — the row folds read ids
-    /// from this to halve the per-element id traffic (ids fit u32,
+    /// Placement, free list, frontier and row slots — the bookkeeping the
+    /// general kernel and TopoCentLB share.
+    pub(crate) front: Frontier,
+    /// u32 mirror of `front.free`, kept in lockstep — the row folds read
+    /// ids from this to halve the per-element id traffic (ids fit u32,
     /// checked at construction).
     free32: Vec<u32>,
-    free_pos: Vec<usize>,
-    unassigned: usize,
-    placement: Vec<NodeId>,
-    virgin_cursor: usize,
-    /// Active frontier bookkeeping, as in the general kernel.
-    active: Vec<TaskId>,
-    active_pos: Vec<usize>,
-    row_slot: Vec<usize>,
-    free_slots: Vec<usize>,
-    /// Pooled u32 rows: `rows[slot][i]` = Σ over placed neighbors of
-    /// `d(free[i], P(j))` — positionally indexed against the free list
-    /// *as of `synced[slot]` entries of the swap log*.
+    /// Pooled u32 rows, indexed by `front.row_slot`: `rows[slot][i]` = Σ
+    /// over placed neighbors of `d(free[i], P(j))` — positionally indexed
+    /// against the free list *as of `synced[slot]` entries of the swap
+    /// log*.
     rows: Vec<Vec<u32>>,
     /// Per slot: how many swap-log entries have been applied to the row.
     synced: Vec<usize>,
@@ -143,7 +136,7 @@ impl<'a> UniEstimationState<'a> {
     pub fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, c: f64, kfac: f64) -> Self {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
-        assert!(n <= p, "need at least as many processors as tasks");
+        let front = Frontier::new(n, p);
         assert!(p <= u32::MAX as usize, "processor ids must fit u32");
         let _init_span = obs::span("estimation.init");
         UniEstimationState {
@@ -151,16 +144,8 @@ impl<'a> UniEstimationState<'a> {
             topo,
             c,
             kfac,
-            free: (0..p).collect(),
+            front,
             free32: (0..p as u32).collect(),
-            free_pos: (0..p).collect(),
-            unassigned: n,
-            placement: vec![NONE; n],
-            virgin_cursor: 0,
-            active: Vec::new(),
-            active_pos: vec![NONE; n],
-            row_slot: vec![NONE; n],
-            free_slots: Vec::new(),
             rows: Vec::new(),
             synced: Vec::new(),
             swap_log: Vec::new(),
@@ -180,20 +165,15 @@ impl<'a> UniEstimationState<'a> {
         }
     }
 
-    #[inline]
-    pub fn is_active(&self, t: TaskId) -> bool {
-        self.row_slot[t] != NONE
-    }
-
     /// `fest(t, q) = c·r + (c·cnt)·K`, with `r` recomputed from the
     /// placed-neighbor list (a view; not on the hot path).
     pub fn fest(&self, t: TaskId, q: NodeId) -> f64 {
-        debug_assert!(self.placement[t] == NONE, "task already placed");
-        debug_assert!(self.free_pos[q] != NONE, "processor not free");
+        debug_assert!(!self.front.is_placed(t), "task already placed");
+        debug_assert!(self.front.is_free(q), "processor not free");
         let mut r: u32 = 0;
         for (j, _) in self.tasks.neighbors(t) {
-            if self.placement[j] != NONE {
-                r += self.topo.distance(q, self.placement[j]);
+            if self.front.is_placed(j) {
+                r += self.topo.distance(q, self.front.placement[j]);
             }
         }
         self.c * r as f64 + (self.c * self.placed_cnt[t] as f64) * self.kfac
@@ -201,10 +181,10 @@ impl<'a> UniEstimationState<'a> {
 
     /// `(FMin, FSum)` views of the maintained integers.
     pub fn stats(&self, t: TaskId) -> (f64, f64) {
-        debug_assert!(self.is_active(t));
+        debug_assert!(self.front.is_active(t));
         let shift = (self.c * self.placed_cnt[t] as f64) * self.kfac;
         let fmin = self.c * self.rmin[t] as f64 + shift;
-        let fsum = self.c * self.sr[t] as f64 + shift * self.free.len() as f64;
+        let fsum = self.c * self.sr[t] as f64 + shift * self.front.free.len() as f64;
         (fmin, fsum)
     }
 
@@ -212,25 +192,21 @@ impl<'a> UniEstimationState<'a> {
     /// `gain = c · (S_r/F − r_min)` exactly.
     #[inline]
     pub fn gain(&self, t: TaskId) -> f64 {
-        if self.row_slot[t] == NONE || self.free.is_empty() {
+        let flen = self.front.free.len();
+        if !self.front.is_active(t) || flen == 0 {
             return 0.0;
         }
-        self.c * (self.sr[t] as f64 / self.free.len() as f64 - self.rmin[t] as f64)
+        self.c * (self.sr[t] as f64 / flen as f64 - self.rmin[t] as f64)
     }
 
     pub fn select_task(&self) -> TaskId {
-        debug_assert!(self.unassigned > 0);
-        if self.active.is_empty() {
-            let mut c = self.virgin_cursor;
-            while self.placement[c] != NONE {
-                c += 1;
-            }
-            return c;
+        if self.front.active.is_empty() {
+            return self.front.first_unplaced();
         }
-        let flen = self.free.len() as f64;
+        let flen = self.front.free.len() as f64;
         let mut best_t = NONE;
         let mut best_gain = f64::NEG_INFINITY;
-        for &t in &self.active {
+        for &t in &self.front.active {
             let g = self.c * (self.sr[t] as f64 / flen - self.rmin[t] as f64);
             if g > best_gain || (g == best_gain && t < best_t) {
                 best_gain = g;
@@ -244,26 +220,10 @@ impl<'a> UniEstimationState<'a> {
     /// the lowest free id for a virgin one (the constant factor ties
     /// every candidate).
     pub fn best_proc(&mut self, t: TaskId) -> NodeId {
-        if self.row_slot[t] == NONE {
-            return self.free.iter().copied().min().expect("no free processor");
+        if !self.front.is_active(t) {
+            return *self.front.free.iter().min().expect("no free processor");
         }
         self.argmin[t]
-    }
-
-    pub fn num_free(&self) -> usize {
-        self.free.len()
-    }
-
-    pub fn num_unassigned(&self) -> usize {
-        self.unassigned
-    }
-
-    pub fn free_procs(&self) -> &[NodeId] {
-        &self.free
-    }
-
-    pub fn is_free(&self, q: NodeId) -> bool {
-        self.free_pos[q] != NONE
     }
 
     /// Replay the swap log so `rows[slot]` is positionally aligned with
@@ -278,17 +238,9 @@ impl<'a> UniEstimationState<'a> {
 
     /// Unhook `u` from its argmin bucket (no-op if unbucketed).
     fn bucket_remove(&mut self, u: TaskId) {
-        let pos = self.ampos[u];
-        if pos == NONE {
-            return;
+        if self.ampos[u] != NONE {
+            swap_remove_tracked(&mut self.ambucket[self.argmin[u]], &mut self.ampos, u);
         }
-        let list = &mut self.ambucket[self.argmin[u]];
-        let last = *list.last().unwrap();
-        list.swap_remove(pos);
-        if last != u {
-            self.ampos[last] = pos;
-        }
-        self.ampos[u] = NONE;
     }
 
     /// File `u` under its (current) argmin processor.
@@ -298,74 +250,34 @@ impl<'a> UniEstimationState<'a> {
         self.ambucket[b].push(u);
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        if let Some(s) = self.free_slots.pop() {
-            s
-        } else {
-            self.rows.push(Vec::new());
-            self.synced.push(0);
-            self.rows.len() - 1
-        }
-    }
-
     pub fn assign(&mut self, t: TaskId, q: NodeId) {
-        assert!(self.placement[t] == NONE, "task {t} already placed");
-        assert!(self.free_pos[q] != NONE, "processor {q} not free");
         obs::counter_add("estimation.assigns", 1);
-        self.placement[t] = q;
+        // Retire t's row to the pool and take q off the free list; live
+        // rows catch up lazily via the swap log instead of being touched
+        // here.
+        self.bucket_remove(t);
+        let qi = self.front.place(t, q);
         self.step += 1;
-        self.unassigned -= 1;
-
-        // Retire t from the frontier, releasing its row to the pool.
-        if self.row_slot[t] != NONE {
-            self.bucket_remove(t);
-            let slot = self.row_slot[t];
-            self.free_slots.push(slot);
-            self.row_slot[t] = NONE;
-            let ai = self.active_pos[t];
-            let lasta = *self.active.last().unwrap();
-            self.active.swap_remove(ai);
-            if lasta != t {
-                self.active_pos[lasta] = ai;
-            }
-            self.active_pos[t] = NONE;
-        }
-
-        while self.virgin_cursor < self.placement.len()
-            && self.placement[self.virgin_cursor] != NONE
-        {
-            self.virgin_cursor += 1;
-        }
-
-        // Remove q from the free list; live rows catch up lazily via the
-        // swap log instead of being touched here.
-        let qi = self.free_pos[q];
-        let lastq = *self.free.last().unwrap();
-        self.free.swap_remove(qi);
         self.free32.swap_remove(qi);
-        if lastq != q {
-            self.free_pos[lastq] = qi;
-        }
-        self.free_pos[q] = NONE;
         self.swap_log.push(qi as u32);
 
-        if self.unassigned == 0 {
-            debug_assert!(self.active.is_empty());
+        if self.front.num_unplaced() == 0 {
+            debug_assert!(self.front.active.is_empty());
             return;
         }
-        let flen = self.free.len();
+        let flen = self.front.free.len();
 
         let nbrs: Vec<TaskId> = self
             .tasks
             .neighbors(t)
             .map(|(j, _)| j)
-            .filter(|&j| self.placement[j] == NONE)
+            .filter(|&j| !self.front.is_placed(j))
             .collect();
         for &j in &nbrs {
             self.nbr_stamp[j] = self.step;
         }
 
-        if self.active.is_empty() && nbrs.is_empty() {
+        if self.front.active.is_empty() && nbrs.is_empty() {
             return;
         }
 
@@ -375,7 +287,7 @@ impl<'a> UniEstimationState<'a> {
         let mut colsum: u64 = 0;
         if !nbrs.is_empty() {
             let mut dist = std::mem::take(&mut self.dist);
-            colsum = self.topo.distances_sum_into(q, &self.free, &mut dist);
+            colsum = self.topo.distances_sum_into(q, &self.front.free, &mut dist);
             self.dist = dist;
         }
 
@@ -395,7 +307,7 @@ impl<'a> UniEstimationState<'a> {
         let mut plist = std::mem::take(&mut self.plist);
         let mut pdist = std::mem::take(&mut self.pdist);
         plist.clear();
-        plist.extend(pfront.iter().map(|&j| self.placement[j]));
+        plist.extend(pfront.iter().map(|&j| self.front.placement[j]));
         if !plist.is_empty() {
             self.topo.distances_into(q, &plist, &mut pdist);
         }
@@ -407,7 +319,7 @@ impl<'a> UniEstimationState<'a> {
             let us = &mut self.uset[j];
             let mut dead = 0usize;
             for &u in us.iter() {
-                if self.placement[u] == NONE {
+                if !self.front.is_placed(u) {
                     self.sr[u] -= d;
                     fast += 1;
                 } else {
@@ -415,8 +327,8 @@ impl<'a> UniEstimationState<'a> {
                 }
             }
             if dead * 2 > us.len() {
-                let placement = &self.placement;
-                us.retain(|&u| placement[u] == NONE);
+                let front = &self.front;
+                us.retain(|&u| !front.is_placed(u));
             }
             if !us.is_empty() {
                 pfront[w] = j;
@@ -438,7 +350,7 @@ impl<'a> UniEstimationState<'a> {
             if self.nbr_stamp[u] == step {
                 continue;
             }
-            let slot = self.row_slot[u];
+            let slot = self.front.row_slot[u];
             self.sync_row(slot);
             let (min, am) = row_lexmin(&self.rows[slot], &self.free32);
             self.rmin[u] = min;
@@ -456,19 +368,16 @@ impl<'a> UniEstimationState<'a> {
         // min passes are separate so both auto-vectorize over the
         // L1/L2-resident u32 row.
         for &j in &nbrs {
-            let is_new = self.row_slot[j] == NONE;
-            let slot = if is_new {
-                let slot = self.alloc_slot();
-                self.row_slot[j] = slot;
-                self.active_pos[j] = self.active.len();
-                self.active.push(j);
+            let (slot, is_new) = self.front.activate(j);
+            if slot == self.rows.len() {
+                self.rows.push(Vec::new());
+                self.synced.push(0);
+            }
+            if is_new {
                 self.synced[slot] = self.swap_log.len();
-                slot
             } else {
-                let slot = self.row_slot[j];
                 self.sync_row(slot);
-                slot
-            };
+            }
             // Two passes on purpose: the pure u32 add vectorizes 8-wide,
             // and the packed-key fold in row_lexmin vectorizes on its own
             // — fusing them was measurably slower.
@@ -508,8 +417,8 @@ impl<'a> UniEstimationState<'a> {
     fn r_bruteforce(&self, t: TaskId, q: NodeId) -> u32 {
         self.tasks
             .neighbors(t)
-            .filter(|&(j, _)| self.placement[j] != NONE)
-            .map(|(j, _)| self.topo.distance(q, self.placement[j]))
+            .filter(|&(j, _)| self.front.is_placed(j))
+            .map(|(j, _)| self.topo.distance(q, self.front.placement[j]))
             .sum()
     }
 }
@@ -532,12 +441,12 @@ mod tests {
             let q = s.best_proc(t);
             s.assign(t, q);
             for u in 0..tasks.num_tasks() {
-                if s.placement[u] != NONE || !s.is_active(u) {
+                if !s.front.is_active(u) {
                     continue;
                 }
                 let mut min = u32::MAX;
                 let mut sum = 0u64;
-                for &r in &s.free {
+                for &r in &s.front.free {
                     let v = s.r_bruteforce(u, r);
                     min = min.min(v);
                     sum += v as u64;
@@ -546,7 +455,7 @@ mod tests {
                 assert_eq!(s.sr[u], sum, "S_r drifted for task {u}");
             }
         }
-        assert_eq!(s.num_unassigned(), 0);
+        assert_eq!(s.front.num_unplaced(), 0);
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod estimation;
 #[doc(hidden)]
 pub mod estimation_naive;
 pub mod estimation_uniform;
+mod frontier;
 pub mod genetic;
 pub mod geom;
 pub mod hierarchy;

@@ -62,6 +62,9 @@ impl Mapper for NaiveTopoCentLb {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
         assert!(n <= p, "need at least as many processors as tasks");
+        if n == 0 {
+            return Mapping::new(Vec::new(), p);
+        }
 
         let mut proc_of = vec![usize::MAX; n];
         let mut placed = vec![false; n];

@@ -81,11 +81,10 @@ pub struct RefineTopoLb<M> {
 
 impl<M: Mapper> RefineTopoLb<M> {
     pub fn new(inner: M) -> Self {
-        Self::with_passes(inner, 8)
-    }
-
-    pub fn with_passes(inner: M, max_passes: usize) -> Self {
-        RefineTopoLb { inner, max_passes }
+        RefineTopoLb {
+            inner,
+            max_passes: 8,
+        }
     }
 
     /// [`RefineTopoLb::new`]: the sweep is serial, so `par` is accepted

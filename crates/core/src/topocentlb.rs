@@ -15,10 +15,13 @@
 //! neighbor owns a pooled, positionally-indexed cost row over the free
 //! list, updated by one bulk distance column per placement (an *edge
 //! event* per unplaced neighbor), so placing a task folds one contiguous
-//! row instead of rescanning its adjacency for every free processor.
+//! row instead of rescanning its adjacency for every free processor. The
+//! placement, free list and row slots are the `frontier::Frontier` that
+//! TopoLB's estimation kernels keep too.
 //! The pre-rewrite full-rescan semantics live on as the differential
 //! oracle [`crate::naive::NaiveTopoCentLb`].
 
+use crate::frontier::{Frontier, NONE};
 use crate::obs;
 use crate::{Mapper, Mapping};
 use std::cmp::Ordering;
@@ -51,8 +54,8 @@ impl PartialOrd for Entry {
     }
 }
 
-/// The most-communicating task (ties → lowest id): the seed selection,
-/// shared with the naive oracle.
+/// The most-communicating task (ties → lowest id) of a non-empty graph:
+/// the seed selection, shared with the naive oracle.
 pub(crate) fn seed_task(tasks: &TaskGraph) -> TaskId {
     (0..tasks.num_tasks())
         .max_by(|&a, &b| {
@@ -65,18 +68,14 @@ pub(crate) fn seed_task(tasks: &TaskGraph) -> TaskId {
         .expect("non-empty task graph")
 }
 
-const NONE: usize = usize::MAX;
-
 /// Working state of one TopoCentLB run: heap selection plus pooled
-/// positional cost rows kept in sync with the shrinking free list.
+/// positional cost rows, one per task on the frontier, kept in step with
+/// the frontier's shrinking free list.
 struct CentState<'a> {
     tasks: &'a TaskGraph,
     topo: &'a dyn Topology,
-    proc_of: Vec<usize>,
-    placed: Vec<bool>,
-    /// Positional free list; every live cost row is indexed in sync.
-    free: Vec<usize>,
-    free_pos: Vec<usize>,
+    /// Placement, free list, frontier and row slots.
+    front: Frontier,
     /// `comm_assigned[t]` = total communication of t with placed tasks.
     comm_assigned: Vec<f64>,
     heap: BinaryHeap<Entry>,
@@ -84,28 +83,20 @@ struct CentState<'a> {
     pops: u64,
     stale: u64,
     row_events: u64,
-    /// Pooled cost rows: `rows[slot][i]` = Σ over placed neighbors j of
-    /// the owning task of `c · d(free[i], P(j))`, accumulated in
-    /// placement order. A task owns a row iff it has a placed neighbor.
+    /// Pooled cost rows, indexed by `front.row_slot`: `rows[slot][i]` = Σ
+    /// over placed neighbors j of the owning task of `c · d(free[i],
+    /// P(j))`, accumulated in placement order.
     rows: Vec<Vec<f64>>,
-    free_slots: Vec<usize>,
-    row_slot: Vec<usize>,
-    live: Vec<TaskId>,
-    live_pos: Vec<usize>,
     dist_scratch: Vec<u32>,
 }
 
 impl<'a> CentState<'a> {
     fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology) -> Self {
         let n = tasks.num_tasks();
-        let p = topo.num_nodes();
         CentState {
             tasks,
             topo,
-            proc_of: vec![usize::MAX; n],
-            placed: vec![false; n],
-            free: (0..p).collect(),
-            free_pos: (0..p).collect(),
+            front: Frontier::new(n, topo.num_nodes()),
             comm_assigned: vec![0f64; n],
             heap: BinaryHeap::with_capacity(n * 2),
             pushes: 0,
@@ -113,10 +104,6 @@ impl<'a> CentState<'a> {
             stale: 0,
             row_events: 0,
             rows: Vec::new(),
-            free_slots: Vec::new(),
-            row_slot: vec![NONE; n],
-            live: Vec::new(),
-            live_pos: vec![NONE; n],
             dist_scratch: Vec::new(),
         }
     }
@@ -125,40 +112,21 @@ impl<'a> CentState<'a> {
     /// row, then fire an edge event (comm update + heap push + row
     /// update over one bulk distance column) per unplaced neighbor.
     fn place(&mut self, t: TaskId, q: usize) {
-        self.proc_of[t] = q;
-        self.placed[t] = true;
-        if self.row_slot[t] != NONE {
-            self.free_slots.push(self.row_slot[t]);
-            self.row_slot[t] = NONE;
-            let li = self.live_pos[t];
-            let lastl = *self.live.last().unwrap();
-            self.live.swap_remove(li);
-            if lastl != t {
-                self.live_pos[lastl] = li;
-            }
-            self.live_pos[t] = NONE;
-        }
-        let qi = self.free_pos[q];
-        let lastq = *self.free.last().unwrap();
-        self.free.swap_remove(qi);
-        if lastq != q {
-            self.free_pos[lastq] = qi;
-        }
-        self.free_pos[q] = NONE;
-        for &u in &self.live {
-            self.rows[self.row_slot[u]].swap_remove(qi);
+        let qi = self.front.place(t, q);
+        for &u in &self.front.active {
+            self.rows[self.front.row_slot[u]].swap_remove(qi);
         }
 
         let nbrs: Vec<(TaskId, f64)> = self
             .tasks
             .neighbors(t)
-            .filter(|&(j, _)| !self.placed[j])
+            .filter(|&(j, _)| !self.front.is_placed(j))
             .collect();
         if nbrs.is_empty() {
             return;
         }
         self.topo
-            .distances_into(q, &self.free, &mut self.dist_scratch);
+            .distances_into(q, &self.front.free, &mut self.dist_scratch);
         for &(j, c) in &nbrs {
             self.comm_assigned[j] += c;
             self.heap.push(Entry {
@@ -167,21 +135,15 @@ impl<'a> CentState<'a> {
             });
             self.pushes += 1;
             self.row_events += 1;
-            if self.row_slot[j] == NONE {
-                let slot = if let Some(s) = self.free_slots.pop() {
-                    s
-                } else {
-                    self.rows.push(Vec::new());
-                    self.rows.len() - 1
-                };
-                self.row_slot[j] = slot;
-                self.live_pos[j] = self.live.len();
-                self.live.push(j);
-                let row = &mut self.rows[slot];
+            let (slot, fresh) = self.front.activate(j);
+            if slot == self.rows.len() {
+                self.rows.push(Vec::new());
+            }
+            let row = &mut self.rows[slot];
+            if fresh {
                 row.clear();
                 row.extend(self.dist_scratch.iter().map(|&d| c * d as f64));
             } else {
-                let row = &mut self.rows[self.row_slot[j]];
                 for (v, &d) in row.iter_mut().zip(&self.dist_scratch) {
                     *v += c * d as f64;
                 }
@@ -198,8 +160,10 @@ impl Mapper for TopoCentLb {
     fn map(&self, tasks: &TaskGraph, topo: &dyn Topology) -> Mapping {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
-        assert!(n <= p, "need at least as many processors as tasks");
         let _map_span = obs::span("topocentlb.map");
+        if n == 0 {
+            return Mapping::new(Vec::new(), p);
+        }
         let mut s = CentState::new(tasks, topo);
 
         {
@@ -218,7 +182,7 @@ impl Mapper for TopoCentLb {
             let t = loop {
                 match s.heap.pop() {
                     Some(Entry { key, task })
-                        if !s.placed[task] && key == s.comm_assigned[task] =>
+                        if !s.front.is_placed(task) && key == s.comm_assigned[task] =>
                     {
                         s.pops += 1;
                         break Some(task);
@@ -232,20 +196,20 @@ impl Mapper for TopoCentLb {
                 }
             };
             // Disconnected remainder: pick the lowest-id unplaced task.
-            let t = t.unwrap_or_else(|| (0..n).find(|&x| !s.placed[x]).unwrap());
+            let t = t.unwrap_or_else(|| s.front.first_unplaced());
 
             // Place on the free processor minimizing first-order cost:
             // one contiguous fold of t's cost row (lowest-id tie-break).
             // No row means no placed neighbor — every free processor
             // costs 0, so the lowest id wins.
-            let best_q = match s.row_slot[t] {
-                NONE => s.free.iter().copied().min().unwrap(),
+            let best_q = match s.front.row_slot[t] {
+                NONE => s.front.free.iter().copied().min().unwrap(),
                 slot => {
                     let row = &s.rows[slot];
                     let mut best_q = usize::MAX;
                     let mut best_cost = f64::INFINITY;
                     for (i, &cost) in row.iter().enumerate() {
-                        let q = s.free[i];
+                        let q = s.front.free[i];
                         if cost < best_cost || (cost == best_cost && q < best_q) {
                             best_cost = cost;
                             best_q = q;
@@ -261,7 +225,7 @@ impl Mapper for TopoCentLb {
         obs::counter_add("topocentlb.stale_pops", s.stale);
         obs::counter_add("topocentlb.row_events", s.row_events);
         obs::counter_add("topocentlb.placements", n as u64);
-        Mapping::new(s.proc_of, p)
+        Mapping::new(s.front.placement, p)
     }
 
     fn name(&self) -> String {

@@ -41,11 +41,6 @@ impl TopoLb {
         }
     }
 
-    /// Second-order TopoLB (the paper's configuration).
-    pub fn second_order() -> Self {
-        TopoLb::new(EstimationOrder::Second)
-    }
-
     pub fn with_parallelism(order: EstimationOrder, par: Parallelism) -> Self {
         TopoLb { order, par }
     }

@@ -96,20 +96,30 @@ fn within_bound(spec: &str, count: Option<usize>) -> Result<(), String> {
     }
 }
 
+/// The machine of a `torus:` or `mesh:` spec (`None` for any other
+/// kind), its size checked against [`MAX_PROCESSORS`] before it is built.
+fn parse_grid(spec: &str) -> Result<Option<Torus>, String> {
+    let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
+    let build = match kind {
+        "torus" => Torus::torus,
+        "mesh" => Torus::mesh,
+        _ => return Ok(None),
+    };
+    let dims = parse_dims(rest)?;
+    within_bound(spec, dims.iter().try_fold(1usize, |p, &d| p.checked_mul(d)))?;
+    Ok(Some(build(&dims)))
+}
+
 /// Parse a topology spec. Every size is checked, with checked arithmetic,
 /// against [`MAX_PROCESSORS`] before a machine is constructed.
 pub fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
-    let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     let routed = |t: Box<dyn RoutedTopology>| Ok(ParsedTopology::Routed(t));
+    if let Some(grid) = parse_grid(spec)? {
+        return routed(Box::new(grid));
+    }
+    let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     let bound = |count: Option<usize>| within_bound(spec, count);
-    let grid = || -> Result<Vec<usize>, String> {
-        let dims = parse_dims(rest)?;
-        bound(dims.iter().try_fold(1usize, |p, &d| p.checked_mul(d)))?;
-        Ok(dims)
-    };
     match kind {
-        "torus" => routed(Box::new(Torus::torus(&grid()?))),
-        "mesh" => routed(Box::new(Torus::mesh(&grid()?))),
         "hypercube" => {
             let d = parse_at_least(rest, "hypercube dims", 0u32)?;
             bound(1usize.checked_shl(d))?;
@@ -310,13 +320,7 @@ pub fn parse_hier_plan(
             i + 1
         ));
     }
-    let (kind, rest) = topo_spec.split_once(':').unwrap_or((topo_spec, ""));
-    if kind == "torus" || kind == "mesh" {
-        let grid = if kind == "torus" {
-            Torus::torus(&parse_dims(rest)?)
-        } else {
-            Torus::mesh(&parse_dims(rest)?)
-        };
+    if let Some(grid) = parse_grid(topo_spec)? {
         let (hier, pe_order) = Hierarchy::factor_torus(&grid, &arities)?;
         let hier = match dist_spec {
             Some(d) => Hierarchy::try_new(arities, Hierarchy::parse_dists(d)?)?,
@@ -849,6 +853,10 @@ mod tests {
                 .expect_err("malformed spec");
             assert!(err.contains(needle), "H={h} D={d:?}: {err}");
         }
+        // The grid is bounded before it is built, as in `parse_topology`.
+        let err = parse_hier_plan("mesh:99999999999x2", torus.as_topology(), None, None)
+            .expect_err("oversized grid");
+        assert!(err.contains("more than the"), "{err}");
     }
 
     #[test]

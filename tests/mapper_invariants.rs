@@ -1,7 +1,7 @@
 //! The invariants every mapping keeps, checked in one table: every
 //! registered mapper (every entry of `MapperSpec::NAMES`, built through
 //! `MapperSpec::build_on`, plus `refine` warm-started from four inits) on
-//! every machine family, for six inputs. A mapper is covered the day it is
+//! every machine family, for seven inputs. A mapper is covered the day it is
 //! registered. Each cell checks that
 //!
 //! 1. the mapping is valid and injective;
@@ -76,6 +76,7 @@ fn inputs() -> Vec<(&'static str, TaskGraph, bool)> {
             false,
         ),
         ("1 task", TaskGraph::builder(1).build(), false),
+        ("0 tasks", TaskGraph::builder(0).build(), false),
     ]
 }
 
