@@ -153,4 +153,14 @@ fn main() {
             && report.find_span("contention.refine").is_some(),
         "profiled refine recorded no contention.sims or no contention.refine span"
     );
+    // Rejected trials stop at the makespan they had to beat; the baseline
+    // and every accepted trial run to the end.
+    let (sims, cut) = (
+        report.counter("contention.sims").unwrap_or(0),
+        report.counter("contention.sims_cut").unwrap_or(0),
+    );
+    assert!(
+        0 < cut && cut < sims,
+        "profiled refine cut {cut} of {sims} simulations at their horizon"
+    );
 }

@@ -15,10 +15,16 @@
 //! ## Crate layering
 //!
 //! The simulator lives in `topomap-netsim`, which depends on this crate —
-//! so the loop takes the simulator as a closure `FnMut(&Mapping) ->
-//! SimObservation` rather than calling it directly.
+//! so the loop takes the simulator as a closure `FnMut(&Mapping, u64) ->
+//! Option<SimObservation>` rather than calling it directly.
 //! `topomap_netsim::contention_oracle` builds that closure from a
 //! topology + config + trace; tests can substitute analytic models.
+//!
+//! The second argument, `beat`, is the makespan the run must strictly
+//! undercut to matter: `u64::MAX` for the baseline, then the smaller of
+//! the current makespan and the best trial so far. A simulator may stop
+//! early and return `None` once the makespan is known to be at least
+//! `beat`; the loop counts that as a rejection, which it would have been.
 //!
 //! ## Loop invariants
 //!
@@ -150,11 +156,13 @@ impl Default for ContentionRefine {
 
 impl ContentionRefine {
     /// Refine `m` in place against the simulator `sim`; returns the run
-    /// report. `sim` must be deterministic (same mapping → same
-    /// observation) with ledgers in `topo.links()` order; routes used for
-    /// byte attribution are the topology's deterministic ones, which is
-    /// exact under deterministic routing and a minimal-route approximation
-    /// under adaptive routing.
+    /// report. `sim(mapping, beat)` must be deterministic (same mapping →
+    /// same observation) with ledgers in `topo.links()` order, and may
+    /// return `None` only when the mapping's makespan is at least `beat`
+    /// (see the module docs); the baseline run gets `beat = u64::MAX`.
+    /// Routes used for byte attribution are the topology's deterministic
+    /// ones, which is exact under deterministic routing and a
+    /// minimal-route approximation under adaptive routing.
     pub fn refine<F>(
         &self,
         tasks: &TaskGraph,
@@ -163,18 +171,19 @@ impl ContentionRefine {
         mut sim: F,
     ) -> ContentionReport
     where
-        F: FnMut(&Mapping) -> SimObservation,
+        F: FnMut(&Mapping, u64) -> Option<SimObservation>,
     {
         let _span = obs::span("contention.refine");
         let prof = obs::enabled();
         let links = LinkIndex::new(topo);
 
         let mut sims_run = 0usize;
+        let mut sims_cut = 0u64;
         let mut iterations = 0usize;
         let mut accepted = 0usize;
         let mut candidates_total = 0u64;
 
-        let mut cur = sim(m);
+        let mut cur = sim(m, u64::MAX).expect("the baseline simulation has no makespan to beat");
         sims_run += 1;
         assert_eq!(
             cur.link_busy_ns.len(),
@@ -211,11 +220,12 @@ impl ContentionRefine {
                 }
                 let mut trial = m.clone();
                 c.apply(&mut trial);
-                let o = sim(&trial);
+                let beat = best.as_ref().map_or(cur.makespan_ns, |(b, _, _)| *b);
                 sims_run += 1;
-                let better_than_best = best.as_ref().is_none_or(|(b, _, _)| o.makespan_ns < *b);
-                if o.makespan_ns < cur.makespan_ns && better_than_best {
-                    best = Some((o.makespan_ns, c, o));
+                match sim(&trial, beat) {
+                    Some(o) if o.makespan_ns < beat => best = Some((o.makespan_ns, c, o)),
+                    Some(_) => {}
+                    None => sims_cut += 1,
                 }
             }
 
@@ -233,6 +243,7 @@ impl ContentionRefine {
         if prof {
             obs::counter_add("contention.iterations", iterations as u64);
             obs::counter_add("contention.sims", sims_run as u64);
+            obs::counter_add("contention.sims_cut", sims_cut);
             obs::counter_add("contention.accepted", accepted as u64);
             obs::counter_add("contention.candidates", candidates_total);
         }
@@ -336,24 +347,28 @@ mod tests {
 
     /// An analytic stand-in simulator: makespan = max per-link bytes under
     /// deterministic routing, with a per-link weight so tests can mark
-    /// links "slow". Ledger bytes double as busy time.
+    /// links "slow". Ledger bytes double as busy time. When `bounded`, it
+    /// answers `None` for every makespan at or above `beat`, as a
+    /// simulator that stops at its horizon does.
     fn toy_sim<'a>(
         tasks: &'a TaskGraph,
         topo: &'a dyn RoutedTopology,
         slow: &'a [(usize, f64)],
-    ) -> impl FnMut(&Mapping) -> SimObservation + 'a {
-        move |m: &Mapping| {
+        bounded: bool,
+    ) -> impl FnMut(&Mapping, u64) -> Option<SimObservation> + 'a {
+        move |m: &Mapping, beat: u64| {
             let ll = metrics::LinkLoads::compute(tasks, topo, m);
             let mut busy: Vec<u64> = ll.loads().iter().map(|&b| b as u64).collect();
             for &(li, w) in slow {
                 busy[li] = (busy[li] as f64 * w) as u64;
             }
-            SimObservation {
-                makespan_ns: busy.iter().copied().max().unwrap_or(0),
+            let makespan_ns = busy.iter().copied().max().unwrap_or(0);
+            (!bounded || makespan_ns < beat).then(|| SimObservation {
+                makespan_ns,
                 link_bytes: ll.loads().iter().map(|&b| b as u64).collect(),
                 link_busy_ns: busy,
                 queue_wait_ns: 0,
-            }
+            })
         }
     }
 
@@ -368,34 +383,52 @@ mod tests {
     fn converged_refine_is_identity() {
         let tasks = gen::stencil2d(3, 3, 64.0, false);
         let topo = Torus::torus_2d(4, 4);
-        let mut m = RandomMap::new(5).map(&tasks, &topo);
         let r = ContentionRefine::default();
-        let rep1 = r.refine(&tasks, &topo, &mut m, toy_sim(&tasks, &topo, &[]));
-        let before = m.clone();
-        let rep2 = r.refine(&tasks, &topo, &mut m, toy_sim(&tasks, &topo, &[]));
-        assert_eq!(rep1.final_makespan_ns, rep2.initial_makespan_ns);
-        assert_eq!(rep2.accepted, 0, "converged run must accept nothing");
-        assert_eq!(m, before, "converged run must not touch the mapping");
-        assert_eq!(rep2.final_makespan_ns, rep2.initial_makespan_ns);
+        let mut runs = Vec::new();
+        for bounded in [false, true] {
+            let mut m = RandomMap::new(5).map(&tasks, &topo);
+            let rep1 = r.refine(&tasks, &topo, &mut m, toy_sim(&tasks, &topo, &[], bounded));
+            let before = m.clone();
+            let rep2 = r.refine(&tasks, &topo, &mut m, toy_sim(&tasks, &topo, &[], bounded));
+            assert_eq!(rep1.final_makespan_ns, rep2.initial_makespan_ns);
+            assert_eq!(rep2.accepted, 0, "converged run must accept nothing");
+            assert_eq!(m, before, "converged run must not touch the mapping");
+            assert_eq!(rep2.final_makespan_ns, rep2.initial_makespan_ns);
+            runs.push((rep1, rep2, m));
+        }
+        assert_eq!(
+            runs[0], runs[1],
+            "a bounded simulator must not change the outcome"
+        );
     }
 
     #[test]
     fn never_worse_and_monotone() {
+        let mut cut = 0;
         for seed in [1u64, 3, 8] {
             let tasks = gen::random_graph(10, 2.5, 1.0, 100.0, seed);
             let topo = Torus::torus_2d(4, 4);
-            let mut m = RandomMap::new(seed).map(&tasks, &topo);
-            let rep = ContentionRefine::default().refine(
-                &tasks,
-                &topo,
-                &mut m,
-                toy_sim(&tasks, &topo, &[]),
+            let mut runs = Vec::new();
+            for bounded in [false, true] {
+                let mut m = RandomMap::new(seed).map(&tasks, &topo);
+                let mut sim = toy_sim(&tasks, &topo, &[], bounded);
+                let rep = ContentionRefine::default().refine(&tasks, &topo, &mut m, |m, beat| {
+                    let o = sim(m, beat);
+                    cut += usize::from(o.is_none());
+                    o
+                });
+                assert!(rep.final_makespan_ns <= rep.initial_makespan_ns);
+                assert!(rep.sims_run <= ContentionRefine::default().sim_budget);
+                let check = toy_sim(&tasks, &topo, &[], false)(&m, u64::MAX).unwrap();
+                assert_eq!(check.makespan_ns, rep.final_makespan_ns);
+                runs.push((rep, m));
+            }
+            assert_eq!(
+                runs[0], runs[1],
+                "seed {seed}: bounded and unbounded disagree"
             );
-            assert!(rep.final_makespan_ns <= rep.initial_makespan_ns);
-            assert!(rep.sims_run <= ContentionRefine::default().sim_budget);
-            let check = toy_sim(&tasks, &topo, &[])(&m);
-            assert_eq!(check.makespan_ns, rep.final_makespan_ns);
         }
+        assert!(cut > 0, "the bounded simulator never stopped a trial");
     }
 
     #[test]
@@ -408,7 +441,7 @@ mod tests {
             hb_slack: 0.05,
             ..Default::default()
         };
-        let rep = r.refine(&tasks, &topo, &mut m, toy_sim(&tasks, &topo, &[]));
+        let rep = r.refine(&tasks, &topo, &mut m, toy_sim(&tasks, &topo, &[], false));
         let hb1 = metrics::hop_bytes(&tasks, &topo, &m);
         // Each accepted exchange regresses HB by at most 5% of the HB at
         // its own iteration; with a decreasing makespan the compounded

@@ -9,7 +9,6 @@
 //! both of which the simulator models.
 
 use crate::config::NetworkConfig;
-use topomap_topology::Torus;
 
 /// BG/L torus link bandwidth per direction: 175 MB/s (2 bits per cycle at
 /// 700 MHz).
@@ -38,39 +37,9 @@ pub fn bluegene_config() -> NetworkConfig {
     }
 }
 
-/// A BlueGene partition of `p` nodes "configured as either a 3D-Mesh or a
-/// 3D-Torus" (§5.4), using the most cubic factorization of `p`.
-pub fn bluegene_machine(p: usize, torus: bool) -> Torus {
-    if torus {
-        Torus::torus_3d_for(p)
-    } else {
-        let t = Torus::torus_3d_for(p);
-        Torus::mesh(t.dims())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topomap_topology::Topology;
-
-    #[test]
-    fn machine_shapes() {
-        let t = bluegene_machine(512, true);
-        assert_eq!(t.num_nodes(), 512);
-        assert_eq!(t.dims(), &[8, 8, 8]);
-        assert!(t.is_full_torus());
-        let m = bluegene_machine(512, false);
-        assert!(!m.is_full_torus());
-        assert_eq!(m.dims(), &[8, 8, 8]);
-    }
-
-    #[test]
-    fn mesh_diameter_exceeds_torus() {
-        let t = bluegene_machine(64, true);
-        let m = bluegene_machine(64, false);
-        assert!(m.diameter() > t.diameter());
-    }
 
     #[test]
     fn config_constants() {

@@ -3,7 +3,20 @@
 //! Messages advance hop by hop; the outgoing link at each hop is chosen
 //! at simulation time, which supports both deterministic dimension-ordered
 //! routing and minimal-adaptive routing (pick the productive link that
-//! frees earliest — modeling adaptive virtual-channel selection).
+//! frees earliest — modeling adaptive virtual-channel selection). A
+//! deterministic route depends only on its two processors, which the
+//! mapping fixes for the whole run, so the engine walks each (source task,
+//! destination task) route once and replays its link ids.
+//!
+//! ## Horizon
+//!
+//! A run may carry a horizon: the makespan it must strictly undercut to
+//! be of use ([`contention_oracle`]'s `beat`). It stops and returns `None`
+//! when it pops an event at or after the horizon while a task is
+//! unfinished — that task can only finish at or after the event's time —
+//! or when the last task finished at or after it. Either way the makespan
+//! of the full run is at least the horizon, and otherwise the run is the
+//! full run, bit for bit.
 //!
 //! ## Event order
 //!
@@ -146,6 +159,9 @@ struct Msg {
     dst_proc: NodeId,
     /// Node the head currently occupies.
     cur: NodeId,
+    /// Under deterministic routing, the position in `Engine::routes` of
+    /// the next link to cross.
+    route: u32,
     /// The link the head most recently crossed (for wormhole
     /// backpressure), as an index into `links`.
     prev_link: Option<u32>,
@@ -166,6 +182,10 @@ struct TaskState {
     /// Source this task's current `Recv` is blocked on, if any.
     blocked_on: Option<TaskId>,
     finished_at: Option<u64>,
+    /// Where the route to each destination task starts in
+    /// `Engine::routes`: sorted by destination, an entry inserted when the
+    /// route is first walked (deterministic routing only).
+    routes: Vec<(TaskId, u32)>,
 }
 
 impl TaskState {
@@ -221,35 +241,49 @@ impl Simulation {
         trace: &Trace,
         mapping: &Mapping,
     ) -> SimReport {
+        Self::run_until(topo, cfg, trace, mapping, None)
+            .expect("a run without a horizon is never cut")
+    }
+
+    /// [`Simulation::run_with_links`] with an optional horizon (see the
+    /// module docs): `None` when the makespan is at least `horizon`.
+    fn run_until(
+        topo: &dyn RoutedTopology,
+        cfg: &NetworkConfig,
+        trace: &Trace,
+        mapping: &Mapping,
+        horizon: Option<u64>,
+    ) -> Option<SimReport> {
         let _run_span = obs::span("netsim.run");
         let engine = {
             let _setup_span = obs::span("netsim.setup");
             Engine::new(topo, cfg, trace, mapping)
         };
-        engine.run_report()
+        engine.run_report(horizon)
     }
 }
 
 /// Build the simulate-closure that [`topomap_core::contention::ContentionRefine`]
-/// consumes: each call replays `trace` under the candidate mapping and
-/// returns the makespan plus the per-link busy/byte ledger in
-/// `topo.links()` order. Lives here rather than in `topomap-core` because
-/// the crate dependency points netsim → core.
+/// consumes: each call `(mapping, beat)` replays `trace` under the
+/// candidate mapping with `beat` as its horizon and returns the makespan
+/// plus the per-link busy/byte ledger in `topo.links()` order, or `None`
+/// when the makespan is at least `beat`. Lives here rather than in
+/// `topomap-core` because the crate dependency points netsim → core.
 pub fn contention_oracle<'a>(
     topo: &'a dyn RoutedTopology,
     cfg: &'a NetworkConfig,
     trace: &'a Trace,
-) -> impl FnMut(&Mapping) -> SimObservation + 'a {
-    move |m: &Mapping| {
-        let report = Simulation::run_with_links(topo, cfg, trace, m);
+) -> impl FnMut(&Mapping, u64) -> Option<SimObservation> + 'a {
+    move |m: &Mapping, beat: u64| {
+        let report = Simulation::run_until(topo, cfg, trace, m, Some(beat))?;
         let queue_wait_ns = report.acct.queue_wait_ns();
         let (link_busy_ns, link_bytes) = report.acct.into_ledgers();
-        SimObservation {
+        Some(SimObservation {
             makespan_ns: report.stats.completion_ns,
             link_busy_ns,
             link_bytes,
             queue_wait_ns,
-        }
+        })
     }
 }
 
@@ -278,6 +312,11 @@ struct Engine<'a> {
     msgs: Vec<Msg>,
     free_msgs: Vec<u32>,
     tasks: Vec<TaskState>,
+    /// Tasks whose program has not run to its end.
+    unfinished: usize,
+    /// The link ids of every deterministic route walked so far, back to
+    /// back; `TaskState::routes` says where each starts.
+    routes: Vec<u32>,
     nbr_buf: Vec<NodeId>,
     // Statistics accumulators.
     latencies: Vec<u64>,
@@ -341,6 +380,8 @@ impl<'a> Engine<'a> {
             tasks: (0..trace.num_tasks())
                 .map(|_| TaskState::default())
                 .collect(),
+            unfinished: trace.num_tasks(),
+            routes: Vec::new(),
             nbr_buf: Vec::new(),
             latencies: Vec::new(),
             local_delivered: 0,
@@ -366,17 +407,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run_report(mut self) -> SimReport {
+    /// Run to the end, or to `horizon` (see the module docs).
+    fn run_report(mut self, horizon: Option<u64>) -> Option<SimReport> {
         let events_span = obs::span("netsim.events");
         self.start_tasks();
         let mut events_processed = 0u64;
+        let mut cut = false;
         while let Some((time, kind)) = self.events.pop() {
+            if horizon.is_some_and(|h| time >= h) && self.unfinished > 0 {
+                cut = true;
+                break;
+            }
             events_processed += 1;
             self.dispatch(time, kind);
         }
         drop(events_span);
-        let _agg_span = obs::span("netsim.aggregate");
         obs::counter_add("netsim.events", events_processed);
+        if cut {
+            return None;
+        }
+        let _agg_span = obs::span("netsim.aggregate");
 
         // Deadlock / starvation check: every task must have finished.
         let stuck: Vec<usize> = self
@@ -397,6 +447,9 @@ impl<'a> Engine<'a> {
             .map(|s| s.finished_at.unwrap())
             .max()
             .unwrap_or(0);
+        if horizon.is_some_and(|h| completion_ns >= h) {
+            return None;
+        }
 
         let delivered = self.latencies.len() as u64;
         if obs::enabled() {
@@ -450,11 +503,11 @@ impl<'a> Engine<'a> {
             used_links: self.acct.used_links(),
             total_links: self.links.len(),
         };
-        SimReport {
+        Some(SimReport {
             stats,
             links: self.links.into_links(),
             acct: self.acct,
-        }
+        })
     }
 
     /// Run task `task`'s program from its current pc, starting at `now`,
@@ -465,6 +518,7 @@ impl<'a> Engine<'a> {
             let Some(&op) = self.trace.programs[task].get(self.tasks[task].pc) else {
                 if self.tasks[task].finished_at.is_none() {
                     self.tasks[task].finished_at = Some(now);
+                    self.unfinished -= 1;
                 }
                 return;
             };
@@ -497,6 +551,11 @@ impl<'a> Engine<'a> {
     /// Put a message on the wire (or the local loopback) at `time`.
     fn inject(&mut self, src: TaskId, dst: TaskId, bytes: u64, time: u64) {
         let (ps, pd) = (self.mapping.proc_of(src), self.mapping.proc_of(dst));
+        let route = if ps != pd && self.cfg.routing == RoutingMode::Deterministic {
+            self.route_start(src, dst, ps, pd)
+        } else {
+            0
+        };
         let msg = Msg {
             src,
             dst,
@@ -504,6 +563,7 @@ impl<'a> Engine<'a> {
             inject_ns: time,
             dst_proc: pd,
             cur: ps,
+            route,
             prev_link: None,
             hops: 0,
             tail_ready: 0,
@@ -541,27 +601,48 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Choose the outgoing link for `msg` at its current node.
-    fn choose_next(&mut self, msg: u32) -> NodeId {
-        let m = &self.msgs[msg as usize];
-        match self.cfg.routing {
-            RoutingMode::Deterministic => self.topo.next_hop(m.cur, m.dst_proc),
-            RoutingMode::MinimalAdaptive => {
-                // Among productive links, take the one that frees
-                // earliest (ties -> lowest neighbor id): a proxy for
-                // adaptive output-queue selection in real routers.
-                let (cur, dst) = (m.cur, m.dst_proc);
-                let mut nbrs = std::mem::take(&mut self.nbr_buf);
-                self.topo.productive_neighbors_into(cur, dst, &mut nbrs);
-                let next = nbrs
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| (self.link_free[self.link_id(cur, v)], v))
-                    .expect("at least one productive neighbor");
-                self.nbr_buf = nbrs;
-                next
-            }
+    /// Where the deterministic route from task `src` (on `ps`) to task
+    /// `dst` (on `pd`) starts in `routes`, walking it on first use.
+    fn route_start(&mut self, src: TaskId, dst: TaskId, ps: NodeId, pd: NodeId) -> u32 {
+        let known = &mut self.tasks[src].routes;
+        let i = match known.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(i) => return known[i].1,
+            Err(i) => i,
+        };
+        let start = self.routes.len();
+        let mut cur = ps;
+        while cur != pd {
+            let next = self.topo.next_hop(cur, pd);
+            let li = self.link_id(cur, next) as u32; // LinkIndex: < u32::MAX links
+            self.routes.push(li);
+            cur = next;
         }
+        // A message's offset runs up to its route's end.
+        assert!(
+            u32::try_from(self.routes.len()).is_ok(),
+            "more than u32::MAX cached route links"
+        );
+        let start = start as u32;
+        self.tasks[src].routes.insert(i, (dst, start));
+        start
+    }
+
+    /// The outgoing link of `msg` at its current node under adaptive
+    /// routing: among productive links, the one that frees earliest (ties
+    /// → lowest neighbor id), a proxy for adaptive output-queue selection
+    /// in real routers.
+    fn choose_next(&mut self, msg: u32) -> usize {
+        let m = &self.msgs[msg as usize];
+        let (cur, dst) = (m.cur, m.dst_proc);
+        let mut nbrs = std::mem::take(&mut self.nbr_buf);
+        self.topo.productive_neighbors_into(cur, dst, &mut nbrs);
+        let next = nbrs
+            .iter()
+            .map(|&v| self.link_id(cur, v))
+            .min_by_key(|&li| (self.link_free[li], self.links.head(li)))
+            .expect("at least one productive neighbor");
+        self.nbr_buf = nbrs;
+        next
     }
 
     /// Id of the link `from → to`, which routing just chose.
@@ -587,9 +668,16 @@ impl<'a> Engine<'a> {
     /// The head of `msg` is at a node: reserve the next link FIFO, then
     /// forward the head (cut-through) toward the destination.
     fn handle_hop(&mut self, msg: u32, now: u64) {
-        let next = self.choose_next(msg);
+        let li = match self.cfg.routing {
+            RoutingMode::Deterministic => {
+                let m = &mut self.msgs[msg as usize];
+                m.route += 1;
+                self.routes[m.route as usize - 1] as usize
+            }
+            RoutingMode::MinimalAdaptive => self.choose_next(msg),
+        };
+        let next = self.links.head(li);
         let m = &self.msgs[msg as usize];
-        let li = self.link_id(m.cur, next);
         let prev = m.prev_link;
         let ser = self.link_ser(li, m.bytes);
         let start = now.max(self.link_free[li]);
@@ -866,7 +954,8 @@ mod tests {
 
     #[test]
     fn message_slots_are_reused() {
-        // 50 round trips, one message in flight at a time: one slot.
+        // 50 round trips, one message in flight at a time: one slot, and
+        // each direction's three-link route walked once.
         let topo = Torus::mesh_1d(4);
         let tr = pingpong_trace(2, 0, 1, 50, 1000);
         let m = Mapping::new(vec![0, 3], 4);
@@ -875,6 +964,7 @@ mod tests {
         run_to_end(&mut e);
         assert_eq!(e.latencies.len(), 100);
         assert_eq!(e.msgs.len(), 1);
+        assert_eq!(e.routes.len(), 2 * 3);
         // A contended stencil holds far fewer slots than it sends messages.
         let (topo, hard, tr, m) = hard_run();
         let mut e = Engine::new(&topo, &hard, &tr, &m);
@@ -1028,6 +1118,124 @@ mod tests {
         };
         let m = Mapping::new(vec![0, 1], 2);
         Simulation::run(&topo, &cfg(), &tr, &m);
+    }
+
+    /// `contention_oracle` with `beat` as its horizon against the full
+    /// run: `None` exactly when the makespan is at least the horizon, the
+    /// full run's observation bit for bit otherwise.
+    fn horizon_is_exact(
+        topo: &Torus,
+        cfg: &NetworkConfig,
+        tr: &Trace,
+        m: &Mapping,
+    ) -> Result<(), TestCaseError> {
+        let full = Simulation::run_with_links(topo, cfg, tr, m);
+        let makespan = full.stats.completion_ns;
+        let want = SimObservation {
+            makespan_ns: makespan,
+            link_busy_ns: full.acct.busy_slice().to_vec(),
+            link_bytes: full.acct.bytes_slice().to_vec(),
+            queue_wait_ns: full.acct.queue_wait_ns(),
+        };
+        let mut oracle = contention_oracle(topo, cfg, tr);
+        for horizon in [0, makespan / 2, makespan, makespan + 1, u64::MAX] {
+            let got = oracle(m, horizon);
+            if makespan >= horizon {
+                prop_assert_eq!(got, None, "horizon {} makespan {}", horizon, makespan);
+            } else {
+                prop_assert_eq!(got.as_ref(), Some(&want), "horizon {}", horizon);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn horizon_cuts_exactly_the_runs_whose_makespan_reaches_it(
+            seed in 0u64..1_000,
+            pingpong in any::<bool>(),
+            adaptive in any::<bool>(),
+            wormhole in any::<bool>(),
+            per_link_nic in any::<bool>(),
+            kib in 1u64..64,
+        ) {
+            let topo = Torus::torus_2d(4, 4);
+            let tasks = gen::stencil2d(4, 4, (kib * 1024) as f64, seed % 2 == 0);
+            let tr = if pingpong {
+                let a = (seed % 16) as usize;
+                let b = (a + 1 + (seed / 16 % 15) as usize) % 16;
+                pingpong_trace(16, a, b, 1 + (seed % 3) as usize, kib * 1024)
+            } else {
+                stencil_trace(&tasks, 1 + (seed % 4) as usize, 200)
+            };
+            let mut c = cfg().with_bandwidth(100e6);
+            if adaptive {
+                c.routing = RoutingMode::MinimalAdaptive;
+            }
+            if wormhole {
+                c.switching = Switching::Wormhole;
+            }
+            if per_link_nic {
+                c.nic = NicModel::PerLink;
+            }
+            let m = RandomMap::new(seed).map(&tasks, &topo);
+            horizon_is_exact(&topo, &c, &tr, &m)?;
+        }
+    }
+
+    #[test]
+    fn horizon_is_exact_under_backpressure_nic_queues_and_degraded_links() {
+        let (topo, hard, tr, m) = hard_run();
+        horizon_is_exact(&topo, &hard, &tr, &m).unwrap();
+    }
+
+    #[test]
+    fn horizon_does_not_cut_a_run_whose_tasks_have_all_finished() {
+        // Task 0 sends 1 MB that task 1 never receives: both tasks finish
+        // by the send overhead, long before the message's last events.
+        let topo = Torus::mesh_1d(4);
+        let tr = Trace {
+            programs: vec![
+                vec![TraceOp::Send {
+                    to: 1,
+                    bytes: 1_000_000,
+                }],
+                vec![],
+            ],
+        };
+        let m = Mapping::new(vec![0, 3], 4);
+        let c = cfg();
+        let run = |horizon| obs::record(|| contention_oracle(&topo, &c, &tr)(&m, horizon));
+        let (full, full_report) = run(u64::MAX);
+        assert_eq!(full.as_ref().map(|o| o.makespan_ns), Some(1_000));
+        let (bounded, report) = run(2_000);
+        assert_eq!(bounded, full);
+        // Every event ran, the delivery a millisecond past the horizon too.
+        assert_eq!(
+            report.counter("netsim.events"),
+            full_report.counter("netsim.events")
+        );
+        horizon_is_exact(&topo, &c, &tr, &m).unwrap();
+    }
+
+    #[test]
+    fn cut_run_counts_its_events_and_records_nothing_else() {
+        let tasks = gen::stencil2d(4, 4, 8192.0, true);
+        let topo = Torus::torus_2d(4, 4);
+        let m = RandomMap::new(4).map(&tasks, &topo);
+        let tr = stencil_trace(&tasks, 3, 100);
+        let c = cfg();
+        let (full, full_report) = obs::record(|| Simulation::run(&topo, &c, &tr, &m));
+        let (cut, report) =
+            obs::record(|| contention_oracle(&topo, &c, &tr)(&m, full.completion_ns / 2));
+        assert_eq!(cut, None);
+        let events = report.counter("netsim.events").unwrap();
+        assert!(0 < events && Some(events) < full_report.counter("netsim.events"));
+        assert_eq!(report.counter("netsim.messages.network"), None);
+        assert!(report.series("netsim.link_bytes").is_none());
+        assert!(full_report.series("netsim.link_bytes").is_some());
     }
 
     #[test]

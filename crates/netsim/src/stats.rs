@@ -47,11 +47,6 @@ impl SimStats {
     pub fn completion_ms(&self) -> f64 {
         self.completion_ns as f64 / 1e6
     }
-
-    /// Completion time in seconds.
-    pub fn completion_s(&self) -> f64 {
-        self.completion_ns as f64 / 1e9
-    }
 }
 
 /// Per-link accounting for one simulation run: busy time, bytes carried,
@@ -196,7 +191,6 @@ mod tests {
         };
         assert!((s.avg_latency_us() - 12.345).abs() < 1e-12);
         assert!((s.completion_ms() - 2500.0).abs() < 1e-9);
-        assert!((s.completion_s() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -62,6 +62,12 @@ impl LinkIndex {
             .map(|i| lo + i)
     }
 
+    /// The node link `id` leads to.
+    #[inline]
+    pub fn head(&self, id: usize) -> NodeId {
+        self.links[id].to
+    }
+
     /// Number of directed links.
     pub fn len(&self) -> usize {
         self.links.len()
@@ -104,6 +110,7 @@ mod tests {
             assert_eq!(index.len(), links.len());
             for (i, l) in links.iter().enumerate() {
                 assert_eq!(index.id(l.from, l.to), Some(i), "{} {l:?}", topo.name());
+                assert_eq!(index.head(i), l.to);
             }
             assert_eq!(index.into_links(), links);
         }
