@@ -26,11 +26,11 @@ use topomap_topology::Torus;
 const GRID: &[usize] = &[64, 256, 1024, 4096, 16384];
 /// Third order is O(p³) (2048 takes 5 s). The last three sites are deleted ones, for older commits.
 #[rustfmt::skip]
-const SITES: [(&str, &[usize]); 8] = [
+const SITES: [(&str, &[usize]); 9] = [
     ("topolb3.refold", &[64, 256, 1024, 2048]),
     ("hop_bytes_many", GRID), ("sfc.curve_keys", GRID), ("rcb.frontier", GRID),
-    ("hier.leaves", GRID), ("topolb2.general", GRID), ("topolb2.uniform", GRID),
-    ("anneal.quick", GRID),
+    ("hier.leaves", GRID), ("hier.stencil", GRID), ("topolb2.general", GRID),
+    ("topolb2.uniform", GRID), ("anneal.quick", GRID),
 ];
 
 type Run = Box<dyn Fn(Parallelism)>;
@@ -52,6 +52,9 @@ fn prepare(site: &str, p: usize) -> Run {
         "sfc.curve_keys" => job(s, t, |_, par| SfcMap::with_parallelism(Curve::Hilbert, par)),
         "rcb.frontier" => job(s, t, |_, par| RcbMap::with_parallelism(par)),
         "hier.leaves" => job(g, t, |t, p| {
+            HierMapper::for_torus(t).unwrap().with_parallelism(p)
+        }),
+        "hier.stencil" => job(s, t, |t, p| {
             HierMapper::for_torus(t).unwrap().with_parallelism(p)
         }),
         // The annealer's only thread knob that exists at every commit.

@@ -1,7 +1,7 @@
 //! Profiled smoke run: exercise every mapper family, one simulator run,
 //! the two 4096-processor kernels, TopoLB's general f64 kernel on a
-//! 2,048-task weighted graph, the two-phase pipeline at 16,384 tasks
-//! and the contention loop with the observability layer armed, validate
+//! 2,048-task weighted graph, the two-phase pipeline and RCB at 16,384
+//! tasks and the contention loop with the observability layer armed, validate
 //! the reports (span tree with at least three phases, non-zero counters),
 //! and stamp them as `PROFILE_<name>.json` in the working directory
 //! (gitignored).
@@ -16,13 +16,13 @@ use topomap_bench::cases::Scale;
 use topomap_core::obs;
 use topomap_core::pipeline::two_phase;
 use topomap_core::{
-    EstimationOrder, GeneticMap, HierMapper, Mapper, RefineTopoLb, SimulatedAnnealingMap,
+    EstimationOrder, GeneticMap, HierMapper, Mapper, RcbMap, RefineTopoLb, SimulatedAnnealingMap,
     TopoCentLb, TopoLb,
 };
 use topomap_netsim::{trace, NetworkConfig, Simulation};
 use topomap_partition::MultilevelKWay;
 use topomap_taskgraph::gen;
-use topomap_topology::Torus;
+use topomap_topology::{Topology, Torus};
 
 /// Root span's elapsed time, as the run's wall-clock estimate.
 fn root_elapsed_ms(report: &obs::Report) -> f64 {
@@ -142,6 +142,23 @@ fn main() {
             && report.counter("pipeline.groups") == Some(1_024),
         "two-phase profile lost a phase: {:?}",
         report.span_names()
+    );
+
+    // RCB on the same 16,384-task stencil and a 128 x 128 torus (the
+    // benchmark's `rcb/stencil2d-16384`). Each level stable-partitions
+    // the lists sorted once per axis, writing at most two lists of every
+    // task and processor, so the ids written are bounded by counted work
+    // on any host; a per-level re-sort would have to write more.
+    let rtopo = Torus::torus_2d(128, 128);
+    let report = profile("rcb_16384", || RcbMap::new().map(&tasks, &rtopo));
+    let (levels, moved) = (
+        report.counter("geom.rcb.levels").unwrap_or(0),
+        report.counter("geom.rcb.moved").unwrap_or(0),
+    );
+    let ids = (tasks.num_tasks() + rtopo.num_nodes()) as u64;
+    assert!(
+        levels == 14 && 0 < moved && moved <= 2 * ids * levels,
+        "RCB wrote {moved} ids over {levels} levels (bound 2 x {ids} a level)"
     );
 
     // The matrix's three `contention` rows, recorded.

@@ -21,10 +21,12 @@
 //!   of its widest coordinate axis, in lockstep with an orthogonal
 //!   bisection of the processor block: each task half receives exactly
 //!   as many processors as its share of the machine, so the recursion
-//!   bottoms out with ≤ 1 task per processor. Independent sub-bisections
-//!   fan out on `par` threads level by level; results are combined in
-//!   subproblem order, so the mapping is bit-identical at every thread
-//!   count (the workspace-wide ordered-reduction discipline).
+//!   bottoms out with ≤ 1 task per processor. Both sides are sorted once
+//!   along each axis and a bisection stable-partitions the sorted lists,
+//!   so no level sorts again. Independent sub-bisections fan out on `par`
+//!   threads level by level; results are combined in subproblem order,
+//!   so the mapping is bit-identical at every thread count (the
+//!   workspace-wide ordered-reduction discipline).
 //!
 //! Workloads without geometry degrade gracefully: [`synthesize_coords`]
 //! builds a BFS-layering embedding from peripheral vertices (a
@@ -37,6 +39,8 @@
 //! quantizing the f64 bounding box to [`CURVE_BITS`] bits per axis; all
 //! hot loops are allocation-free per element (stack arrays + flat
 //! output buffers).
+
+use std::ops::Range;
 
 use crate::obs;
 use crate::par::{Executor, Parallelism};
@@ -521,10 +525,15 @@ impl Mapper for SfcMap {
 /// ties). The left side's weight then differs from `target` by at most
 /// the weight of the single task at the boundary.
 pub fn weighted_median_split(ws: &[f64], target: f64) -> usize {
+    median_split(ws.iter().copied(), target)
+}
+
+/// [`weighted_median_split`] over weights in iteration order.
+fn median_split(ws: impl Iterator<Item = f64>, target: f64) -> usize {
     let mut prefix = 0.0f64;
     let mut best = 0usize;
     let mut best_err = target.abs();
-    for (i, &w) in ws.iter().enumerate() {
+    for (i, w) in ws.enumerate() {
         prefix += w;
         let err = (prefix - target).abs();
         if err < best_err {
@@ -535,23 +544,12 @@ pub fn weighted_median_split(ws: &[f64], target: f64) -> usize {
     best
 }
 
-/// One open subproblem of the RCB recursion: these tasks go somewhere
-/// in these processors (`tasks.len() <= pes.len()` invariant).
-struct RcbJob {
-    tasks: Vec<u32>,
-    pes: Vec<u32>,
-}
-
-/// What splitting one job yields.
-enum RcbStep {
-    Leaf(Option<(u32, u32)>),
-    Split(RcbJob, RcbJob),
-}
-
 /// Recursive-coordinate-bisection mapper: bisect the task set at the
 /// weighted median along its widest axis, bisect the processor block
 /// orthogonally along *its* widest axis, recurse the matched halves.
-/// O(n log² n); sub-bisections of one level run concurrently.
+/// O(n log n): both sides are sorted once per axis, and a bisection
+/// stable-partitions the presorted lists; sub-bisections of one level
+/// run concurrently.
 pub struct RcbMap {
     /// Synthesize BFS-layering coordinates when the graph carries none.
     pub fallback: bool,
@@ -605,44 +603,55 @@ impl RcbMap {
                 vec![1.0; n]
             }
         };
+        let (mut ts, mut ps) = {
+            let _sp = obs::span("geom.rcb.presort");
+            (Presorted::new(&task_pts), Presorted::new(&pe_pts))
+        };
 
+        let _sp = obs::span("geom.rcb.bisect");
         let mut proc_of = vec![0usize; n];
-        let mut frontier = vec![RcbJob {
-            tasks: (0..n as u32).collect(),
-            pes: (0..p as u32).collect(),
+        let mut frontier = vec![Job {
+            tasks: 0..n,
+            pes: 0..p,
         }];
-        let mut levels = 0u64;
+        let (mut levels, mut moved) = (0u64, 0u64);
         while !frontier.is_empty() {
             levels += 1;
-            let avg = frontier.iter().map(|j| j.tasks.len()).sum::<usize>() / frontier.len();
             // Fan the level's independent bisections out on `par`; chunk
             // results are recombined in job order, so the schedule never
-            // affects which task lands where. A level costs 90 ns a task
-            // (measured 84–108 averaged over the levels of a run).
-            let steps = exec.map_chunks(frontier.len(), 90 * avg.max(1), |r| {
-                frontier[r]
-                    .iter()
-                    .map(|job| split_job(job, &task_pts, &pe_pts, &weights))
-                    .collect::<Vec<RcbStep>>()
+            // affects which task lands where. A level costs 25 ns a task
+            // (measured 16–38 at 1,024–16,384 tasks on as many PEs).
+            let avg = ts.lists[0].len() / frontier.len();
+            let parts = exec.map_chunks(frontier.len(), 25 * avg.max(1), |r| {
+                bisect_jobs(&frontier[r], &ts, &ps, &weights)
             });
-            let mut next = Vec::new();
-            for step in steps.into_iter().flatten() {
-                match step {
-                    RcbStep::Leaf(Some((t, pe))) => proc_of[t as usize] = pe as NodeId,
-                    RcbStep::Leaf(None) => {}
-                    RcbStep::Split(l, r) => {
-                        if !l.pes.is_empty() {
-                            next.push(l);
-                        }
-                        if !r.pes.is_empty() {
-                            next.push(r);
-                        }
-                    }
+            let mut next = Vec::with_capacity(2 * frontier.len());
+            let (mut t_lists, mut p_lists) = <([Vec<u32>; 3], [Vec<u32>; 3])>::default();
+            let (mut t0, mut p0) = (0, 0);
+            for part in parts {
+                for (t, pe) in part.leaves {
+                    proc_of[t as usize] = pe as NodeId;
                 }
+                for (nt, pp) in part.children {
+                    next.push(Job {
+                        tasks: t0..t0 + nt,
+                        pes: p0..p0 + pp,
+                    });
+                    (t0, p0) = (t0 + nt, p0 + pp);
+                }
+                for (dst, src) in t_lists.iter_mut().zip(part.tasks) {
+                    append(dst, src);
+                }
+                for (dst, src) in p_lists.iter_mut().zip(part.pes) {
+                    append(dst, src);
+                }
+                moved += part.moved;
             }
+            (ts.lists, ps.lists) = (t_lists, p_lists);
             frontier = next;
         }
         obs::counter_add("geom.rcb.levels", levels);
+        obs::counter_add("geom.rcb.moved", moved);
         obs::counter_add("geom.rcb.tasks", n as u64);
         Ok(Mapping::new(proc_of, p))
     }
@@ -664,78 +673,171 @@ impl Mapper for RcbMap {
     }
 }
 
-/// Widest axis of a point subset (lowest axis index on ties).
-fn widest_axis(ids: &[u32], pts: &[[f64; 3]]) -> usize {
-    let mut lo = [f64::INFINITY; 3];
-    let mut hi = [f64::NEG_INFINITY; 3];
-    for &i in ids {
-        for d in 0..3 {
-            lo[d] = lo[d].min(pts[i as usize][d]);
-            hi[d] = hi[d].max(pts[i as usize][d]);
-        }
+/// The order `f64::total_cmp` defines, as an unsigned integer key.
+fn total_order_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
     }
-    let mut best = 0usize;
-    let mut best_ext = hi[0] - lo[0];
-    for d in 1..3 {
-        let ext = hi[d] - lo[d];
-        if ext > best_ext {
-            best_ext = ext;
-            best = d;
-        }
-    }
-    best
 }
 
-/// Sort ids by coordinate along `axis` (ties by id — f64 total order is
-/// fine here because coordinates are validated finite).
-fn sort_along(ids: &mut [u32], pts: &[[f64; 3]], axis: usize) {
-    ids.sort_unstable_by(|&a, &b| {
-        pts[a as usize][axis]
-            .total_cmp(&pts[b as usize][axis])
-            .then(a.cmp(&b))
+/// One side of the RCB problem (tasks or processors), sorted once along
+/// each axis by `(coordinate in total order, id)`. An open job owns one
+/// range of each of the three lists, and every range stays sorted along
+/// its list's axis: a bisection cuts the chosen axis's range at `k` and
+/// stable-partitions the other two, so a subset's order is its parent's
+/// order filtered — the order a fresh sort of the subset would give.
+struct Presorted<'a> {
+    pts: &'a [[f64; 3]],
+    /// The ids of every open job, job after job, in each axis's order.
+    lists: [Vec<u32>; 3],
+    /// `rank[d][id]`: position of `id` in the full sort along axis `d`.
+    rank: [Vec<u32>; 3],
+}
+
+impl<'a> Presorted<'a> {
+    fn new(pts: &'a [[f64; 3]]) -> Self {
+        let lists: [Vec<u32>; 3] = std::array::from_fn(|d| {
+            let mut keyed: Vec<(u64, u32)> = pts
+                .iter()
+                .zip(0..)
+                .map(|(pt, i)| (total_order_key(pt[d]), i))
+                .collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, i)| i).collect()
+        });
+        let rank = std::array::from_fn(|d| {
+            let mut rank = vec![0u32; pts.len()];
+            for (pos, &i) in lists[d].iter().enumerate() {
+                rank[i as usize] = pos as u32;
+            }
+            rank
+        });
+        Presorted { pts, lists, rank }
+    }
+
+    /// Widest axis of the ids in `r` (lowest axis on ties): each list's
+    /// first and last ids carry the range's minimum and maximum.
+    fn widest_axis(&self, r: &Range<usize>) -> usize {
+        let ext = |d: usize| {
+            let ids = &self.lists[d][r.clone()];
+            self.pts[ids[ids.len() - 1] as usize][d] - self.pts[ids[0] as usize][d]
+        };
+        let mut best = 0usize;
+        let mut best_ext = ext(0);
+        for d in 1..3 {
+            let e = ext(d);
+            if e > best_ext {
+                best_ext = e;
+                best = d;
+            }
+        }
+        best
+    }
+
+    /// Append to `out` one half of the range `r` cut at position `k` of
+    /// `axis`'s list — the first `k` ids when `left`, the rest otherwise —
+    /// in each axis's order. Returns the ids the two stable partitions
+    /// wrote.
+    fn emit_half(
+        &self,
+        out: &mut [Vec<u32>; 3],
+        r: &Range<usize>,
+        axis: usize,
+        k: usize,
+        left: bool,
+    ) -> u64 {
+        let cut = &self.lists[axis][r.clone()];
+        let half = if left { &cut[..k] } else { &cut[k..] };
+        out[axis].extend_from_slice(half);
+        // Membership by rank along `axis`: the half is every id ranked
+        // below (left) or from (right) the first id past the cut.
+        let rank = &self.rank[axis];
+        let pivot = cut.get(k).map_or(u32::MAX, |&i| rank[i as usize]);
+        for d in [(axis + 1) % 3, (axis + 2) % 3] {
+            let ids = &self.lists[d][r.clone()];
+            out[d].extend(ids.iter().filter(|&&i| (rank[i as usize] < pivot) == left));
+        }
+        2 * half.len() as u64
+    }
+}
+
+/// One open subproblem of the recursion: the tasks in `tasks` of each
+/// task list go somewhere in the processors in `pes` of each processor
+/// list (`1 <= tasks.len() <= pes.len()`).
+struct Job {
+    tasks: Range<usize>,
+    pes: Range<usize>,
+}
+
+/// What bisecting a run of consecutive jobs yields: the lists of their
+/// children, in job order. A child with no task is dropped, and one with
+/// a single processor is placed at once.
+#[derive(Default)]
+struct LevelPart {
+    tasks: [Vec<u32>; 3],
+    pes: [Vec<u32>; 3],
+    /// `(tasks, processors)` of each child, in list order.
+    children: Vec<(usize, usize)>,
+    /// `(task, processor)` of each half with one processor.
+    leaves: Vec<(u32, u32)>,
+    moved: u64,
+}
+
+/// Bisect each job: processors at their spatial median (left block gets
+/// the extra on odd counts), tasks at the weighted median clamped so each
+/// half fits its processor half.
+fn bisect_jobs(jobs: &[Job], ts: &Presorted, ps: &Presorted, ws: &[f64]) -> LevelPart {
+    let (nt, pp) = jobs.iter().fold((0, 0), |(nt, pp), job| {
+        (nt + job.tasks.len(), pp + job.pes.len())
     });
+    let mut out = LevelPart {
+        tasks: std::array::from_fn(|_| Vec::with_capacity(nt)),
+        pes: std::array::from_fn(|_| Vec::with_capacity(pp)),
+        ..LevelPart::default()
+    };
+    for job in jobs {
+        let (nt, pp) = (job.tasks.len(), job.pes.len());
+        debug_assert!(0 < nt && nt <= pp);
+        let pe_axis = ps.widest_axis(&job.pes);
+        let pl = pp.div_ceil(2);
+        // Task side: weighted median along the tasks' own widest axis,
+        // clamped to [n - pr, pl] so both halves fit their blocks.
+        let t_axis = ts.widest_axis(&job.tasks);
+        let sorted = &ts.lists[t_axis][job.tasks.clone()];
+        let total: f64 = sorted.iter().map(|&t| ws[t as usize]).sum();
+        let target = total * (pl as f64) / (pp as f64);
+        let k = median_split(sorted.iter().map(|&t| ws[t as usize]), target)
+            .max(nt.saturating_sub(pp - pl))
+            .min(pl.min(nt));
+        let pe_sorted = &ps.lists[pe_axis][job.pes.clone()];
+        for (left, nk, pk) in [(true, k, pl), (false, nt - k, pp - pl)] {
+            if nk == 0 {
+                continue;
+            }
+            if pk == 1 {
+                // One processor: its one task is placed here.
+                let (t, pe) = if left { (0, 0) } else { (k, pl) };
+                out.leaves.push((sorted[t], pe_sorted[pe]));
+                continue;
+            }
+            out.moved += ts.emit_half(&mut out.tasks, &job.tasks, t_axis, k, left);
+            out.moved += ps.emit_half(&mut out.pes, &job.pes, pe_axis, pl, left);
+            out.children.push((nk, pk));
+        }
+    }
+    out
 }
 
-/// Bisect one RCB subproblem: processors at their spatial median (left
-/// block gets the extra on odd counts), tasks at the weighted median
-/// clamped so each half fits its processor half.
-fn split_job(job: &RcbJob, task_pts: &[[f64; 3]], pe_pts: &[[f64; 3]], ws: &[f64]) -> RcbStep {
-    let pp = job.pes.len();
-    if pp == 1 {
-        debug_assert!(job.tasks.len() <= 1);
-        return RcbStep::Leaf(job.tasks.first().map(|&t| (t, job.pes[0])));
+/// `dst` followed by `src`, without a copy when `dst` is empty.
+fn append(dst: &mut Vec<u32>, src: Vec<u32>) {
+    if dst.is_empty() {
+        *dst = src;
+    } else {
+        dst.extend_from_slice(&src);
     }
-    // Processor side: orthogonal bisection of the machine block.
-    let mut pes = job.pes.clone();
-    let pe_axis = widest_axis(&pes, pe_pts);
-    sort_along(&mut pes, pe_pts, pe_axis);
-    let pl = pp.div_ceil(2);
-
-    // Task side: weighted median along the tasks' own widest axis,
-    // clamped to [n - pr, pl] so both halves fit their blocks.
-    let mut ts = job.tasks.clone();
-    let nt = ts.len();
-    let t_axis = widest_axis(&ts, task_pts);
-    sort_along(&mut ts, task_pts, t_axis);
-    let total: f64 = ts.iter().map(|&t| ws[t as usize]).sum();
-    let target = total * (pl as f64) / (pp as f64);
-    let sorted_ws: Vec<f64> = ts.iter().map(|&t| ws[t as usize]).collect();
-    let k = weighted_median_split(&sorted_ws, target)
-        .max(nt.saturating_sub(pp - pl))
-        .min(pl.min(nt));
-
-    let (tl, tr) = ts.split_at(k);
-    let (bl, br) = pes.split_at(pl);
-    RcbStep::Split(
-        RcbJob {
-            tasks: tl.to_vec(),
-            pes: bl.to_vec(),
-        },
-        RcbJob {
-            tasks: tr.to_vec(),
-            pes: br.to_vec(),
-        },
-    )
 }
 
 #[cfg(test)]
@@ -821,6 +923,32 @@ mod tests {
     }
 
     #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn weighted_median_is_within_one_task() {
         let ws = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0];
         let total: f64 = ws.iter().sum();
@@ -842,6 +970,13 @@ mod tests {
             assert_eq!(m.num_tasks(), 9);
             assert_eq!(m.num_procs(), 64);
         }
+    }
+
+    #[test]
+    fn one_task_on_one_processor() {
+        let tasks = TaskGraph::builder(1).build();
+        let m = RcbMap::new().map(&tasks, &Torus::torus_1d(1));
+        assert_eq!(m.as_slice(), [0]);
     }
 
     #[test]

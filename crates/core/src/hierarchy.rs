@@ -35,10 +35,12 @@ use topomap_taskgraph::{TaskGraph, TaskId};
 use topomap_topology::{CachedTopology, Hierarchy, NodeId, Topology, Torus};
 
 /// Serial nanoseconds a [`Unit`] job costs per pair of its slots (greedy
-/// growth plus its sweeps), for `par`'s cutoff: measured 45 on a 2-D
-/// stencil and 150–200 on a degree-6 random graph; the lower one is
-/// declared, so a region that fans out has at least the work it claims.
-const PAIR_NS: usize = 45;
+/// growth plus its sweeps), for `par`'s cutoff. A 2-D stencil is the
+/// cheaper input (a degree-6 random graph costs 3–4× as much), and its
+/// figure is declared, so a region that fans out has at least the work it
+/// claims: measured 45 while `Torus::distance` decoded coordinates with
+/// div/mod, and 0.84–0.87 of that once it read the coordinate tables.
+const PAIR_NS: usize = 40;
 
 /// Refine sweeps over each leaf's greedy placement, inside its leaf job.
 const LEAF_SWEEPS: usize = 6;
@@ -536,10 +538,12 @@ impl Unit {
         for (i, &t) in ms.iter().enumerate() {
             local_of[t] = i;
         }
+        // Least off-diagonal entry: each row's slices left and right of
+        // its diagonal.
         let mut dmin = u32::MAX;
-        for a in 0..s {
-            for b in (0..s).filter(|&b| b != a) {
-                dmin = dmin.min(dmat[a * s + b]);
+        for (a, row) in dmat.chunks_exact(s.max(1)).enumerate() {
+            for half in [&row[..a], &row[a + 1..]] {
+                dmin = half.iter().fold(dmin, |m, &d| m.min(d));
             }
         }
         let mut ext: Vec<f64> = Vec::new();

@@ -33,8 +33,8 @@ pub fn hop_bytes_many(
     maps: &[Mapping],
     par: Parallelism,
 ) -> Vec<f64> {
-    // One distance evaluation (25 ns) per edge per mapping.
-    let map_ns = 25 * tasks.num_edges();
+    // One distance evaluation (15 ns) per edge per mapping.
+    let map_ns = 15 * tasks.num_edges();
     Executor::new(par)
         .map_chunks(maps.len(), map_ns, |range| {
             range

@@ -38,7 +38,7 @@ use crate::obs;
 /// join reads ≈ 52 µs on that host, and a region at the cutoff then
 /// takes ≈ 0.9 of its serial time; DESIGN.md §6 has the readings and
 /// leaves the retuning open. Call sites state their estimates in one
-/// unit, with 25 ns per topology distance evaluation as the yardstick.
+/// unit, with 15 ns per topology distance evaluation as the yardstick.
 const MIN_CHUNK_NS: usize = 100_000;
 
 /// Thread-count selection.

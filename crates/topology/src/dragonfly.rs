@@ -84,12 +84,6 @@ impl Dragonfly {
         debug_assert!(group < self.groups && router < self.routers);
         group * self.routers + router
     }
-
-    /// Whether the directed link `(from, to)` is a global (inter-group)
-    /// channel rather than a local one.
-    pub fn is_global_link(&self, from: NodeId, to: NodeId) -> bool {
-        self.group_of(from) != self.group_of(to)
-    }
 }
 
 impl Topology for Dragonfly {
@@ -232,8 +226,10 @@ mod tests {
         let dst = d.node_of(3, 0);
         let route = d.route(src, dst);
         assert_eq!(route.len(), 2);
-        assert!(d.is_global_link(route[0].from, route[0].to));
-        assert!(!d.is_global_link(route[1].from, route[1].to));
+        // The global channel first (it changes the group), then the
+        // local one (it stays inside the destination group).
+        assert_ne!(d.group_of(route[0].from), d.group_of(route[0].to));
+        assert_eq!(d.group_of(route[1].from), d.group_of(route[1].to));
         for (a, b) in [(0usize, 15usize), (5, 5), (2, 14), (9, 1)] {
             assert_eq!(d.route(a, b).len() as u32, d.distance(a, b));
         }

@@ -24,13 +24,6 @@ impl Hypercube {
         Hypercube { dims }
     }
 
-    /// The smallest hypercube with at least `p` nodes.
-    pub fn at_least(p: usize) -> Self {
-        assert!(p > 0);
-        let dims = usize::BITS - (p - 1).leading_zeros();
-        Hypercube::new(dims)
-    }
-
     pub fn dims(&self) -> u32 {
         self.dims
     }
@@ -106,15 +99,6 @@ mod tests {
         assert_eq!(h.distance(0b0000, 0b1111), 4);
         assert_eq!(h.distance(0b0101, 0b0101), 0);
         assert_eq!(h.degree(3), 4);
-    }
-
-    #[test]
-    fn at_least_rounds_up_to_power_of_two() {
-        assert_eq!(Hypercube::at_least(1).num_nodes(), 1);
-        assert_eq!(Hypercube::at_least(2).num_nodes(), 2);
-        assert_eq!(Hypercube::at_least(5).num_nodes(), 8);
-        assert_eq!(Hypercube::at_least(64).num_nodes(), 64);
-        assert_eq!(Hypercube::at_least(65).num_nodes(), 128);
     }
 
     #[test]

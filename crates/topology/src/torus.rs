@@ -148,10 +148,6 @@ impl Torus {
         &self.wrap
     }
 
-    pub fn num_dims(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Is every dimension wrapped (true torus)?
     pub fn is_full_torus(&self) -> bool {
         self.wrap.iter().all(|&w| w)
@@ -368,11 +364,20 @@ impl Topology for Torus {
 
     fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         debug_assert!(a < self.nodes && b < self.nodes);
+        // Coordinates come from the tables `next_hop` and the bulk gather
+        // read: one byte-packed load per node when the shape allows, else
+        // one `u16` load per dimension — no div/mod pair per coordinate.
+        if let (Some(&pa), Some(&pb)) = (self.packed.get(a), self.packed.get(b)) {
+            let mut total = 0u32;
+            for d in 0..self.dims.len() {
+                let (ca, cb) = ((pa >> (8 * d)) & 255, (pb >> (8 * d)) & 255);
+                total += self.dim_distance(d, ca as usize, cb as usize);
+            }
+            return total;
+        }
         let mut total = 0u32;
         for d in 0..self.dims.len() {
-            let ca = coords::coord_of(a, self.dims[d], self.strides[d]);
-            let cb = coords::coord_of(b, self.dims[d], self.strides[d]);
-            total += self.dim_distance(d, ca, cb);
+            total += self.dim_distance(d, self.coord(d, a), self.coord(d, b));
         }
         total
     }
@@ -823,6 +828,66 @@ mod tests {
                 t.distances_into(from, &targets, &mut got);
                 let want: Vec<u32> = targets.iter().map(|&q| t.distance(from, q)).collect();
                 assert_eq!(got, want, "{} from {from}", t.name());
+            }
+        }
+    }
+
+    /// Distance from a div/mod coordinate decode — the closed form
+    /// `distance` used before it read the coordinate tables, kept as its
+    /// reference.
+    fn distance_divmod(t: &Torus, a: NodeId, b: NodeId) -> u32 {
+        let mut total = 0;
+        for d in 0..t.dims.len() {
+            let n = t.dims[d];
+            let ca = coords::coord_of(a, n, t.strides[d]);
+            let cb = coords::coord_of(b, n, t.strides[d]);
+            let raw = ca.abs_diff(cb);
+            total += if t.wrap[d] { raw.min(n - raw) } else { raw } as u32;
+        }
+        total
+    }
+
+    #[test]
+    fn distance_matches_divmod_formula() {
+        // (shape, byte-packed, u16-tabulated): every table layout
+        // `distance` can read, with mixed wrap and dimensions of 1 and 2.
+        let shapes = [
+            (
+                Torus::new(&[4, 1, 2, 3], &[true, false, true, false]),
+                true,
+                true,
+            ),
+            (Torus::new(&[256, 2], &[true, false]), true, true),
+            (
+                Torus::new(&[2, 3, 2, 3, 2], &[true, true, false, true, false]),
+                false,
+                true,
+            ),
+            (Torus::mesh_2d(300, 20), false, true),
+            (Torus::new(&[257, 1, 2], &[true, false, true]), false, true),
+            (Torus::torus_1d(70_000), false, false),
+        ];
+        for (t, packed, tabulated) in shapes {
+            assert_eq!(!t.packed.is_empty(), packed, "{}", t.name());
+            assert_eq!(t.tabulated(), tabulated, "{}", t.name());
+            let n = t.num_nodes();
+            // Every node of the small shapes; on the large ones a stride,
+            // the ids around the byte and `u16` limits, and the last ids.
+            let mut probes: Vec<NodeId> = (0..n).step_by(n.div_ceil(600)).collect();
+            probes.extend(
+                [1, 255, 256, 257, 65_535, 65_536, n / 2, n - 2, n - 1]
+                    .iter()
+                    .filter(|&&q| q < n),
+            );
+            for &a in &probes {
+                for &b in &probes {
+                    assert_eq!(
+                        t.distance(a, b),
+                        distance_divmod(&t, a, b),
+                        "{} d({a},{b})",
+                        t.name()
+                    );
+                }
             }
         }
     }
