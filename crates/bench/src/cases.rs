@@ -25,7 +25,7 @@ use Scale::{Default as Dflt, Full, Test};
 
 /// A workload: a `parse_pattern` spec, or — for the two families that
 /// parser does not have — a label and a constructor.
-pub enum Workload {
+pub(crate) enum Workload {
     Spec(&'static str),
     Built(&'static str, fn() -> TaskGraph),
 }
@@ -33,7 +33,7 @@ use Workload::{Built, Spec};
 
 /// The five things the deleted programs did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Measure {
+pub(crate) enum Measure {
     /// Place (best of three timed `map` calls) and score hop-bytes.
     Score,
     /// Place once, replay the stencil trace under every network variant.
@@ -49,42 +49,42 @@ pub enum Measure {
 
 type MakePartitioner = fn() -> Box<dyn Partitioner>;
 
-pub struct Case {
-    pub exp: &'static str,
-    pub measure: Measure,
+pub(crate) struct Case {
+    pub(crate) exp: &'static str,
+    pub(crate) measure: Measure,
     /// `(smallest scale that runs it, workload, parse_topology spec)`.
-    pub sizes: &'static [(Scale, Workload, &'static str)],
+    pub(crate) sizes: &'static [(Scale, Workload, &'static str)],
     /// Message sizes handed to `parse_pattern` (stencil edges carry twice
     /// that: one message each way); more than one makes bytes the row.
-    pub bytes: &'static [f64],
+    pub(crate) bytes: &'static [f64],
     /// `parse_pattern`'s seed (the random families and LeanMD read it).
-    pub gen_seed: u64,
+    pub(crate) gen_seed: u64,
     /// `NAME` or `refine --init NAME`, as on the `topomap map` command line.
-    pub mappers: &'static [&'static str],
+    pub(crate) mappers: &'static [&'static str],
     /// Seeds of the seeded mappers (tables average over them); the
     /// deterministic ones run once, with the first.
-    pub seeds: &'static [u64],
-    pub partitioners: &'static [(&'static str, MakePartitioner)],
+    pub(crate) seeds: &'static [u64],
+    pub(crate) partitioners: &'static [(&'static str, MakePartitioner)],
     // The network scenario, read by the simulator-backed measurements.
     /// BG/L link constants instead of `NetworkConfig::default()`.
-    pub bgl: bool,
+    pub(crate) bgl: bool,
     /// Link bandwidths, MB/s (empty: the base config's); more than one
     /// makes bandwidth the row.
-    pub mbs: &'static [f64],
+    pub(crate) mbs: &'static [f64],
     /// BigNetSim-style per-port NIC instead of the shared channel.
-    pub per_link: bool,
-    pub routing: &'static [RoutingMode],
+    pub(crate) per_link: bool,
+    pub(crate) routing: &'static [RoutingMode],
     /// Trace iterations at `[Test, Default, Full]`.
-    pub iterations: [usize; 3],
-    pub compute_ns: u64,
-    pub send_overhead_ns: Option<u64>,
+    pub(crate) iterations: [usize; 3],
+    pub(crate) compute_ns: u64,
+    pub(crate) send_overhead_ns: Option<u64>,
     /// Slow every outgoing link of the router that is busiest under the
     /// hop-bytes-refined mapping to this fraction of its bandwidth.
-    pub degrade: Option<f64>,
+    pub(crate) degrade: Option<f64>,
     /// The paper's closed form for Random's hops per byte on `p` PEs.
-    pub analytic: Option<fn(usize) -> f64>,
+    pub(crate) analytic: Option<fn(usize) -> f64>,
     /// The paper's own cells, by row label.
-    pub paper: &'static [(&'static str, &'static [&'static str])],
+    pub(crate) paper: &'static [(&'static str, &'static [&'static str])],
 }
 
 const MULTILEVEL: (&str, MakePartitioner) = ("multilevel", || Box::new(MultilevelKWay::default()));
@@ -165,11 +165,11 @@ fn leanmd_groups_64() -> TaskGraph {
 }
 
 /// The cases of experiment `exp`.
-pub fn of(exp: &str) -> impl Iterator<Item = &'static Case> + '_ {
+pub(crate) fn of(exp: &str) -> impl Iterator<Item = &'static Case> + '_ {
     CASES.iter().filter(move |c| c.exp == exp)
 }
 
-pub const CASES: &[Case] = &[
+pub(crate) const CASES: &[Case] = &[
     // The paper's 235 µs per iteration at 1 KB is MPI software overhead
     // and Jacobi compute, not wire time: 10 µs of sender overhead per
     // message and 150 µs of compute; the links stay BG/L's.

@@ -8,7 +8,7 @@ use crate::cases;
 use crate::{Record, Sel};
 
 /// A name EXPERIMENTS.md cites, and the predicate over all the records.
-pub type Claim = (&'static str, fn(&Sel) -> bool);
+pub(crate) type Claim = (&'static str, fn(&Sel) -> bool);
 
 /// The names of the claims that do not hold on `records`.
 pub fn check(records: &[Record]) -> Vec<&'static str> {

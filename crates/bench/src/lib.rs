@@ -46,7 +46,7 @@ macro_rules! record {
         }
 
         impl Record {
-            pub const COLUMNS: &'static [&'static str] =
+            pub(crate) const COLUMNS: &'static [&'static str] =
                 &[$(stringify!($key),)* $(stringify!($metric),)*];
 
             fn cells(&self) -> Vec<String> {
@@ -104,7 +104,7 @@ fn parse_number(cell: &str) -> Result<f64, String> {
 
 /// `(key, value)` lines describing the run, kept as `# key: value` above
 /// the column header (the benchmark's meta block, for this file).
-pub type Stamp = Vec<(String, String)>;
+pub(crate) type Stamp = Vec<(String, String)>;
 
 pub fn to_tsv(stamp: &Stamp, records: &[Record]) -> String {
     let mut out = String::new();
@@ -206,27 +206,27 @@ pub fn stamp(scale: cases::Scale) -> Stamp {
 
 /// A selection of records, the query side of [`claims`] and [`render`].
 #[derive(Clone)]
-pub struct Sel<'a>(pub Vec<&'a Record>);
+pub struct Sel<'a>(pub(crate) Vec<&'a Record>);
 
 impl<'a> Sel<'a> {
-    pub fn all(records: &'a [Record]) -> Self {
+    pub(crate) fn all(records: &'a [Record]) -> Self {
         Sel(records.iter().collect())
     }
 
-    pub fn exp(&self, exp: &str) -> Self {
+    pub(crate) fn exp(&self, exp: &str) -> Self {
         self.such(|r| r.exp == exp)
     }
 
-    pub fn such(&self, keep: impl Fn(&Record) -> bool) -> Self {
+    pub(crate) fn such(&self, keep: impl Fn(&Record) -> bool) -> Self {
         Sel(self.0.iter().copied().filter(|r| keep(r)).collect())
     }
 
-    pub fn variant(&self, variant: &str) -> Self {
+    pub(crate) fn variant(&self, variant: &str) -> Self {
         self.such(|r| r.variant == variant)
     }
 
     /// Sub-selections with equal `key`, in first-seen order.
-    pub fn by(&self, key: impl Fn(&Record) -> String) -> Vec<Sel<'a>> {
+    pub(crate) fn by(&self, key: impl Fn(&Record) -> String) -> Vec<Sel<'a>> {
         let mut groups: Vec<(String, Sel<'a>)> = Vec::new();
         for &r in &self.0 {
             let k = key(r);
@@ -240,49 +240,49 @@ impl<'a> Sel<'a> {
 
     /// One selection per table row: equal experiment, pattern, machine
     /// and row label.
-    pub fn rows(&self) -> Vec<Sel<'a>> {
+    pub(crate) fn rows(&self) -> Vec<Sel<'a>> {
         self.by(|r| [&r.exp[..], &r.pattern, &r.machine, &r.row].join("\t"))
     }
 
     /// The first record, for the labels a selection shares.
-    pub fn head(&self) -> &'a Record {
+    pub(crate) fn head(&self) -> &'a Record {
         self.0.first().copied().unwrap_or(&EMPTY)
     }
 
     /// The row label as a number (PEs, bytes or MB/s).
-    pub fn at(&self) -> f64 {
+    pub(crate) fn at(&self) -> f64 {
         self.head().row.parse().unwrap_or(f64::NAN)
     }
 
     /// Mean of `metric` over the records of `mapper` (that is, over its
     /// seeds); NaN when there are none.
-    pub fn mean(&self, mapper: &str, metric: fn(&Record) -> f64) -> f64 {
+    pub(crate) fn mean(&self, mapper: &str, metric: fn(&Record) -> f64) -> f64 {
         let of_mapper = self.0.iter().filter(|r| r.mapper == mapper);
         let values: Vec<f64> = of_mapper.map(|r| metric(r)).collect();
         values.iter().sum::<f64>() / values.len() as f64
     }
 
-    pub fn hpb(&self, mapper: &str) -> f64 {
+    pub(crate) fn hpb(&self, mapper: &str) -> f64 {
         self.mean(mapper, |r| r.hpb)
     }
 
     /// Simulated completion time.
-    pub fn ns(&self, mapper: &str) -> f64 {
+    pub(crate) fn ns(&self, mapper: &str) -> f64 {
         self.mean(mapper, |r| r.completion_ns)
     }
 
     /// Average message latency, ns.
-    pub fn lat(&self, mapper: &str) -> f64 {
+    pub(crate) fn lat(&self, mapper: &str) -> f64 {
         self.mean(mapper, |r| r.avg_latency_ns)
     }
 
-    pub fn ms(&self, mapper: &str) -> f64 {
+    pub(crate) fn ms(&self, mapper: &str) -> f64 {
         self.mean(mapper, |r| r.map_ms)
     }
 
     /// Of one pass-by-pass refinement: final hops per byte, sweeps run,
     /// exchanges accepted in all.
-    pub fn refined(&self) -> (f64, f64, f64) {
+    pub(crate) fn refined(&self) -> (f64, f64, f64) {
         let last = self.0.last().map_or(f64::NAN, |r| r.hpb);
         let accepts = self.0.iter().map(|r| r.accepts).sum();
         (last, self.0.len() as f64 - 1.0, accepts)

@@ -15,7 +15,7 @@ type Column = (&'static str, fn(&Sel) -> String);
 /// Block id (an experiment id of `CASES`), what splits its records into
 /// titled tables (if anything), what makes a line, and the columns —
 /// none for one `hops per byte (map time)` column per mapper of the case.
-pub type Block = (&'static str, Option<Key>, Key, &'static [Column]);
+pub(crate) type Block = (&'static str, Option<Key>, Key, &'static [Column]);
 
 const ROW: Key = |r| [&r.pattern[..], &r.machine, &r.row].join(" ");
 const MAPPER_IN_ROW: Key = |r| [&r.mapper[..], &r.pattern, &r.row].join(" ");

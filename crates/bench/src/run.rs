@@ -1,4 +1,4 @@
-//! The runner: one function per [`Measure`], each emitting flat records.
+//! The runner: one function per `Measure`, each emitting flat records.
 //!
 //! Everything runs under `Parallelism::default()` (the `TOPOMAP_THREADS`
 //! environment variable reaches it); no mapper's result depends on it.

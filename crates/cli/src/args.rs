@@ -4,21 +4,22 @@ use std::collections::HashMap;
 
 /// Parsed `--key value` pairs.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     values: HashMap<String, String>,
 }
 
 impl Args {
-    /// Parse a flat `--key value --key2 value2 ...` list. Every flag must
-    /// start with `--` and take exactly one value; duplicates are
-    /// rejected.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// [`Args::parse_with_flags`] with no boolean flags.
+    #[cfg(test)]
+    pub(crate) fn parse(argv: &[String]) -> Result<Self, String> {
         Self::parse_with_flags(argv, &[])
     }
 
-    /// Like [`Args::parse`], but flags named in `bool_flags` take no
-    /// value: their presence stores `"true"` (query with [`Args::flag`]).
-    pub fn parse_with_flags(argv: &[String], bool_flags: &[&str]) -> Result<Self, String> {
+    /// Parse a flat `--key value --key2 value2 ...` list. Every flag must
+    /// start with `--` and take exactly one value, except those named in
+    /// `bool_flags`, whose presence stores `"true"` (query with
+    /// [`Args::flag`]); duplicates are rejected.
+    pub(crate) fn parse_with_flags(argv: &[String], bool_flags: &[&str]) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
@@ -44,7 +45,7 @@ impl Args {
     }
 
     /// A required string flag.
-    pub fn required(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn required(&self, key: &str) -> Result<&str, String> {
         self.values
             .get(key)
             .map(|s| s.as_str())
@@ -52,17 +53,21 @@ impl Args {
     }
 
     /// An optional string flag.
-    pub fn optional(&self, key: &str) -> Option<&str> {
+    pub(crate) fn optional(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(|s| s.as_str())
     }
 
     /// A boolean flag (parsed via `parse_with_flags`): present or not.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.values.get(key).map(|v| v == "true").unwrap_or(false)
     }
 
     /// An optional parsed flag with a default.
-    pub fn parsed_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn parsed_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v

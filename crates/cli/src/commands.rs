@@ -1,21 +1,21 @@
 //! The five subcommands.
 
 use crate::args::Args;
-use crate::specs;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use topomap_core::{metrics, obs, ContentionRefine, Mapping};
 use topomap_netsim::{contention_oracle, trace, NetworkConfig, Simulation};
 use topomap_serve::server::{self, Bind, ServeConfig};
+use topomap_serve::specs;
 use topomap_taskgraph::io as tgio;
 use topomap_topology::Topology;
 
 /// Boolean (value-less) flags accepted by the subcommands — the single
 /// list shared by the dispatcher (`run_inner`) and the tests, so a flag
 /// added for one subcommand cannot silently parse differently elsewhere.
-pub const BOOL_FLAGS: &[&str] = &["profile", "refine-contention"];
+pub(crate) const BOOL_FLAGS: &[&str] = &["profile", "refine-contention"];
 
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 topomap — topology-aware task mapping (IPDPS'06 reproduction)
 
 USAGE:
@@ -170,7 +170,7 @@ impl ObsOpts {
 }
 
 /// `topomap gen` — generate a workload task graph and write it as JSON.
-pub fn cmd_gen(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_gen(args: &Args) -> Result<String, String> {
     let pattern = args.required("pattern")?;
     let bytes: f64 = args.parsed_or("bytes", 1024.0)?;
     let seed: u64 = args.parsed_or("seed", 0)?;
@@ -187,7 +187,7 @@ pub fn cmd_gen(args: &Args) -> Result<String, String> {
 }
 
 /// `topomap map` — map a task graph onto a machine.
-pub fn cmd_map(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_map(args: &Args) -> Result<String, String> {
     let obs_opts = ObsOpts::from_args(args)?;
     let topo_spec = args.required("topology")?;
     let topo = specs::parse_topology(topo_spec)?;
@@ -234,7 +234,7 @@ pub fn cmd_map(args: &Args) -> Result<String, String> {
 }
 
 /// `topomap eval` — evaluate an existing mapping.
-pub fn cmd_eval(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_eval(args: &Args) -> Result<String, String> {
     let topo = specs::parse_topology(args.required("topology")?)?;
     let tasks = tgio::load(args.required("tasks")?).map_err(|e| e.to_string())?;
     let t = topo.as_topology();
@@ -260,7 +260,7 @@ pub fn cmd_eval(args: &Args) -> Result<String, String> {
 
 /// `topomap simulate` — replay the stencil-style trace of the workload
 /// through the packet simulator under the given mapping.
-pub fn cmd_simulate(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_simulate(args: &Args) -> Result<String, String> {
     let obs_opts = ObsOpts::from_args(args)?;
     let topo_spec = args.required("topology")?;
     let topo = specs::parse_topology(topo_spec)?;
@@ -409,7 +409,7 @@ fn install_sigint() {}
 
 /// `topomap serve` — run the persistent mapping daemon until SIGINT or
 /// a `Shutdown` request, then drain and report stats.
-pub fn cmd_serve(args: &Args) -> Result<String, String> {
+pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
     let obs_opts = ObsOpts::from_args(args)?;
     let bind = match args.optional("unix") {
         #[cfg(unix)]

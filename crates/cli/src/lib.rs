@@ -1,11 +1,11 @@
 //! # topomap-cli
 //!
-//! The library behind the `topomap` command-line tool: spec parsing
-//! (machine and workload descriptions as compact strings, shared with
-//! `topomap-serve`), mapper resolution, and the five subcommands
-//! (`gen`, `map`, `eval`, `simulate`, `serve`). Kept as a library so
-//! every piece is unit-testable; the binary is a thin `main` that
-//! forwards `std::env::args`.
+//! The library behind the `topomap` command-line tool: flag parsing and
+//! the five subcommands (`gen`, `map`, `eval`, `simulate`, `serve`).
+//! Machine, workload and mapper spec strings are parsed by
+//! `topomap_serve::specs`, the same parser the mapping server uses. Kept
+//! as a library so every piece is unit-testable; the binary is a thin
+//! `main` that forwards `std::env::args`.
 //!
 //! ```text
 //! topomap gen      --pattern stencil2d:16x16 --bytes 4096 --out tasks.json
@@ -15,11 +15,10 @@
 //!                  --iterations 200 --bandwidth-mbps 175
 //! ```
 
-pub mod args;
-pub mod commands;
-pub mod specs;
+pub(crate) mod args;
+pub(crate) mod commands;
 
-pub use args::Args;
+pub(crate) use args::Args;
 
 /// Top-level driver; returns the process exit code.
 pub fn run(argv: &[String]) -> i32 {
@@ -38,7 +37,7 @@ pub fn run(argv: &[String]) -> i32 {
 
 /// The driver without I/O side effects on success (output returned as a
 /// string, so tests can assert on it).
-pub fn run_inner(argv: &[String]) -> Result<String, String> {
+pub(crate) fn run_inner(argv: &[String]) -> Result<String, String> {
     let Some(cmd) = argv.first() else {
         return Err("missing subcommand".into());
     };

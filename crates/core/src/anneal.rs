@@ -40,11 +40,11 @@ use topomap_topology::Topology;
 #[derive(Debug, Clone)]
 pub struct SimulatedAnnealingMap {
     /// RNG seed (deterministic per seed).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Swap proposals per temperature step.
     pub moves_per_temp: usize,
     /// Geometric cooling rate per temperature step (e.g. 0.95).
-    pub cooling: f64,
+    pub(crate) cooling: f64,
 }
 
 /// Initial temperature as a fraction of the seed mapping's hop-bytes per

@@ -67,7 +67,7 @@ pub struct SimObservation {
 
 /// One candidate exchange between processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Exchange {
+pub(crate) enum Exchange {
     /// Swap the processors of two tasks (normalized: lower task first).
     Swap(TaskId, TaskId),
     /// Migrate a task to a free processor.
@@ -187,7 +187,7 @@ impl ContentionRefine {
         sims_run += 1;
         assert_eq!(
             cur.link_busy_ns.len(),
-            links.len(),
+            links.num_links(),
             "simulator ledger does not match topo.links()"
         );
         let initial_makespan_ns = cur.makespan_ns;

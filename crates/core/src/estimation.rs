@@ -88,7 +88,7 @@ impl EstimationOrder {
 /// topologies and orders. [`EstimationState`] wraps it and swaps in the
 /// integer kernel ([`crate::estimation_uniform`]) when
 /// `uniform_kernel` detects that the run qualifies.
-pub struct GenEstimationState<'a> {
+pub(crate) struct GenEstimationState<'a> {
     tasks: &'a TaskGraph,
     topo: &'a dyn Topology,
     order: EstimationOrder,
@@ -203,7 +203,8 @@ fn fold_row(row: &[f64], w: f64, fac: &[f64], free: &[NodeId]) -> (f64, NodeId, 
 }
 
 impl<'a> GenEstimationState<'a> {
-    pub fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, order: EstimationOrder) -> Self {
+    #[cfg(test)]
+    fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, order: EstimationOrder) -> Self {
         Self::with_executor(tasks, topo, order, Executor::new(Parallelism::default()))
     }
 
@@ -292,7 +293,7 @@ impl<'a> GenEstimationState<'a> {
 
     /// Current `fest(t, q)` for unassigned task `t` and free processor `q`.
     #[inline]
-    pub fn fest(&self, t: TaskId, q: NodeId) -> f64 {
+    pub(crate) fn fest(&self, t: TaskId, q: NodeId) -> f64 {
         debug_assert!(!self.front.is_placed(t), "task already placed");
         debug_assert!(self.front.is_free(q), "processor not free");
         let contrib = match self.front.row_slot[t] {
@@ -305,7 +306,7 @@ impl<'a> GenEstimationState<'a> {
     /// The maintained `(FMin, argmin, FSum)` triple of an active task —
     /// exposed for the differential test suite's checkpoint audits.
     #[doc(hidden)]
-    pub fn stats(&self, t: TaskId) -> (f64, NodeId, f64) {
+    pub(crate) fn stats(&self, t: TaskId) -> (f64, NodeId, f64) {
         debug_assert!(self.front.is_active(t));
         (self.fmin[t], self.fmin_proc[t], self.fsum[t])
     }
@@ -314,7 +315,7 @@ impl<'a> GenEstimationState<'a> {
     /// criticality measure). Virgin tasks carry no gain signal (§4.1:
     /// `FAvg ≈ FMin` when nothing is placed near them) — their gain is 0.
     #[inline]
-    pub fn gain(&self, t: TaskId) -> f64 {
+    pub(crate) fn gain(&self, t: TaskId) -> f64 {
         if !self.front.is_active(t) {
             return 0.0;
         }
@@ -328,7 +329,7 @@ impl<'a> GenEstimationState<'a> {
     /// The next task to place: the max-gain frontier task (ties → lowest
     /// id) while the frontier is non-empty; otherwise the lowest-id virgin
     /// task (every virgin's gain is defined 0, so the id tie-break rules).
-    pub fn select_task(&self) -> TaskId {
+    pub(crate) fn select_task(&self) -> TaskId {
         if self.front.active.is_empty() {
             return self.front.first_unplaced();
         }
@@ -348,7 +349,7 @@ impl<'a> GenEstimationState<'a> {
     /// The free processor where `t` costs least (ties → lowest id). O(1)
     /// for frontier tasks; virgin tasks fold their factor column once.
     #[inline]
-    pub fn best_proc(&self, t: TaskId) -> NodeId {
+    pub(crate) fn best_proc(&self, t: TaskId) -> NodeId {
         if self.front.is_active(t) {
             return self.fmin_proc[t];
         }
@@ -374,7 +375,7 @@ impl<'a> GenEstimationState<'a> {
     /// one row update + stats fold per unplaced neighbor of `t` (edge
     /// events), the O(1) subtraction fast path for every other frontier
     /// task, O(p) + a frontier-wide refold for order three.
-    pub fn assign(&mut self, t: TaskId, q: NodeId) {
+    pub(crate) fn assign(&mut self, t: TaskId, q: NodeId) {
         obs::counter_add("estimation.assigns", 1);
         // Retire t's row to the pool and take q off the free list. Every
         // live row shrinks at q's old position; those shrinks are fused
@@ -608,8 +609,8 @@ enum Kernel<'a> {
 /// The estimation structure driving [`crate::TopoLb`]: a facade that
 /// picks the right kernel for the run. Uniform-weight graphs on
 /// distance-regular machines (orders one/two) run on the exact-integer
-/// kernel of [`crate::estimation_uniform`]; everything else runs on the
-/// general f64 kernel [`GenEstimationState`]. Both kernels share the
+/// kernel of `crate::estimation_uniform`; everything else runs on the
+/// general f64 kernel `GenEstimationState`. Both kernels share the
 /// selection and placement semantics, and each has a naive oracle twin in
 /// [`crate::estimation_naive`] pinned bit-identical by
 /// `tests/incremental_equivalence.rs`.
@@ -736,10 +737,6 @@ impl<'a> EstimationState<'a> {
 
     pub fn free_procs(&self) -> &[NodeId] {
         &self.front().free
-    }
-
-    pub fn is_free(&self, q: NodeId) -> bool {
-        self.front().is_free(q)
     }
 }
 

@@ -50,7 +50,7 @@ use topomap_topology::{NodeId, Topology};
 
 /// Integer-exact estimation structure for uniform-weight task graphs on
 /// factor-uniform machines. Same surface as the general kernel.
-pub struct UniEstimationState<'a> {
+pub(crate) struct UniEstimationState<'a> {
     tasks: &'a TaskGraph,
     topo: &'a dyn Topology,
     /// The uniform edge weight.
@@ -133,7 +133,7 @@ fn row_lexmin(row: &[u32], free: &[u32]) -> (u32, NodeId) {
 }
 
 impl<'a> UniEstimationState<'a> {
-    pub fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, c: f64, kfac: f64) -> Self {
+    pub(crate) fn new(tasks: &'a TaskGraph, topo: &'a dyn Topology, c: f64, kfac: f64) -> Self {
         let n = tasks.num_tasks();
         let p = topo.num_nodes();
         let front = Frontier::new(n, p);
@@ -167,7 +167,7 @@ impl<'a> UniEstimationState<'a> {
 
     /// `fest(t, q) = c·r + (c·cnt)·K`, with `r` recomputed from the
     /// placed-neighbor list (a view; not on the hot path).
-    pub fn fest(&self, t: TaskId, q: NodeId) -> f64 {
+    pub(crate) fn fest(&self, t: TaskId, q: NodeId) -> f64 {
         debug_assert!(!self.front.is_placed(t), "task already placed");
         debug_assert!(self.front.is_free(q), "processor not free");
         let mut r: u32 = 0;
@@ -180,7 +180,7 @@ impl<'a> UniEstimationState<'a> {
     }
 
     /// `(FMin, FSum)` views of the maintained integers.
-    pub fn stats(&self, t: TaskId) -> (f64, f64) {
+    pub(crate) fn stats(&self, t: TaskId) -> (f64, f64) {
         debug_assert!(self.front.is_active(t));
         let shift = (self.c * self.placed_cnt[t] as f64) * self.kfac;
         let fmin = self.c * self.rmin[t] as f64 + shift;
@@ -191,7 +191,7 @@ impl<'a> UniEstimationState<'a> {
     /// Gain view: the constant factor shifts FAvg and FMin equally, so
     /// `gain = c · (S_r/F − r_min)` exactly.
     #[inline]
-    pub fn gain(&self, t: TaskId) -> f64 {
+    pub(crate) fn gain(&self, t: TaskId) -> f64 {
         let flen = self.front.free.len();
         if !self.front.is_active(t) || flen == 0 {
             return 0.0;
@@ -199,7 +199,7 @@ impl<'a> UniEstimationState<'a> {
         self.c * (self.sr[t] as f64 / flen as f64 - self.rmin[t] as f64)
     }
 
-    pub fn select_task(&self) -> TaskId {
+    pub(crate) fn select_task(&self) -> TaskId {
         if self.front.active.is_empty() {
             return self.front.first_unplaced();
         }
@@ -219,7 +219,7 @@ impl<'a> UniEstimationState<'a> {
     /// The maintained lexicographic `(r, id)` argmin for an active task;
     /// the lowest free id for a virgin one (the constant factor ties
     /// every candidate).
-    pub fn best_proc(&mut self, t: TaskId) -> NodeId {
+    pub(crate) fn best_proc(&mut self, t: TaskId) -> NodeId {
         if !self.front.is_active(t) {
             return *self.front.free.iter().min().expect("no free processor");
         }
@@ -250,7 +250,7 @@ impl<'a> UniEstimationState<'a> {
         self.ambucket[b].push(u);
     }
 
-    pub fn assign(&mut self, t: TaskId, q: NodeId) {
+    pub(crate) fn assign(&mut self, t: TaskId, q: NodeId) {
         obs::counter_add("estimation.assigns", 1);
         // Retire t's row to the pool and take q off the free list; live
         // rows catch up lazily via the swap log instead of being touched

@@ -36,7 +36,7 @@
 //! of panicking.
 //!
 //! Curve encoders work on unsigned grid coordinates produced by
-//! quantizing the f64 bounding box to [`CURVE_BITS`] bits per axis; all
+//! quantizing the f64 bounding box to `CURVE_BITS` bits per axis; all
 //! hot loops are allocation-free per element (stack arrays + flat
 //! output buffers).
 
@@ -51,7 +51,7 @@ use topomap_topology::{NodeId, Topology};
 /// Bits per axis used when quantizing f64 coordinates onto the curve
 /// grid: 16 bits × 3 axes = 48-bit indices, distinct for any machine or
 /// workload grid up to 65536 cells per side.
-pub const CURVE_BITS: u32 = 16;
+pub(crate) const CURVE_BITS: u32 = 16;
 
 /// Which space-filling curve orders the points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,11 +407,11 @@ fn task_points(
 /// coordinates, processors by curve index of their machine coordinates,
 /// matched rank-to-rank weighted by compute load. O(n log n).
 pub struct SfcMap {
-    pub curve: Curve,
+    pub(crate) curve: Curve,
     /// Synthesize BFS-layering coordinates when the graph carries none
     /// (disable to get [`GeomError::MissingCoordinates`] instead).
-    pub fallback: bool,
-    pub par: Parallelism,
+    pub(crate) fallback: bool,
+    pub(crate) par: Parallelism,
 }
 
 impl SfcMap {
@@ -552,8 +552,8 @@ fn median_split(ws: impl Iterator<Item = f64>, target: f64) -> usize {
 /// run concurrently.
 pub struct RcbMap {
     /// Synthesize BFS-layering coordinates when the graph carries none.
-    pub fallback: bool,
-    pub par: Parallelism,
+    pub(crate) fallback: bool,
+    pub(crate) par: Parallelism,
 }
 
 impl RcbMap {

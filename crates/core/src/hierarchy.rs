@@ -51,14 +51,14 @@ const LEAF_SWEEPS: usize = 6;
 pub struct HierMapper {
     /// The hardware hierarchy (its processor count must match the machine
     /// handed to [`Mapper::map`]).
-    pub hier: Hierarchy,
+    pub(crate) hier: Hierarchy,
     /// Machine node at each hierarchy position (`None` = identity — the
     /// machine is numbered hierarchically already, e.g. a fat-tree).
-    pub pe_order: Option<Vec<NodeId>>,
+    pub(crate) pe_order: Option<Vec<NodeId>>,
     /// Cross-leaf Jacobi swap passes after the leaf sub-mappings.
-    pub refine_passes: usize,
+    pub(crate) refine_passes: usize,
     /// Thread configuration for the leaf and refinement fan-outs.
-    pub par: Parallelism,
+    pub(crate) par: Parallelism,
 }
 
 impl HierMapper {

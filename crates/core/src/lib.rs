@@ -45,28 +45,28 @@
 
 #![forbid(unsafe_code)]
 
-pub mod anneal;
+pub(crate) mod anneal;
 pub mod contention;
 pub mod estimation;
 #[doc(hidden)]
 pub mod estimation_naive;
-pub mod estimation_uniform;
+pub(crate) mod estimation_uniform;
 mod frontier;
-pub mod genetic;
+pub(crate) mod genetic;
 pub mod geom;
-pub mod hierarchy;
-pub mod linear;
+pub(crate) mod hierarchy;
+pub(crate) mod linear;
 pub mod metrics;
 #[doc(hidden)]
 pub mod naive;
 pub mod obs;
-pub mod optimal;
+pub(crate) mod optimal;
 pub mod par;
 pub mod pipeline;
-pub mod random;
+pub(crate) mod random;
 pub mod refine;
-pub mod topocentlb;
-pub mod topolb;
+pub(crate) mod topocentlb;
+pub(crate) mod topolb;
 
 pub use anneal::SimulatedAnnealingMap;
 pub use contention::{ContentionRefine, ContentionReport, SimObservation};
@@ -134,7 +134,7 @@ impl Mapping {
 
     /// Task hosted on processor `p`, if any.
     #[inline]
-    pub fn task_on(&self, p: NodeId) -> Option<TaskId> {
+    pub(crate) fn task_on(&self, p: NodeId) -> Option<TaskId> {
         match self.task_on[p] {
             usize::MAX => None,
             t => Some(t),
@@ -155,7 +155,7 @@ impl Mapping {
     }
 
     /// Swap the processors of two tasks (used by the refiner).
-    pub fn swap_tasks(&mut self, a: TaskId, b: TaskId) {
+    pub(crate) fn swap_tasks(&mut self, a: TaskId, b: TaskId) {
         if a == b {
             return;
         }
@@ -168,7 +168,7 @@ impl Mapping {
 
     /// Move task `t` to a currently-free processor `p`. Panics if `p` is
     /// occupied by a different task.
-    pub fn move_task(&mut self, t: TaskId, p: NodeId) {
+    pub(crate) fn move_task(&mut self, t: TaskId, p: NodeId) {
         let cur = self.proc_of[t];
         if cur == p {
             return;

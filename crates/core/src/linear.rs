@@ -9,10 +9,8 @@
 //!   from the heaviest communicator, repeatedly append the unplaced task
 //!   most strongly connected to the already-ordered prefix (a cheap
 //!   linear arrangement).
-//! - **Processors** are ordered by a locality-preserving curve: snake
-//!   (boustrophedon) order on tori/meshes — the classic space-filling
-//!   placement used on BlueGene — and BFS order from the topology center
-//!   on anything else.
+//! - **Processors** are ordered by distance from the topology center
+//!   (ties by id), which works for any metric, fat-trees included.
 //!
 //! O(n²) worst case but with tiny constants; lands between random and
 //! TopoCentLB in quality, which is exactly the role the related-work
@@ -20,42 +18,7 @@
 
 use crate::{Mapper, Mapping};
 use topomap_taskgraph::{TaskGraph, TaskId};
-use topomap_topology::{stats::AvgDistTable, NodeId, Topology, Torus};
-
-/// Snake (boustrophedon) linearization of an N-D grid: dimension 0 runs
-/// slowest; each row reverses direction when the preceding coordinate sum
-/// is odd, so consecutive positions are always grid neighbors.
-pub fn snake_order(machine: &Torus) -> Vec<NodeId> {
-    let dims = machine.dims();
-    let n = machine.num_nodes();
-    let mut order = Vec::with_capacity(n);
-    let mut coords = vec![0usize; dims.len()];
-    // Odometer over snake coordinates.
-    for _ in 0..n {
-        // Actual coordinate: reverse dimension d when the sum of higher
-        // (slower) coordinates is odd.
-        let mut actual = vec![0usize; dims.len()];
-        let mut parity = 0usize;
-        for d in 0..dims.len() {
-            actual[d] = if parity.is_multiple_of(2) {
-                coords[d]
-            } else {
-                dims[d] - 1 - coords[d]
-            };
-            parity += actual[d];
-        }
-        order.push(machine.node_at(&actual));
-        // Increment odometer (last dim fastest).
-        for d in (0..dims.len()).rev() {
-            coords[d] += 1;
-            if coords[d] < dims[d] {
-                break;
-            }
-            coords[d] = 0;
-        }
-    }
-    order
-}
+use topomap_topology::{stats::AvgDistTable, NodeId, Topology};
 
 /// Greedy communication-weighted linear arrangement of tasks.
 fn task_order(tasks: &TaskGraph) -> Vec<TaskId> {
@@ -86,44 +49,19 @@ fn task_order(tasks: &TaskGraph) -> Vec<TaskId> {
     order
 }
 
-/// The Taura–Chien-style linear-ordering mapper.
-///
-/// Constructed over an explicit processor order; use
-/// [`LinearOrderMap::snake`] for torus machines or
-/// [`LinearOrderMap::bfs`] to derive a center-out BFS order from any
-/// topology at map time.
+/// The Taura–Chien-style linear-ordering mapper: tasks in greedy
+/// linear-arrangement order onto processors in center-out distance order.
 #[derive(Debug, Clone, Default)]
-pub struct LinearOrderMap {
-    /// Explicit processor visit order; empty = derive BFS-from-center
-    /// order from distances at map time.
-    pub proc_order: Vec<NodeId>,
-}
+pub struct LinearOrderMap;
 
 impl LinearOrderMap {
-    /// Snake order over a torus/mesh machine.
-    pub fn snake(machine: &Torus) -> Self {
-        LinearOrderMap {
-            proc_order: snake_order(machine),
-        }
-    }
-
     /// Distance-sorted order from the topology center (works for any
     /// metric, including fat-trees).
     pub fn bfs() -> Self {
-        LinearOrderMap {
-            proc_order: Vec::new(),
-        }
+        LinearOrderMap
     }
 
     fn effective_order(&self, topo: &dyn Topology) -> Vec<NodeId> {
-        if !self.proc_order.is_empty() {
-            assert_eq!(
-                self.proc_order.len(),
-                topo.num_nodes(),
-                "processor order does not match machine size"
-            );
-            return self.proc_order.clone();
-        }
         let center = AvgDistTable::new(topo).center();
         let mut order: Vec<NodeId> = (0..topo.num_nodes()).collect();
         order.sort_by_key(|&q| (topo.distance(center, q), q));
@@ -146,72 +84,16 @@ impl Mapper for LinearOrderMap {
     }
 
     fn name(&self) -> String {
-        if self.proc_order.is_empty() {
-            "LinearOrder(bfs)".to_string()
-        } else {
-            "LinearOrder(snake)".to_string()
-        }
+        "LinearOrder(bfs)".to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{metrics, RandomMap, TopoLb};
+    use crate::{metrics, RandomMap};
     use topomap_taskgraph::gen;
-
-    #[test]
-    fn snake_order_is_a_hamiltonian_walk() {
-        for machine in [
-            Torus::mesh_2d(4, 5),
-            Torus::mesh_3d(3, 3, 3),
-            Torus::torus_2d(4, 4),
-        ] {
-            let order = snake_order(&machine);
-            assert_eq!(order.len(), machine.num_nodes());
-            let mut seen = std::collections::HashSet::new();
-            for &q in &order {
-                assert!(seen.insert(q), "duplicate node {q}");
-            }
-            // Consecutive snake positions are grid neighbors.
-            for w in order.windows(2) {
-                assert_eq!(
-                    machine.distance(w[0], w[1]),
-                    1,
-                    "{} broke between {} and {}",
-                    machine.name(),
-                    w[0],
-                    w[1]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn beats_random_on_stencils() {
-        let tasks = gen::stencil2d(8, 8, 100.0, false);
-        let machine = Torus::torus_2d(8, 8);
-        let lin = LinearOrderMap::snake(&machine).map(&tasks, &machine);
-        let rnd = RandomMap::new(1).map(&tasks, &machine);
-        let h_lin = metrics::hops_per_byte(&tasks, &machine, &lin);
-        let h_rnd = metrics::hops_per_byte(&tasks, &machine, &rnd);
-        assert!(h_lin < 0.75 * h_rnd, "linear {h_lin} vs random {h_rnd}");
-        // ...but a 1-D arrangement of a 2-D pattern cannot reach TopoLB.
-        let h_lb =
-            metrics::hops_per_byte(&tasks, &machine, &TopoLb::default().map(&tasks, &machine));
-        assert!(h_lin >= h_lb);
-    }
-
-    #[test]
-    fn ring_on_snake_is_optimal() {
-        // A 1-D pattern along a Hamiltonian walk embeds at dilation 1
-        // (except possibly the closing edge).
-        let tasks = gen::ring(24, 100.0);
-        let machine = Torus::mesh_2d(4, 6);
-        let m = LinearOrderMap::snake(&machine).map(&tasks, &machine);
-        let hpb = metrics::hops_per_byte(&tasks, &machine, &m);
-        assert!(hpb <= 1.5, "ring along the snake: {hpb}");
-    }
+    use topomap_topology::Torus;
 
     #[test]
     fn bfs_order_works_on_metric_only_topology() {
@@ -229,17 +111,8 @@ mod tests {
     fn deterministic() {
         let tasks = gen::random_graph(30, 4.0, 1.0, 10.0, 3);
         let machine = Torus::torus_2d(6, 5);
-        let a = LinearOrderMap::snake(&machine).map(&tasks, &machine);
-        let b = LinearOrderMap::snake(&machine).map(&tasks, &machine);
+        let a = LinearOrderMap::bfs().map(&tasks, &machine);
+        let b = LinearOrderMap::bfs().map(&tasks, &machine);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn wrong_sized_order_rejected() {
-        let tasks = gen::ring(4, 1.0);
-        let machine = Torus::torus_2d(2, 2);
-        let other = Torus::torus_2d(3, 3);
-        LinearOrderMap::snake(&other).map(&tasks, &machine);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::par::{Executor, Parallelism};
 use crate::Mapping;
-use topomap_taskgraph::{TaskGraph, TaskId};
+use topomap_taskgraph::TaskGraph;
 use topomap_topology::{Link, LinkIndex, RoutedTopology, Topology};
 
 /// Total hop-bytes: `Σ_{e_ab ∈ Et} c_ab · d_p(P(a), P(b))`.
@@ -44,18 +44,6 @@ pub fn hop_bytes_many(
         .concat()
 }
 
-/// Hop-bytes contributed by a single task:
-/// `HB(t) = Σ_{(t,j) ∈ Et} c_tj · d_p(P(t), P(j))`.
-///
-/// Note `Σ_t HB(t) = 2 · HB` — each edge is counted from both endpoints,
-/// matching the paper's `HB = ½ Σ_v HB(v)`.
-pub fn task_hop_bytes(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, t: TaskId) -> f64 {
-    tasks
-        .neighbors(t)
-        .map(|(j, c)| c * topo.distance(m.proc_of(t), m.proc_of(j)) as f64)
-        .sum()
-}
-
 /// Hops-per-byte: `HB / Σ c_ab` — the paper's headline figure-of-merit
 /// (Figures 1–6). Returns 0 for graphs with no communication.
 pub fn hops_per_byte(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> f64 {
@@ -69,7 +57,7 @@ pub fn hops_per_byte(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> f64
 /// Maximum edge dilation: the largest distance any task-graph edge is
 /// stretched over. The ideal mapping of a pattern that embeds in the
 /// topology has dilation 1.
-pub fn max_dilation(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> u32 {
+pub(crate) fn max_dilation(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> u32 {
     tasks
         .edges()
         .map(|(a, b, _)| topo.distance(m.proc_of(a), m.proc_of(b)))
@@ -79,7 +67,7 @@ pub fn max_dilation(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> u32 
 
 /// Histogram of edge dilations: `hist[d]` = total bytes travelling `d`
 /// hops. `hist[0]` counts colocated (same-processor) communication.
-pub fn dilation_histogram(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> Vec<f64> {
+pub(crate) fn dilation_histogram(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> Vec<f64> {
     let mut hist = vec![0f64; topo.diameter() as usize + 1];
     for (a, b, c) in tasks.edges() {
         let d = topo.distance(m.proc_of(a), m.proc_of(b)) as usize;
@@ -90,7 +78,12 @@ pub fn dilation_histogram(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -
 
 /// The dilation below which fraction `q` of all communicated bytes stay
 /// (e.g. `q = 0.99` gives the 99th byte-percentile hop count).
-pub fn dilation_percentile(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, q: f64) -> u32 {
+pub(crate) fn dilation_percentile(
+    tasks: &TaskGraph,
+    topo: &dyn Topology,
+    m: &Mapping,
+    q: f64,
+) -> u32 {
     assert!((0.0..=1.0).contains(&q));
     let hist = dilation_histogram(tasks, topo, m);
     let total: f64 = hist.iter().sum();
@@ -147,7 +140,7 @@ impl LinkLoads {
     /// accumulate bytes per directed link.
     pub fn compute<T: RoutedTopology + ?Sized>(tasks: &TaskGraph, topo: &T, m: &Mapping) -> Self {
         let index = LinkIndex::new(topo);
-        let mut loads = vec![0f64; index.len()];
+        let mut loads = vec![0f64; index.num_links()];
         let mut route = Vec::new();
         for (a, b, c) in tasks.edges() {
             let (pa, pb) = (m.proc_of(a), m.proc_of(b));
@@ -211,6 +204,16 @@ mod tests {
     use crate::Mapping;
     use topomap_taskgraph::gen;
     use topomap_topology::Torus;
+
+    /// Hop-bytes contributed by a single task:
+    /// `HB(t) = Σ_{(t,j) ∈ Et} c_tj · d_p(P(t), P(j))`, the per-task
+    /// reference for the paper's `HB = ½ Σ_v HB(v)`.
+    fn task_hop_bytes(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, t: usize) -> f64 {
+        tasks
+            .neighbors(t)
+            .map(|(j, c)| c * topo.distance(m.proc_of(t), m.proc_of(j)) as f64)
+            .sum()
+    }
 
     fn identity(n: usize) -> Mapping {
         Mapping::new((0..n).collect(), n)

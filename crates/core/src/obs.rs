@@ -250,7 +250,7 @@ pub fn meta_set(name: &str, value: &str) {
 /// Run `f`, adding its wall time in nanoseconds to the named counter.
 /// When disabled this is exactly `f()` — no clock is read.
 #[inline]
-pub fn time_counter<R>(name: &str, f: impl FnOnce() -> R) -> R {
+pub(crate) fn time_counter<R>(name: &str, f: impl FnOnce() -> R) -> R {
     if !enabled() {
         return f();
     }
@@ -396,17 +396,17 @@ pub struct CounterEntry {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetaEntry {
     pub name: String,
-    pub value: String,
+    pub(crate) value: String,
 }
 
 /// One named series with its histogram digest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeriesEntry {
-    pub name: String,
+    pub(crate) name: String,
     pub count: u64,
-    pub min: f64,
-    pub max: f64,
-    pub mean: f64,
+    pub(crate) min: f64,
+    pub(crate) max: f64,
+    pub(crate) mean: f64,
     pub values: Vec<f64>,
 }
 
@@ -468,7 +468,8 @@ impl Deserialize for Report {
 }
 
 impl Report {
-    pub fn empty() -> Self {
+    #[cfg(test)]
+    fn empty() -> Self {
         Report {
             version: SCHEMA_VERSION,
             meta: Vec::new(),

@@ -14,19 +14,9 @@ use topomap_topology::Topology;
 ///
 /// Only *optimal* when the task graph is (a subgraph of) the topology
 /// graph under identity numbering — e.g. a row-major `a×b` stencil onto a
-/// row-major `a×b` mesh or torus. [`IdentityMap::verify_dilation_one`]
-/// checks that property.
+/// row-major `a×b` mesh or torus.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdentityMap;
-
-impl IdentityMap {
-    /// Does the identity map achieve dilation 1 for this pair (i.e. is
-    /// every task edge a topology edge)?
-    pub fn verify_dilation_one(tasks: &TaskGraph, topo: &dyn Topology) -> bool {
-        tasks.num_tasks() <= topo.num_nodes()
-            && tasks.edges().all(|(a, b, _)| topo.distance(a, b) == 1)
-    }
-}
 
 impl Mapper for IdentityMap {
     fn map(&self, tasks: &TaskGraph, topo: &dyn Topology) -> Mapping {
@@ -48,11 +38,18 @@ mod tests {
     use topomap_taskgraph::gen;
     use topomap_topology::Torus;
 
+    /// Does the identity map achieve dilation 1 for this pair (i.e. is
+    /// every task edge a topology edge)?
+    fn verify_dilation_one(tasks: &TaskGraph, topo: &dyn Topology) -> bool {
+        tasks.num_tasks() <= topo.num_nodes()
+            && tasks.edges().all(|(a, b, _)| topo.distance(a, b) == 1)
+    }
+
     #[test]
     fn identity_on_matching_stencil_is_optimal() {
         let tasks = gen::stencil3d(8, 8, 8, 1000.0, false);
         let topo = Torus::mesh_3d(8, 8, 8);
-        assert!(IdentityMap::verify_dilation_one(&tasks, &topo));
+        assert!(verify_dilation_one(&tasks, &topo));
         let m = IdentityMap.map(&tasks, &topo);
         assert_eq!(metrics::hops_per_byte(&tasks, &topo, &m), 1.0);
     }
@@ -62,7 +59,7 @@ mod tests {
         // The torus contains the mesh: wraparound links are simply unused.
         let tasks = gen::stencil2d(6, 6, 1.0, false);
         let topo = Torus::torus_2d(6, 6);
-        assert!(IdentityMap::verify_dilation_one(&tasks, &topo));
+        assert!(verify_dilation_one(&tasks, &topo));
     }
 
     #[test]
@@ -70,13 +67,13 @@ mod tests {
         // Wraparound task edges stretch across the open mesh.
         let tasks = gen::stencil2d(4, 4, 1.0, true);
         let topo = Torus::mesh_2d(4, 4);
-        assert!(!IdentityMap::verify_dilation_one(&tasks, &topo));
+        assert!(!verify_dilation_one(&tasks, &topo));
     }
 
     #[test]
     fn shape_mismatch_detected() {
         let tasks = gen::stencil2d(4, 4, 1.0, false); // 16 tasks, 4x4 numbering
         let topo = Torus::mesh_2d(2, 8); // same size, different shape
-        assert!(!IdentityMap::verify_dilation_one(&tasks, &topo));
+        assert!(!verify_dilation_one(&tasks, &topo));
     }
 }

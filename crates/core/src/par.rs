@@ -56,7 +56,7 @@ pub enum Threads {
 /// thread and computes exactly the same result (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    pub threads: Threads,
+    pub(crate) threads: Threads,
     /// Set only by [`Parallelism::eager`].
     eager: bool,
 }

@@ -23,7 +23,7 @@ pub struct TwoPhaseResult {
 
 impl TwoPhaseResult {
     /// Processor hosting an original (pre-coalescing) task.
-    pub fn proc_of_task(&self, t: TaskId) -> NodeId {
+    pub(crate) fn proc_of_task(&self, t: TaskId) -> NodeId {
         self.group_mapping.proc_of(self.partition.part_of(t))
     }
 

@@ -15,7 +15,7 @@ use topomap_topology::Topology;
 /// Uniform-random injective placement (seeded, deterministic per seed).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomMap {
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RandomMap {

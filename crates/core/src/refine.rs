@@ -36,7 +36,7 @@
 //!   the annealer and ContentionRefine evaluate against mappings no sweep
 //!   state follows, and the tests hold the cached kernels to them bit for
 //!   bit.
-//! - **Dirty-set tracking** ([`DirtyTracker`]): `swap_delta(a, b)` depends
+//! - **Dirty-set tracking** (`DirtyTracker`): `swap_delta(a, b)` depends
 //!   only on the placements of `{a, b} ∪ N(a) ∪ N(b)`, so an accepted
 //!   exchange of `(x, y)` can change the verdict only of candidates whose
 //!   relevant set meets `{x, y}` — exactly the tasks whose *epoch* the
@@ -364,17 +364,16 @@ impl Row {
 /// changed processor `q`'s occupancy (only moves do). A swap candidate
 /// `(a, b)` is *clean* w.r.t. a threshold generation `s` iff both task
 /// epochs are ≤ `s` — its delta is bit-identical to what it was at any
-/// evaluation at generation ≥ `s`. Hidden but public: the dirty-set unit
-/// tests audit it against a brute-force affected-set computation.
-#[doc(hidden)]
-pub struct DirtyTracker {
+/// evaluation at generation ≥ `s`. The dirty-set unit tests audit it
+/// against a brute-force affected-set computation.
+struct DirtyTracker {
     epoch: Vec<u64>,
     proc_epoch: Vec<u64>,
     g: u64,
 }
 
 impl DirtyTracker {
-    pub fn new(num_tasks: usize, num_procs: usize) -> Self {
+    fn new(num_tasks: usize, num_procs: usize) -> Self {
         // Generation 1 with threshold 0 marks everything dirty: the first
         // pass is always a full sweep.
         DirtyTracker {
@@ -385,21 +384,21 @@ impl DirtyTracker {
     }
 
     /// Current generation (bumped once per accepted exchange).
-    pub fn generation(&self) -> u64 {
+    fn generation(&self) -> u64 {
         self.g
     }
 
-    pub fn task_epoch(&self, t: TaskId) -> u64 {
+    fn task_epoch(&self, t: TaskId) -> u64 {
         self.epoch[t]
     }
 
-    pub fn proc_epoch(&self, q: usize) -> u64 {
+    fn proc_epoch(&self, q: usize) -> u64 {
         self.proc_epoch[q]
     }
 
     /// Record an accepted swap of `a` and `b`: their own deltas and those
     /// of every candidate touching a neighbor changed.
-    pub fn record_swap(&mut self, tasks: &TaskGraph, a: TaskId, b: TaskId) {
+    fn record_swap(&mut self, tasks: &TaskGraph, a: TaskId, b: TaskId) {
         self.g += 1;
         let g = self.g;
         self.epoch[a] = g;
@@ -414,7 +413,7 @@ impl DirtyTracker {
 
     /// Record an accepted move of `t` from `from_q` to `to_q`: besides
     /// the task epochs, both processors changed occupancy.
-    pub fn record_move(&mut self, tasks: &TaskGraph, t: TaskId, from_q: usize, to_q: usize) {
+    fn record_move(&mut self, tasks: &TaskGraph, t: TaskId, from_q: usize, to_q: usize) {
         self.g += 1;
         let g = self.g;
         self.epoch[t] = g;
@@ -423,14 +422,6 @@ impl DirtyTracker {
         }
         self.proc_epoch[from_q] = g;
         self.proc_epoch[to_q] = g;
-    }
-
-    pub fn swap_is_clean(&self, a: TaskId, b: TaskId, s: u64) -> bool {
-        self.epoch[a] <= s && self.epoch[b] <= s
-    }
-
-    pub fn move_is_clean(&self, t: TaskId, q: usize, s: u64) -> bool {
-        self.epoch[t] <= s && self.proc_epoch[q] <= s
     }
 }
 
@@ -777,14 +768,14 @@ mod tests {
             // Swaps never change processor occupancy.
             assert!((0..20).all(|q| dirty.proc_epoch(q) == 1));
         }
-        // A clean pair far from the last swap stays clean relative to the
-        // pre-swap generation; the swapped pair does not.
+        // Against the pre-swap generation as threshold, the swapped pair is
+        // dirty and every task outside the last affected set stays clean.
         let s = dirty.generation() - 1;
-        assert!(!dirty.swap_is_clean(5, 6, s));
-        let untouched: Vec<TaskId> = (0..14).filter(|&t| dirty.task_epoch(t) <= s).collect();
-        if untouched.len() >= 2 {
-            assert!(dirty.swap_is_clean(untouched[0], untouched[1], s));
-        }
+        assert!(dirty.task_epoch(5) > s && dirty.task_epoch(6) > s);
+        let last = affected_set(&tasks, 5, 6);
+        let clean: Vec<TaskId> = (0..14).filter(|t| !last.contains(t)).collect();
+        assert!(!clean.is_empty());
+        assert!(clean.iter().all(|&t| dirty.task_epoch(t) <= s));
     }
 
     #[test]
@@ -799,8 +790,13 @@ mod tests {
         // Proc side: exactly the vacated and occupied processors.
         let got_q: Vec<usize> = (0..12).filter(|&q| dirty.proc_epoch(q) == g).collect();
         assert_eq!(got_q, vec![4, 9]);
-        assert!(!dirty.move_is_clean(5, 9, g - 1), "dirty target processor");
-        assert!(dirty.move_is_clean(5, 7, g - 1), "clean task, clean target");
+        // Against the pre-move generation as threshold:
+        let s = g - 1;
+        assert!(dirty.proc_epoch(9) > s, "dirty target processor");
+        assert!(
+            dirty.task_epoch(5) <= s && dirty.proc_epoch(7) <= s,
+            "clean task, clean target"
+        );
     }
 
     #[test]

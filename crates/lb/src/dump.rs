@@ -73,11 +73,6 @@ pub fn read_step(base: &Path, step: usize) -> Result<LbDump, DumpError> {
     Ok(serde_json::from_reader(BufReader::new(f))?)
 }
 
-/// Dump a contiguous range of steps (`+LBDumpStartStep` / `+LBDumpSteps`).
-pub fn write_steps(base: &Path, dumps: &[LbDump]) -> Result<Vec<PathBuf>, DumpError> {
-    dumps.iter().map(|d| write_step(base, d)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +96,10 @@ mod tests {
                 database: LbDatabase::from_task_graph(&gen::ring(6 + step, 100.0)),
             })
             .collect();
-        let paths = write_steps(&base, &dumps).unwrap();
+        let paths: Vec<PathBuf> = dumps
+            .iter()
+            .map(|d| write_step(&base, d).unwrap())
+            .collect();
         assert_eq!(paths.len(), 3);
         for (step, d) in dumps.iter().enumerate() {
             let back = read_step(&base, step).unwrap();

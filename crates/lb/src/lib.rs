@@ -43,7 +43,7 @@
 //! assert!(r.hops_per_byte(&topo) < 2.0);
 //! ```
 
-pub mod database;
+pub(crate) mod database;
 pub mod dump;
 pub mod runtime;
 

@@ -28,11 +28,11 @@ use topomap_topology::NodeId;
 
 /// Per-iteration behaviour of one object.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectSpec {
+pub(crate) struct ObjectSpec {
     /// Abstract compute work per iteration (spin-loop units).
-    pub work_units: u64,
+    pub(crate) work_units: u64,
     /// Messages sent each iteration: `(destination object, bytes)`.
-    pub sends: Vec<(TaskId, u64)>,
+    pub(crate) sends: Vec<(TaskId, u64)>,
 }
 
 /// A message in flight between objects.
@@ -67,7 +67,7 @@ fn spin(units: u64) -> u64 {
 impl Runtime {
     /// Create a runtime with a round-robin initial assignment (the naive
     /// placement a fresh Charm++ run starts from).
-    pub fn new(specs: Vec<ObjectSpec>, num_procs: usize) -> Self {
+    pub(crate) fn new(specs: Vec<ObjectSpec>, num_procs: usize) -> Self {
         assert!(num_procs > 0);
         let n = specs.len();
         Runtime {
@@ -93,20 +93,8 @@ impl Runtime {
         Runtime::new(specs, num_procs)
     }
 
-    pub fn num_objects(&self) -> usize {
-        self.specs.len()
-    }
-
-    pub fn num_procs(&self) -> usize {
-        self.num_procs
-    }
-
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
-    }
-
     /// Objects currently owned by each processor.
-    pub fn objects_on(&self, proc: usize) -> Vec<TaskId> {
+    pub(crate) fn objects_on(&self, proc: usize) -> Vec<TaskId> {
         (0..self.specs.len())
             .filter(|&o| self.assignment[o] == proc)
             .collect()

@@ -12,16 +12,16 @@ use crate::config::NetworkConfig;
 
 /// BG/L torus link bandwidth per direction: 175 MB/s (2 bits per cycle at
 /// 700 MHz).
-pub const BGL_LINK_BANDWIDTH: f64 = 175.0e6;
+pub(crate) const BGL_LINK_BANDWIDTH: f64 = 175.0e6;
 
 /// BG/L per-hop router latency (~100 ns including link traversal).
-pub const BGL_HOP_LATENCY_NS: u64 = 100;
+pub(crate) const BGL_HOP_LATENCY_NS: u64 = 100;
 
 /// Sender software overhead per message (~2 µs MPI-level overhead).
-pub const BGL_SEND_OVERHEAD_NS: u64 = 2_000;
+pub(crate) const BGL_SEND_OVERHEAD_NS: u64 = 2_000;
 
 /// Intra-node delivery latency.
-pub const BGL_LOCAL_LATENCY_NS: u64 = 500;
+pub(crate) const BGL_LOCAL_LATENCY_NS: u64 = 500;
 
 /// The BG/L-like network configuration.
 pub fn bluegene_config() -> NetworkConfig {

@@ -104,7 +104,7 @@ impl NetworkConfig {
 
     /// Serialization time of `bytes` on one link, in nanoseconds
     /// (rounded up so zero-byte messages still take nonzero slots).
-    pub fn serialization_ns(&self, bytes: u64) -> u64 {
+    pub(crate) fn serialization_ns(&self, bytes: u64) -> u64 {
         ((bytes as f64) * 1e9 / self.link_bandwidth).ceil() as u64
     }
 }

@@ -48,8 +48,8 @@
 
 pub mod bluegene;
 pub mod config;
-pub mod sim;
-pub mod stats;
+pub(crate) mod sim;
+pub(crate) mod stats;
 pub mod trace;
 
 pub use config::NetworkConfig;

@@ -351,7 +351,7 @@ impl<'a> Engine<'a> {
             "more than u32::MAX tasks"
         );
         let links = LinkIndex::new(topo);
-        let n_links = links.len();
+        let n_links = links.num_links();
         let mut link_speed = vec![1.0f64; n_links];
         for &(from, to, factor) in &cfg.link_speed_factors {
             assert!(factor > 0.0, "link speed factor must be positive");
@@ -501,7 +501,7 @@ impl<'a> Engine<'a> {
             max_link_utilization: self.acct.max_utilization(completion_ns),
             avg_link_utilization: self.acct.avg_utilization(completion_ns),
             used_links: self.acct.used_links(),
-            total_links: self.links.len(),
+            total_links: self.links.num_links(),
         };
         Some(SimReport {
             stats,

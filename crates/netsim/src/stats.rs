@@ -31,10 +31,10 @@ pub struct SimStats {
     /// Busy fraction of the busiest link.
     pub max_link_utilization: f64,
     /// Mean busy fraction over all links.
-    pub avg_link_utilization: f64,
+    pub(crate) avg_link_utilization: f64,
     /// Links that carried at least one message.
     pub used_links: usize,
-    pub total_links: usize,
+    pub(crate) total_links: usize,
 }
 
 impl SimStats {
@@ -67,7 +67,7 @@ pub struct LinkAccounting {
 }
 
 impl LinkAccounting {
-    pub fn new(num_links: usize) -> Self {
+    pub(crate) fn new(num_links: usize) -> Self {
         LinkAccounting {
             busy_ns: vec![0; num_links],
             bytes: vec![0; num_links],
@@ -79,7 +79,7 @@ impl LinkAccounting {
     /// Record a message body crossing link `li`: `ser_ns` of busy time,
     /// `bytes` carried, and `wait_ns` the head queued behind earlier
     /// traffic before the link accepted it (0 = no contention).
-    pub fn on_transfer(&mut self, li: usize, ser_ns: u64, bytes: u64, wait_ns: u64) {
+    pub(crate) fn on_transfer(&mut self, li: usize, ser_ns: u64, bytes: u64, wait_ns: u64) {
         self.busy_ns[li] += ser_ns;
         self.bytes[li] += bytes;
         if wait_ns > 0 {
@@ -90,12 +90,8 @@ impl LinkAccounting {
 
     /// Extend link `li`'s busy time without new bytes — wormhole
     /// backpressure holding a message body on an upstream link.
-    pub fn extend_busy(&mut self, li: usize, extra_ns: u64) {
+    pub(crate) fn extend_busy(&mut self, li: usize, extra_ns: u64) {
         self.busy_ns[li] += extra_ns;
-    }
-
-    pub fn num_links(&self) -> usize {
-        self.busy_ns.len()
     }
 
     pub fn busy_ns(&self, li: usize) -> u64 {
@@ -116,20 +112,20 @@ impl LinkAccounting {
 
     /// Give up the ledger: `(busy_ns, bytes)` per link, in link-id order,
     /// without copying.
-    pub fn into_ledgers(self) -> (Vec<u64>, Vec<u64>) {
+    pub(crate) fn into_ledgers(self) -> (Vec<u64>, Vec<u64>) {
         (self.busy_ns, self.bytes)
     }
 
     /// Links that were ever busy.
-    pub fn used_links(&self) -> usize {
+    pub(crate) fn used_links(&self) -> usize {
         self.busy_ns.iter().filter(|&&b| b > 0).count()
     }
 
-    pub fn max_busy_ns(&self) -> u64 {
+    pub(crate) fn max_busy_ns(&self) -> u64 {
         self.busy_ns.iter().copied().max().unwrap_or(0)
     }
 
-    pub fn total_busy_ns(&self) -> u64 {
+    pub(crate) fn total_busy_ns(&self) -> u64 {
         self.busy_ns.iter().sum()
     }
 
@@ -149,7 +145,7 @@ impl LinkAccounting {
     }
 
     /// Busy fraction of the busiest link over a run of `horizon_ns`.
-    pub fn max_utilization(&self, horizon_ns: u64) -> f64 {
+    pub(crate) fn max_utilization(&self, horizon_ns: u64) -> f64 {
         if horizon_ns == 0 {
             0.0
         } else {
@@ -158,7 +154,7 @@ impl LinkAccounting {
     }
 
     /// Mean busy fraction over *all* links (idle links count).
-    pub fn avg_utilization(&self, horizon_ns: u64) -> f64 {
+    pub(crate) fn avg_utilization(&self, horizon_ns: u64) -> f64 {
         if horizon_ns == 0 || self.busy_ns.is_empty() {
             0.0
         } else {
@@ -196,7 +192,7 @@ mod tests {
     #[test]
     fn link_accounting_starts_empty() {
         let a = LinkAccounting::new(4);
-        assert_eq!(a.num_links(), 4);
+        assert_eq!(a.busy_slice().len(), 4);
         assert_eq!(a.used_links(), 0);
         assert_eq!(a.max_busy_ns(), 0);
         assert_eq!(a.total_busy_ns(), 0);

@@ -32,7 +32,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    pub fn num_tasks(&self) -> usize {
+    pub(crate) fn num_tasks(&self) -> usize {
         self.programs.len()
     }
 
@@ -114,7 +114,14 @@ pub fn stencil_trace(tasks: &TaskGraph, iterations: usize, compute_ns: u64) -> T
 
 /// A ping-pong trace between two tasks (`rounds` round trips of `bytes`),
 /// useful for calibrating the latency model.
-pub fn pingpong_trace(num_tasks: usize, a: TaskId, b: TaskId, rounds: usize, bytes: u64) -> Trace {
+#[cfg(test)]
+pub(crate) fn pingpong_trace(
+    num_tasks: usize,
+    a: TaskId,
+    b: TaskId,
+    rounds: usize,
+    bytes: u64,
+) -> Trace {
     assert!(a < num_tasks && b < num_tasks && a != b);
     let mut programs = vec![Vec::new(); num_tasks];
     for _ in 0..rounds {

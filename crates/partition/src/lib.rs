@@ -70,7 +70,7 @@ impl Partition {
     }
 
     /// Number of tasks in each part.
-    pub fn part_sizes(&self) -> Vec<usize> {
+    pub(crate) fn part_sizes(&self) -> Vec<usize> {
         let mut s = vec![0usize; self.k];
         for &p in &self.assignment {
             s[p] += 1;
@@ -79,7 +79,7 @@ impl Partition {
     }
 
     /// Per-part compute loads for the weights in `g`.
-    pub fn part_loads(&self, g: &TaskGraph) -> Vec<f64> {
+    pub(crate) fn part_loads(&self, g: &TaskGraph) -> Vec<f64> {
         assert_eq!(g.num_tasks(), self.assignment.len());
         let mut loads = vec![0f64; self.k];
         for (t, &p) in self.assignment.iter().enumerate() {

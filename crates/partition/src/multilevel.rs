@@ -34,13 +34,13 @@ use topomap_taskgraph::TaskGraph;
 #[derive(Debug, Clone)]
 pub struct MultilevelKWay {
     /// Stop coarsening once the graph has at most `coarsen_to * k` vertices.
-    pub coarsen_to: usize,
+    pub(crate) coarsen_to: usize,
     /// Allowed imbalance: max part load ≤ `balance_tolerance ×` average.
-    pub balance_tolerance: f64,
+    pub(crate) balance_tolerance: f64,
     /// FM refinement passes per level.
-    pub refine_passes: usize,
+    pub(crate) refine_passes: usize,
     /// Seed for tie-breaking orders in matching and refinement.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for MultilevelKWay {

@@ -13,7 +13,7 @@ use topomap_taskgraph::TaskGraph;
 /// robin over a shuffled processor list.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomPartition {
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RandomPartition {

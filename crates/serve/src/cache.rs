@@ -88,7 +88,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// so that a new key can go in without another eviction. Called
     /// *before* building a heavy value, it lets the victim's memory be
     /// freed (and reused) ahead of the allocation that replaces it.
-    pub fn make_room(&mut self) {
+    pub(crate) fn make_room(&mut self) {
         if self.cap > 0 && self.map.len() >= self.cap {
             if let Some(victim) = self
                 .map
@@ -104,7 +104,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// `get`, or build the value from its key and insert it. Returns the
     /// value and whether it was a cache hit; a failed build caches
     /// nothing and counts only the miss.
-    pub fn try_get_or_insert_with<E>(
+    pub(crate) fn try_get_or_insert_with<E>(
         &mut self,
         k: K,
         build: impl FnOnce(&K) -> Result<V, E>,

@@ -15,7 +15,7 @@
 //! - [`proto`] — length-prefixed JSON frames, the request/response
 //!   schema, and the structured error taxonomy;
 //! - [`cache`] — a dependency-free LRU with hit/miss counters;
-//! - [`oracle`] — the cached distance oracles ([`oracle::DistOracle`])
+//! - [`oracle`] — the cached distance oracles (`oracle::DistOracle`)
 //!   and hierarchy plans;
 //! - [`specs`] — the single parser for topology/pattern/mapper/hierarchy
 //!   spec strings, shared with the CLI (which re-exports it);
@@ -55,11 +55,8 @@ pub mod proto;
 pub mod server;
 pub mod specs;
 
-pub use cache::LruCache;
-pub use client::{Client, ClientError};
-pub use oracle::{DistOracle, OracleCaches};
+pub use client::Client;
 pub use proto::{
     ErrorKind, FrameError, MapRequest, Request, Response, ServerStats, MAX_FRAME_BYTES,
     PROTO_VERSION,
 };
-pub use server::{spawn, spawn_ephemeral, Bind, ServeConfig, ServerHandle};

@@ -10,7 +10,7 @@ use std::os::unix::net::UnixStream;
 
 /// A connected byte stream (TCP or unix-domain).
 #[derive(Debug)]
-pub enum Stream {
+pub(crate) enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -19,7 +19,7 @@ pub enum Stream {
 impl Stream {
     /// Switch between blocking and nonblocking I/O; the server clears the
     /// flag its nonblocking listener may have passed on.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
             #[cfg(unix)]

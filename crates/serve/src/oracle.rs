@@ -5,7 +5,7 @@
 //! queries, and a hierarchy request additionally pays an O(p·levels)
 //! factorization. [`OracleCaches`] amortizes both across requests:
 //!
-//! * a [`DistOracle`] — the dense all-pairs distance matrix of the parsed
+//! * a `DistOracle` — the dense all-pairs distance matrix of the parsed
 //!   machine — keyed by the trimmed topology spec;
 //! * a [`HierPlan`] (validated hierarchy + machine block layout) keyed by
 //!   the trimmed (topology, hierarchy, dist) specs.
@@ -25,7 +25,7 @@ use crate::specs::{parse_hier_plan, parse_topology, HierPlan};
 /// The all-pairs distance oracle of a parsed machine: `distance`,
 /// `sum_distance_from`, `diameter` and `distances_into` are table
 /// lookups; name and node coordinates come from the machine itself.
-pub type DistOracle = CachedTopology<Box<dyn Topology>>;
+pub(crate) type DistOracle = CachedTopology<Box<dyn Topology>>;
 
 /// Key of a hierarchy plan: trimmed (topology, hierarchy, dist) specs.
 /// An omitted spec is `None`, distinct from every explicit spelling — an
@@ -53,11 +53,11 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Hit/miss counters for both caches, as sampled by `Stats` requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCounters {
-    pub oracle_hits: u64,
-    pub oracle_misses: u64,
-    pub hier_hits: u64,
-    pub hier_misses: u64,
+pub(crate) struct CacheCounters {
+    pub(crate) oracle_hits: u64,
+    pub(crate) oracle_misses: u64,
+    pub(crate) hier_hits: u64,
+    pub(crate) hier_misses: u64,
 }
 
 impl OracleCaches {
@@ -109,7 +109,7 @@ impl OracleCaches {
     }
 
     /// Snapshot the hit/miss counters of both caches.
-    pub fn counters(&self) -> CacheCounters {
+    pub(crate) fn counters(&self) -> CacheCounters {
         let o = lock(&self.oracles);
         let p = lock(&self.plans);
         CacheCounters {

@@ -59,7 +59,7 @@ impl ParsedTopology {
     }
 
     /// The machine as an owned metric, routing dropped.
-    pub fn into_topology(self) -> Box<dyn Topology> {
+    pub(crate) fn into_topology(self) -> Box<dyn Topology> {
         match self {
             ParsedTopology::Routed(t) => t,
             ParsedTopology::MetricOnly(t) => t,
@@ -80,7 +80,7 @@ impl ParsedTopology {
 /// The largest machine a topology spec may describe: `torus:128x128`, the
 /// biggest machine any workload, experiment or test maps, whose distance
 /// oracle (a p × p matrix of `u32`) takes 1 GiB.
-pub const MAX_PROCESSORS: usize = 16_384;
+pub(crate) const MAX_PROCESSORS: usize = 16_384;
 
 /// Refuse a machine of `count` processors (`None` = the product
 /// overflowed) before anything sized by it is built.
@@ -111,7 +111,7 @@ fn parse_grid(spec: &str) -> Result<Option<Torus>, String> {
 }
 
 /// Parse a topology spec. Every size is checked, with checked arithmetic,
-/// against [`MAX_PROCESSORS`] before a machine is constructed.
+/// against `MAX_PROCESSORS` before a machine is constructed.
 pub fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
     let routed = |t: Box<dyn RoutedTopology>| Ok(ParsedTopology::Routed(t));
     if let Some(grid) = parse_grid(spec)? {
@@ -293,9 +293,9 @@ pub fn parse_threads(spec: &str) -> Result<Parallelism, String> {
 /// keyed by the trimmed (topology, hierarchy, dist) specs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierPlan {
-    pub hier: Hierarchy,
+    pub(crate) hier: Hierarchy,
     /// Block layout for grid machines; `None` = identity layout.
-    pub pe_order: Option<Vec<NodeId>>,
+    pub(crate) pe_order: Option<Vec<NodeId>>,
 }
 
 /// Derive a [`HierPlan`] from `--hierarchy H` / `--hier-dist D` specs
@@ -485,7 +485,7 @@ impl MapperSpec {
     }
 
     /// Whether the built mapper reads the `seed` given to
-    /// [`build`](Self::build): two seeds then make two mappings.
+    /// `build`: two seeds then make two mappings.
     pub fn is_seeded(&self) -> bool {
         match self {
             MapperSpec::Random | MapperSpec::Anneal | MapperSpec::Genetic => true,
@@ -502,7 +502,7 @@ impl MapperSpec {
 
     /// The raw `H` / `D` specs the mapper (or its warm start) needs
     /// resolved into a [`HierPlan`]; `None` = no hierarchy involved.
-    pub fn hier_specs(&self) -> Option<(Option<&str>, Option<&str>)> {
+    pub(crate) fn hier_specs(&self) -> Option<(Option<&str>, Option<&str>)> {
         match self {
             MapperSpec::Hier { arities, dists } => Some((arities.as_deref(), dists.as_deref())),
             MapperSpec::Refine { init } => init.hier_specs(),
@@ -514,7 +514,7 @@ impl MapperSpec {
     /// parallel execution layer for the mappers that support it; `plan`
     /// is the resolved [`hier_specs`](Self::hier_specs) — from
     /// [`parse_hier_plan`] in the CLI, the LRU in the server.
-    pub fn build(
+    pub(crate) fn build(
         &self,
         seed: u64,
         par: Parallelism,
@@ -544,7 +544,7 @@ impl MapperSpec {
         })
     }
 
-    /// [`build`](Self::build) on a plan derived from the machine itself
+    /// `build` on a plan derived from the machine itself
     /// (the uncached path: CLI, experiments, tests).
     pub fn build_on(
         &self,
@@ -565,7 +565,7 @@ impl MapperSpec {
     /// touch ~n·p candidate cells; `refine` multiplies that by its sweep
     /// passes; the search heuristics by their population/schedule
     /// factor. The near-linear mappers never trip the estimate.
-    pub fn estimated_cost(&self, n: usize, p: usize) -> Duration {
+    pub(crate) fn estimated_cost(&self, n: usize, p: usize) -> Duration {
         // `core.topolb.ns_per_cell` of the repo benchmark
         // (benchmark/README.md): ≈ 10 on `place_weighted` (the general
         // f64 kernel, rounded up), 2.2 on `place_uniform`. One constant,
@@ -589,7 +589,7 @@ impl MapperSpec {
 }
 
 /// Resolve and build a bare mapper name ([`MapperSpec::parse`] +
-/// [`MapperSpec::build`] without a machine, so no `hier`).
+/// `MapperSpec::build` without a machine, so no `hier`).
 pub fn parse_mapper(spec: &str, seed: u64, par: Parallelism) -> Result<Box<dyn Mapper>, String> {
     parse_mapper_with_init(spec, None, seed, par)
 }

@@ -73,6 +73,7 @@ proptest! {
             }
             prop_assert!(cache.len() <= cap, "over capacity");
             prop_assert_eq!(cache.len(), model.entries.len());
+            prop_assert_eq!(cache.is_empty(), model.entries.is_empty());
             prop_assert_eq!(cache.keys_by_recency(), model.keys_by_recency());
         }
         prop_assert_eq!((cache.hits(), cache.misses()), (hits, misses));

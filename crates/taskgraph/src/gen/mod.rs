@@ -10,4 +10,4 @@ pub use collectives::{butterfly, reduction_tree, sweep2d, transpose};
 pub use leanmd::{leanmd, LeanMdConfig};
 pub use patterns::{all_to_all, ring};
 pub use random::{random_geometric, random_graph};
-pub use stencil::{stencil2d, stencil3d, stencil_nd};
+pub use stencil::{stencil2d, stencil3d};

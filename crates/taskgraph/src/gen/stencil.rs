@@ -27,7 +27,7 @@ pub fn stencil3d(nx: usize, ny: usize, nz: usize, msg_bytes: f64, periodic: bool
 /// Each undirected edge carries `2 * msg_bytes` — both endpoints send one
 /// `msg_bytes` message per iteration, and task-graph edge weights represent
 /// "total communication between the tasks at the end points" (§1).
-pub fn stencil_nd(dims: &[usize], msg_bytes: f64, periodic: bool) -> TaskGraph {
+pub(crate) fn stencil_nd(dims: &[usize], msg_bytes: f64, periodic: bool) -> TaskGraph {
     assert!(!dims.is_empty());
     assert!(dims.iter().all(|&d| d > 0));
     let n: usize = dims.iter().product();

@@ -47,13 +47,13 @@ impl From<serde_json::Error> for IoError {
 }
 
 /// Serialize a task graph to a JSON writer.
-pub fn write_json<W: Write>(g: &TaskGraph, w: W) -> Result<(), IoError> {
+pub(crate) fn write_json<W: Write>(g: &TaskGraph, w: W) -> Result<(), IoError> {
     serde_json::to_writer(w, &TaskGraphData::from(g))?;
     Ok(())
 }
 
 /// Deserialize a task graph from a JSON reader.
-pub fn read_json<R: Read>(r: R) -> Result<TaskGraph, IoError> {
+pub(crate) fn read_json<R: Read>(r: R) -> Result<TaskGraph, IoError> {
     let data: TaskGraphData = serde_json::from_reader(r)?;
     Ok(TaskGraph::from(&data))
 }

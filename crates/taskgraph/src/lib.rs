@@ -77,14 +77,6 @@ impl TaskGraph {
         self.coords.as_deref()
     }
 
-    /// Attach (or replace) per-task coordinates. Panics on length
-    /// mismatch or non-finite components.
-    pub fn with_coords(mut self, coords: Vec<[f64; 3]>) -> Self {
-        validate_coords(&coords, self.num_tasks());
-        self.coords = Some(coords);
-        self
-    }
-
     /// Number of tasks `|V_t|`.
     pub fn num_tasks(&self) -> usize {
         self.vwgt.len()
@@ -112,7 +104,7 @@ impl TaskGraph {
     }
 
     /// Maximum degree over all tasks.
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.num_tasks())
             .map(|t| self.degree(t))
             .max()
@@ -213,7 +205,7 @@ impl TaskGraph {
     }
 }
 
-/// Shared coordinate validation for the builder and `with_coords`.
+/// Coordinate validation for the builder.
 fn validate_coords(coords: &[[f64; 3]], n: usize) {
     assert_eq!(
         coords.len(),
@@ -246,7 +238,7 @@ impl TaskGraphBuilder {
     }
 
     /// Add to the compute weight of task `t`.
-    pub fn add_task_weight(&mut self, t: TaskId, w: f64) -> &mut Self {
+    pub(crate) fn add_task_weight(&mut self, t: TaskId, w: f64) -> &mut Self {
         assert!(w >= 0.0 && w.is_finite());
         self.vwgt[t] += w;
         self
@@ -326,13 +318,13 @@ impl TaskGraphBuilder {
 /// Plain-old-data form of a task graph for serialization (the LB dump
 /// format of `topomap-lb` embeds this).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct TaskGraphData {
-    pub vertex_weights: Vec<f64>,
+pub(crate) struct TaskGraphData {
+    pub(crate) vertex_weights: Vec<f64>,
     /// Undirected edges, each once, as `(a, b, bytes)`.
-    pub edges: Vec<(usize, usize, f64)>,
+    pub(crate) edges: Vec<(usize, usize, f64)>,
     /// Optional per-task coordinates. Absent or `null` in dumps written
     /// before geometry existed — both load as `None`.
-    pub coords: Option<Vec<[f64; 3]>>,
+    pub(crate) coords: Option<Vec<[f64; 3]>>,
 }
 
 impl From<&TaskGraph> for TaskGraphData {
@@ -526,14 +518,6 @@ mod tests {
         let g2 = TaskGraph::builder(2).build();
         assert!(g2.coords().is_none());
         assert!(TaskGraphData::from(&g2).coords.is_none());
-    }
-
-    #[test]
-    fn with_coords_attaches() {
-        let g = TaskGraph::builder(2)
-            .build()
-            .with_coords(vec![[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]);
-        assert_eq!(g.coords().unwrap().len(), 2);
     }
 
     #[test]

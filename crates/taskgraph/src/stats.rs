@@ -11,11 +11,11 @@ pub struct GraphStats {
     pub num_edges: usize,
     /// Average vertex degree `2|E|/|V|`.
     pub avg_degree: f64,
-    pub max_degree: usize,
+    pub(crate) max_degree: usize,
     /// Fraction of all possible pairs that communicate.
-    pub density: f64,
+    pub(crate) density: f64,
     pub total_comm_bytes: f64,
-    pub total_load: f64,
+    pub(crate) total_load: f64,
     /// Max over min non-zero vertex weight (1.0 = perfectly uniform).
     pub load_imbalance: f64,
 }
@@ -58,15 +58,6 @@ pub fn graph_stats(g: &TaskGraph) -> GraphStats {
     }
 }
 
-/// Distribution of degrees as a histogram `hist[d] = #tasks of degree d`.
-pub fn degree_histogram(g: &TaskGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for t in 0..g.num_tasks() {
-        hist[g.degree(t)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,14 +73,6 @@ mod tests {
         assert_eq!(s.max_degree, 4);
         assert_eq!(s.load_imbalance, 1.0);
         assert_eq!(s.total_comm_bytes, 32.0 * 200.0);
-    }
-
-    #[test]
-    fn degree_histogram_open_stencil() {
-        let g = gen::stencil2d(3, 3, 1.0, false);
-        let hist = degree_histogram(&g);
-        // 4 corners (deg 2), 4 edges (deg 3), 1 center (deg 4).
-        assert_eq!(hist, vec![0, 0, 4, 4, 1]);
     }
 
     #[test]

@@ -1,49 +1,7 @@
-//! Task-graph transformations: the operations a long-running adaptive
-//! application applies to its measured communication graph between load-
-//! balancing steps (load drift, refinement-induced merges, composition of
-//! phases).
+//! Task-graph transformations: composition of application modules and
+//! phases, and relabelling of task ids.
 
 use crate::{TaskGraph, TaskId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Scale every edge weight by `comm_factor` and every vertex weight by
-/// `load_factor` (e.g. modeling a timestep change).
-pub fn scale(g: &TaskGraph, load_factor: f64, comm_factor: f64) -> TaskGraph {
-    assert!(load_factor >= 0.0 && comm_factor >= 0.0);
-    let mut b = TaskGraph::builder(g.num_tasks());
-    for t in 0..g.num_tasks() {
-        b.set_task_weight(t, g.vertex_weight(t) * load_factor);
-    }
-    for (a, bb, w) in g.edges() {
-        b.add_comm(a, bb, w * comm_factor);
-    }
-    if let Some(cs) = g.coords() {
-        b.set_coords(cs.to_vec());
-    }
-    b.build()
-}
-
-/// Apply multiplicative jitter to vertex loads: each load is multiplied
-/// by a factor uniform in `[1-amount, 1+amount]`. Models the load drift
-/// that makes periodic re-balancing necessary (AMR refinement, particle
-/// migration).
-pub fn perturb_loads(g: &TaskGraph, amount: f64, seed: u64) -> TaskGraph {
-    assert!((0.0..1.0).contains(&amount));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = TaskGraph::builder(g.num_tasks());
-    for t in 0..g.num_tasks() {
-        let f = 1.0 + rng.gen_range(-amount..=amount);
-        b.set_task_weight(t, g.vertex_weight(t) * f);
-    }
-    for (a, bb, w) in g.edges() {
-        b.add_comm(a, bb, w);
-    }
-    if let Some(cs) = g.coords() {
-        b.set_coords(cs.to_vec());
-    }
-    b.build()
-}
 
 /// Disjoint union: the tasks of `b` are renumbered after those of `a`
 /// (two independent application modules sharing a machine).
@@ -95,27 +53,10 @@ pub fn overlay(a: &TaskGraph, b: &TaskGraph) -> TaskGraph {
     out.build()
 }
 
-/// Drop edges lighter than `threshold` bytes (focus mapping effort on the
-/// heavy structure; the paper's LB framework does the same when building
-/// its database from sampled communication).
-pub fn prune_light_edges(g: &TaskGraph, threshold: f64) -> TaskGraph {
-    let mut b = TaskGraph::builder(g.num_tasks());
-    for t in 0..g.num_tasks() {
-        b.set_task_weight(t, g.vertex_weight(t));
-    }
-    for (x, y, w) in g.edges() {
-        if w >= threshold {
-            b.add_comm(x, y, w);
-        }
-    }
-    if let Some(cs) = g.coords() {
-        b.set_coords(cs.to_vec());
-    }
-    b.build()
-}
-
 /// Relabel tasks by a permutation: `perm[old] = new`. Useful for testing
-/// label-invariance of mappers and metrics.
+/// label-invariance of mappers and metrics. Public although no other crate
+/// calls it yet: ROADMAP item 17(a) names it as the numbering step of the
+/// planted-instance generator.
 pub fn relabel(g: &TaskGraph, perm: &[TaskId]) -> TaskGraph {
     assert_eq!(perm.len(), g.num_tasks());
     let mut seen = vec![false; perm.len()];
@@ -146,27 +87,6 @@ mod tests {
     use crate::gen;
 
     #[test]
-    fn scale_scales() {
-        let g = gen::ring(5, 100.0);
-        let s = scale(&g, 2.0, 3.0);
-        assert_eq!(s.total_vertex_weight(), 2.0 * g.total_vertex_weight());
-        assert!((s.total_comm() - 3.0 * g.total_comm()).abs() < 1e-9);
-        assert_eq!(s.num_edges(), g.num_edges());
-    }
-
-    #[test]
-    fn perturb_keeps_structure() {
-        let g = gen::stencil2d(4, 4, 10.0, false);
-        let p = perturb_loads(&g, 0.3, 7);
-        assert_eq!(p.num_edges(), g.num_edges());
-        assert_eq!(p, perturb_loads(&g, 0.3, 7), "deterministic");
-        for t in 0..16 {
-            let ratio = p.vertex_weight(t) / g.vertex_weight(t);
-            assert!((0.7 - 1e-9..=1.3 + 1e-9).contains(&ratio));
-        }
-    }
-
-    #[test]
     fn union_offsets_ids() {
         let a = gen::ring(3, 1.0);
         let b = gen::ring(4, 2.0);
@@ -190,16 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_light() {
-        let mut b = TaskGraph::builder(3);
-        b.add_comm(0, 1, 5.0).add_comm(1, 2, 50.0);
-        let g = b.build();
-        let p = prune_light_edges(&g, 10.0);
-        assert_eq!(p.num_edges(), 1);
-        assert_eq!(p.edge_weight(1, 2), Some(50.0));
-    }
-
-    #[test]
     fn relabel_is_isomorphism() {
         let g = gen::stencil2d(3, 3, 7.0, false);
         let perm: Vec<usize> = (0..9).map(|t| (t + 4) % 9).collect();
@@ -213,9 +123,6 @@ mod tests {
     #[test]
     fn transforms_carry_coords() {
         let g = gen::stencil2d(3, 3, 7.0, false);
-        assert!(scale(&g, 2.0, 2.0).coords().is_some());
-        assert!(perturb_loads(&g, 0.1, 1).coords().is_some());
-        assert!(prune_light_edges(&g, 1.0).coords().is_some());
         assert!(overlay(&g, &g).coords().is_some());
         let u = disjoint_union(&g, &g);
         assert_eq!(u.coords().unwrap().len(), 18);

@@ -45,16 +45,6 @@ impl<T: Topology> CachedTopology<T> {
         }
     }
 
-    /// The wrapped topology.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// Unwrap the row-major `p × p` distance matrix
     /// (`distance(a, b)` at `a * p + b`).
     pub fn into_matrix(self) -> Vec<u32> {
@@ -161,13 +151,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unwrap_roundtrip() {
-        let t = Torus::torus_1d(5);
-        let c = CachedTopology::new(t.clone());
-        assert_eq!(c.inner(), &t);
-        assert_eq!(c.into_inner(), t);
     }
 }

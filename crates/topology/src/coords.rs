@@ -7,7 +7,7 @@
 //! 6D tori of later BlueGene generations included).
 
 /// Maximum supported grid dimensionality.
-pub const MAX_DIMS: usize = 8;
+pub(crate) const MAX_DIMS: usize = 8;
 
 /// A small, copyable coordinate vector (length ≤ [`MAX_DIMS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,49 +17,20 @@ pub struct Coords {
 }
 
 impl Coords {
-    /// Build from a slice. Panics if more than [`MAX_DIMS`] entries.
-    pub fn from_slice(xs: &[usize]) -> Self {
-        assert!(
-            xs.len() <= MAX_DIMS,
-            "at most {MAX_DIMS} dimensions supported"
-        );
-        let mut a = [0u32; MAX_DIMS];
-        for (i, &x) in xs.iter().enumerate() {
-            a[i] = u32::try_from(x).expect("coordinate fits in u32");
-        }
-        Coords {
-            len: xs.len() as u8,
-            xs: a,
-        }
-    }
-
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     pub fn get(&self, dim: usize) -> usize {
         debug_assert!(dim < self.len());
         self.xs[dim] as usize
     }
-
-    pub fn set(&mut self, dim: usize, v: usize) {
-        debug_assert!(dim < self.len());
-        self.xs[dim] = v as u32;
-    }
-
-    pub fn as_vec(&self) -> Vec<usize> {
-        (0..self.len()).map(|d| self.get(d)).collect()
-    }
 }
 
 /// Row-major strides for the given dimension sizes.
 ///
 /// `strides[d]` is the node-id increment for a +1 step in dimension `d`.
-pub fn strides(dims: &[usize]) -> Vec<usize> {
+pub(crate) fn strides(dims: &[usize]) -> Vec<usize> {
     let mut s = vec![1usize; dims.len()];
     for d in (0..dims.len().saturating_sub(1)).rev() {
         s[d] = s[d + 1] * dims[d + 1];
@@ -68,7 +39,8 @@ pub fn strides(dims: &[usize]) -> Vec<usize> {
 }
 
 /// Linear node id of `coords` in a grid of size `dims` (row-major).
-pub fn linearize(coords: &[usize], dims: &[usize]) -> usize {
+#[cfg(test)]
+pub(crate) fn linearize(coords: &[usize], dims: &[usize]) -> usize {
     debug_assert_eq!(coords.len(), dims.len());
     let mut id = 0usize;
     for (d, (&c, &n)) in coords.iter().zip(dims).enumerate() {
@@ -78,8 +50,8 @@ pub fn linearize(coords: &[usize], dims: &[usize]) -> usize {
     id
 }
 
-/// Inverse of [`linearize`].
-pub fn delinearize(mut id: usize, dims: &[usize]) -> Coords {
+/// Coordinates of node `id` in a grid of size `dims` (row-major).
+pub(crate) fn delinearize(mut id: usize, dims: &[usize]) -> Coords {
     let mut xs = [0u32; MAX_DIMS];
     for d in (0..dims.len()).rev() {
         xs[d] = (id % dims[d]) as u32;
@@ -95,7 +67,7 @@ pub fn delinearize(mut id: usize, dims: &[usize]) -> Coords {
 /// The coordinate of node `id` in dimension `dim` without materializing
 /// the full coordinate vector. `stride` must come from [`strides`].
 #[inline]
-pub fn coord_of(id: usize, dim_size: usize, stride: usize) -> usize {
+pub(crate) fn coord_of(id: usize, dim_size: usize, stride: usize) -> usize {
     (id / stride) % dim_size
 }
 
@@ -115,7 +87,8 @@ mod tests {
         let dims = [3usize, 4, 5];
         for id in 0..60 {
             let c = delinearize(id, &dims);
-            assert_eq!(linearize(&c.as_vec(), &dims), id);
+            let xs: Vec<usize> = (0..c.len()).map(|d| c.get(d)).collect();
+            assert_eq!(linearize(&xs, &dims), id);
         }
     }
 
@@ -129,20 +102,5 @@ mod tests {
                 assert_eq!(coord_of(id, dims[d], st[d]), c.get(d));
             }
         }
-    }
-
-    #[test]
-    fn coords_set_get() {
-        let mut c = Coords::from_slice(&[1, 2, 3]);
-        assert_eq!(c.len(), 3);
-        c.set(1, 9);
-        assert_eq!(c.get(1), 9);
-        assert_eq!(c.as_vec(), vec![1, 9, 3]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn too_many_dims_panics() {
-        Coords::from_slice(&[0; MAX_DIMS + 1]);
     }
 }

@@ -40,11 +40,11 @@ impl FatTree {
         }
     }
 
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.arity
     }
 
-    pub fn levels(&self) -> u32 {
+    pub(crate) fn levels(&self) -> u32 {
         self.levels
     }
 

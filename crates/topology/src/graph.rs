@@ -157,11 +157,6 @@ impl GraphTopology {
             );
         }
     }
-
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        self.adj.len() / 2
-    }
 }
 
 impl Topology for GraphTopology {
@@ -229,7 +224,7 @@ mod tests {
     fn complete_graph_diameter_one() {
         let g = GraphTopology::complete(7);
         assert_eq!(g.diameter(), 1);
-        assert_eq!(g.num_edges(), 21);
+        assert_eq!(g.adj.len() / 2, 21);
     }
 
     #[test]
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     fn duplicate_and_self_edges_ignored() {
         let g = GraphTopology::from_edges(3, &[(0, 1), (1, 0), (0, 0), (1, 2), (1, 2)]);
-        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.adj.len() / 2, 2);
         assert_eq!(g.degree(1), 2);
     }
 

@@ -9,8 +9,8 @@
 //! triangle inequality the mapping heuristics need.
 //!
 //! A [`Hierarchy`] can be built three ways:
-//! - standalone ([`Hierarchy::new`] / [`Hierarchy::parse`]) with explicit
-//!   or defaulted distances,
+//! - standalone ([`Hierarchy::new`] / [`Hierarchy::try_new`]) with
+//!   explicit distances,
 //! - exactly from a [`FatTree`] ([`Hierarchy::from_fattree`]) — the k-ary
 //!   tree metric *is* an ultrametric, so the derivation loses nothing,
 //! - from a [`Torus`]/mesh by factoring its dimensions into per-level
@@ -99,24 +99,6 @@ impl Hierarchy {
             prefix,
             nodes,
         })
-    }
-
-    /// Parse `H` ("4:8:16") and optional `D` ("1:10:100"). When `D` is
-    /// omitted, level distances default to powers of ten (`d_i = 10^(i-1)`
-    /// — the SharedMap-style 1:10:100 cost ladder).
-    pub fn parse(h: &str, d: Option<&str>) -> Result<Self, String> {
-        let arities = Self::parse_arities(h)?;
-        let dists = match d {
-            Some(spec) => Self::parse_dists(spec)?,
-            None => (0..arities.len() as u32)
-                .map(|i| {
-                    10u32
-                        .checked_pow(i)
-                        .ok_or_else(|| "too many hierarchy levels for default distances; pass an explicit distance sequence".to_string())
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        Self::try_new(arities, dists)
     }
 
     /// Parse a colon-separated arity list like `4:8:16`. Every level must
@@ -288,18 +270,13 @@ impl Hierarchy {
     }
 
     /// Number of levels `l`.
-    pub fn levels(&self) -> usize {
+    pub(crate) fn levels(&self) -> usize {
         self.arities.len()
     }
 
     /// Branching factors, innermost first.
     pub fn arities(&self) -> &[usize] {
         &self.arities
-    }
-
-    /// Per-level distances, innermost first.
-    pub fn dists(&self) -> &[u32] {
-        &self.dists
     }
 
     /// The `H` spec string, e.g. `"4:8:16"`.
@@ -496,7 +473,7 @@ mod tests {
         // really are close on the machine.
         for q in (0..64).step_by(4) {
             for o in 1..4 {
-                assert!(t.distance(pe[q], pe[q + o]) <= h.dists()[0]);
+                assert!(t.distance(pe[q], pe[q + o]) <= h.dists[0]);
             }
         }
     }
@@ -532,37 +509,24 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs() {
-        assert!(Hierarchy::parse("4:0:8", None)
+        let parse = |h: &str, d: &str| {
+            Hierarchy::try_new(Hierarchy::parse_arities(h)?, Hierarchy::parse_dists(d)?)
+        };
+        assert!(parse("4:0:8", "1:10:100")
             .unwrap_err()
             .contains("zero children"));
-        assert!(Hierarchy::parse("4:8:", None)
-            .unwrap_err()
-            .contains("empty"));
-        assert!(Hierarchy::parse(":4:8", None)
-            .unwrap_err()
-            .contains("empty"));
-        assert!(Hierarchy::parse("", None).unwrap_err().contains("empty"));
-        assert!(Hierarchy::parse("4:x", None)
+        assert!(parse("4:8:", "1").unwrap_err().contains("empty"));
+        assert!(parse(":4:8", "1").unwrap_err().contains("empty"));
+        assert!(parse("", "1").unwrap_err().contains("empty"));
+        assert!(parse("4:x", "1")
             .unwrap_err()
             .contains("not a non-negative integer"));
-        assert!(Hierarchy::parse("4:8", Some("1:2:3"))
-            .unwrap_err()
-            .contains("levels"));
-        assert!(Hierarchy::parse("4:8", Some("5:2"))
-            .unwrap_err()
-            .contains("non-decreasing"));
-        assert!(Hierarchy::parse("4:8", Some("0:2"))
-            .unwrap_err()
-            .contains("distance d1"));
-    }
-
-    #[test]
-    fn parse_defaults_to_power_of_ten_distances() {
-        let h = Hierarchy::parse("4:8:16", None).unwrap();
-        assert_eq!(h.dists(), &[1, 10, 100]);
-        let h = Hierarchy::parse(" 2 : 2 ", Some("3:9")).unwrap();
+        assert!(parse("4:8", "1:2:3").unwrap_err().contains("levels"));
+        assert!(parse("4:8", "5:2").unwrap_err().contains("non-decreasing"));
+        assert!(parse("4:8", "0:2").unwrap_err().contains("distance d1"));
+        let h = parse(" 2 : 2 ", "3:9").unwrap();
         assert_eq!(h.arities(), &[2, 2]);
-        assert_eq!(h.dists(), &[3, 9]);
+        assert_eq!(h.dists, [3, 9]);
     }
 
     #[test]

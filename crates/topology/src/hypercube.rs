@@ -23,10 +23,6 @@ impl Hypercube {
         assert!(dims <= 30, "hypercube dimension too large");
         Hypercube { dims }
     }
-
-    pub fn dims(&self) -> u32 {
-        self.dims
-    }
 }
 
 impl Topology for Hypercube {

@@ -43,16 +43,16 @@
 //! assert!((avg - 12.0).abs() < 0.01);
 //! ```
 
-pub mod cache;
-pub mod coords;
-pub mod dragonfly;
-pub mod fattree;
-pub mod graph;
-pub mod hierarchy;
-pub mod hypercube;
-pub mod link_index;
+pub(crate) mod cache;
+pub(crate) mod coords;
+pub(crate) mod dragonfly;
+pub(crate) mod fattree;
+pub(crate) mod graph;
+pub(crate) mod hierarchy;
+pub(crate) mod hypercube;
+pub(crate) mod link_index;
 pub mod stats;
-pub mod torus;
+pub(crate) mod torus;
 
 pub use cache::CachedTopology;
 pub use dragonfly::Dragonfly;
@@ -80,14 +80,6 @@ pub struct Link {
 impl Link {
     pub fn new(from: NodeId, to: NodeId) -> Self {
         Link { from, to }
-    }
-
-    /// The same wire traversed in the opposite direction.
-    pub fn reversed(self) -> Self {
-        Link {
-            from: self.to,
-            to: self.from,
-        }
     }
 }
 
@@ -339,13 +331,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn link_reversal_is_involutive() {
-        let l = Link::new(3, 7);
-        assert_eq!(l.reversed().reversed(), l);
-        assert_eq!(l.reversed(), Link::new(7, 3));
-    }
-
-    #[test]
     fn trait_object_dispatch_works() {
         let t: Box<dyn Topology> = Box::new(Torus::torus_2d(4, 4));
         assert_eq!(t.num_nodes(), 16);
@@ -405,7 +390,7 @@ mod tests {
         }
         // Every directed link's reverse exists (bidirectional wires).
         for l in &links {
-            assert!(seen.contains(&l.reversed()));
+            assert!(seen.contains(&Link::new(l.to, l.from)));
         }
     }
 }

@@ -29,7 +29,7 @@ impl LinkIndex {
     /// Panics unless `links` is strictly ascending in `(from, to)` with
     /// every `from` in range — the order [`RoutedTopology::links`]
     /// documents; anything else is a bug in the topology.
-    pub fn from_links(num_nodes: usize, links: Vec<Link>) -> Self {
+    pub(crate) fn from_links(num_nodes: usize, links: Vec<Link>) -> Self {
         assert!(
             u32::try_from(links.len()).is_ok(),
             "more than u32::MAX links"
@@ -69,12 +69,8 @@ impl LinkIndex {
     }
 
     /// Number of directed links.
-    pub fn len(&self) -> usize {
+    pub fn num_links(&self) -> usize {
         self.links.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
     }
 
     /// Give the link list back, in id order (e.g. to publish it beside a
@@ -107,7 +103,7 @@ mod tests {
         for topo in families() {
             let index = LinkIndex::new(&*topo);
             let links = topo.links();
-            assert_eq!(index.len(), links.len());
+            assert_eq!(index.num_links(), links.len());
             for (i, l) in links.iter().enumerate() {
                 assert_eq!(index.id(l.from, l.to), Some(i), "{} {l:?}", topo.name());
                 assert_eq!(index.head(i), l.to);
@@ -160,7 +156,7 @@ mod tests {
     #[test]
     fn empty_topology_of_isolated_nodes() {
         let index = LinkIndex::from_links(3, Vec::new());
-        assert!(index.is_empty());
+        assert_eq!(index.num_links(), 0);
         assert_eq!(index.id(0, 1), None);
     }
 }

@@ -50,14 +50,6 @@ impl AvgDistTable {
         self.sum[p]
     }
 
-    pub fn len(&self) -> usize {
-        self.avg.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.avg.is_empty()
-    }
-
     /// The node with minimum total distance to all others — the topology
     /// "center", used as TopoCentLB's first placement.
     pub fn center(&self) -> NodeId {
@@ -82,22 +74,22 @@ pub fn expected_random_hops_torus_3d(p: usize) -> f64 {
     3.0 * (p as f64).cbrt() / 4.0
 }
 
-/// Exact expected distance between two independent uniform-random nodes
-/// (with replacement) on an arbitrary topology: `Σ_{a,b} d(a,b) / p²`.
-///
-/// Differs from [`average_pairwise_distance`] by including the `a == b`
-/// diagonal; this matches the analytic `E[hops]` the paper plots against
-/// random placement.
-pub fn expected_random_distance<T: Topology + ?Sized>(t: &T) -> f64 {
-    let n = t.num_nodes();
-    let total: u64 = (0..n).map(|a| t.sum_distance_from(a)).sum();
-    total as f64 / (n as f64 * n as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{GraphTopology, Torus};
+
+    /// Exact expected distance between two independent uniform-random
+    /// nodes (with replacement): `Σ_{a,b} d(a,b) / p²`, the brute-force
+    /// reference for the closed forms. Differs from
+    /// `average_pairwise_distance` by including the `a == b` diagonal;
+    /// this matches the analytic `E[hops]` the paper plots against random
+    /// placement.
+    fn expected_random_distance<T: Topology + ?Sized>(t: &T) -> f64 {
+        let n = t.num_nodes();
+        let total: u64 = (0..n).map(|a| t.sum_distance_from(a)).sum();
+        total as f64 / (n as f64 * n as f64)
+    }
 
     #[test]
     fn avg_table_matches_bruteforce() {

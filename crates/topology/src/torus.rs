@@ -134,23 +134,12 @@ impl Torus {
         Self::torus_2d(a, b)
     }
 
-    /// A near-cubic 3D torus with `p` nodes (balanced 3-factorization).
-    pub fn torus_3d_for(p: usize) -> Self {
-        let (a, b, c) = balanced_factors_3(p);
-        Self::torus_3d(a, b, c)
-    }
-
     pub fn dims(&self) -> &[usize] {
         &self.dims
     }
 
-    pub fn wrap(&self) -> &[bool] {
+    pub(crate) fn wrap(&self) -> &[bool] {
         &self.wrap
-    }
-
-    /// Is every dimension wrapped (true torus)?
-    pub fn is_full_torus(&self) -> bool {
-        self.wrap.iter().all(|&w| w)
     }
 
     /// Coordinates of a node.
@@ -160,7 +149,8 @@ impl Torus {
     }
 
     /// Node id for coordinates.
-    pub fn node_at(&self, c: &[usize]) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn node_at(&self, c: &[usize]) -> NodeId {
         coords::linearize(c, &self.dims)
     }
 
@@ -495,7 +485,7 @@ impl RoutedTopology for Torus {
 }
 
 /// Most balanced `(a, b)` with `a * b == p` and `a <= b`.
-pub fn balanced_factors_2(p: usize) -> (usize, usize) {
+pub(crate) fn balanced_factors_2(p: usize) -> (usize, usize) {
     assert!(p > 0);
     let mut best = (1, p);
     let mut a = 1usize;
@@ -506,31 +496,6 @@ pub fn balanced_factors_2(p: usize) -> (usize, usize) {
         a += 1;
     }
     best
-}
-
-/// Most balanced `(a, b, c)` with `a * b * c == p`, minimizing the spread
-/// `max - min`; ties broken by larger minimum side.
-pub fn balanced_factors_3(p: usize) -> (usize, usize, usize) {
-    assert!(p > 0);
-    let mut best = (1usize, 1usize, p);
-    let mut best_key = (p as i64 - 1, -(1i64));
-    let mut a = 1usize;
-    while a * a * a <= p {
-        if p.is_multiple_of(a) {
-            let q = p / a;
-            let (b, c) = balanced_factors_2(q);
-            let (lo, hi) = (a.min(b), c.max(a));
-            let key = (hi as i64 - lo as i64, -(lo as i64));
-            if key < best_key {
-                best_key = key;
-                best = (a, b, c);
-            }
-        }
-        a += 1;
-    }
-    let mut v = [best.0, best.1, best.2];
-    v.sort_unstable();
-    (v[0], v[1], v[2])
 }
 
 #[cfg(test)]
@@ -897,12 +862,6 @@ mod tests {
         assert_eq!(balanced_factors_2(16), (4, 4));
         assert_eq!(balanced_factors_2(18), (3, 6));
         assert_eq!(balanced_factors_2(13), (1, 13));
-        assert_eq!(balanced_factors_3(64), (4, 4, 4));
-        assert_eq!(balanced_factors_3(512), (8, 8, 8));
-        assert_eq!(balanced_factors_3(1000), (10, 10, 10));
-        let (a, b, c) = balanced_factors_3(1024);
-        assert_eq!(a * b * c, 1024);
-        assert!(c - a <= 8, "1024 should factor near-cubically: {a},{b},{c}");
     }
 
     #[test]
