@@ -6,10 +6,8 @@
 use crate::cases::{self, Case, Measure, Scale, Workload, CASES};
 use crate::Record;
 use std::time::Instant;
-use topomap_core::refine::refine_mapping;
-use topomap_core::{
-    metrics, ContentionRefine, IdentityMap, Mapper, Mapping, Parallelism, RefineTopoLb,
-};
+use topomap_core::refine::{refine_mapping, MAX_PASSES};
+use topomap_core::{metrics, ContentionRefine, Mapper, Mapping, Parallelism};
 use topomap_netsim::config::{NicModel, RoutingMode};
 use topomap_netsim::{bluegene, contention_oracle, trace, NetworkConfig, Simulation, Trace};
 use topomap_serve::specs::{parse_pattern, parse_topology, MapperSpec, ParsedTopology};
@@ -242,7 +240,7 @@ impl Instance<'_> {
             let mut m = self
                 .mapper(&init, self.case.seeds[0])
                 .map(self.tasks, self.topo());
-            for pass in 0..=RefineTopoLb::new(IdentityMap).max_passes {
+            for pass in 0..=MAX_PASSES {
                 let accepts = match pass {
                     0 => 0,
                     _ => refine_mapping(self.tasks, self.topo(), &mut m, 1),

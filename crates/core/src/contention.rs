@@ -45,10 +45,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use crate::metrics;
 use crate::obs;
 use crate::par::Parallelism;
-use crate::refine::{move_delta, swap_delta};
+use crate::refine::Exchange;
 use crate::Mapping;
 use topomap_taskgraph::{TaskGraph, TaskId};
-use topomap_topology::{LinkIndex, NodeId, RoutedTopology};
+use topomap_topology::{LinkIndex, RoutedTopology};
 
 /// What the refiner reads back from one simulator run: the makespan it
 /// optimizes plus the per-link ledger it mines for hot links. Link vectors
@@ -63,31 +63,6 @@ pub struct SimObservation {
     pub link_bytes: Vec<u64>,
     /// Total time messages spent queued behind busy links.
     pub queue_wait_ns: u64,
-}
-
-/// One candidate exchange between processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum Exchange {
-    /// Swap the processors of two tasks (normalized: lower task first).
-    Swap(TaskId, TaskId),
-    /// Migrate a task to a free processor.
-    Move(TaskId, NodeId),
-}
-
-impl Exchange {
-    fn apply(self, m: &mut Mapping) {
-        match self {
-            Exchange::Swap(a, b) => m.swap_tasks(a, b),
-            Exchange::Move(t, q) => m.move_task(t, q),
-        }
-    }
-
-    fn hb_delta(self, tasks: &TaskGraph, topo: &dyn RoutedTopology, m: &Mapping) -> f64 {
-        match self {
-            Exchange::Swap(a, b) => swap_delta(tasks, topo, m, a, b),
-            Exchange::Move(t, q) => move_delta(tasks, topo, m, t, q),
-        }
-    }
 }
 
 /// Outcome of one [`ContentionRefine::refine`] run.
@@ -214,7 +189,7 @@ impl ContentionRefine {
             // Simulated-makespan acceptance: try survivors in enumeration
             // order, keep the best strict improvement (ties → earliest).
             let mut best: Option<(u64, Exchange, SimObservation)> = None;
-            for &c in cands.iter().filter(|c| c.hb_delta(tasks, topo, m) <= slack) {
+            for &c in cands.iter().filter(|c| c.delta(tasks, topo, m) <= slack) {
                 if sims_run >= self.sim_budget {
                     break;
                 }

@@ -63,17 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn injective() {
-        let tasks = gen::ring(10, 1.0);
-        let topo = Torus::torus_2d(4, 4);
-        let m = RandomMap::new(0).map(&tasks, &topo);
-        let mut seen = std::collections::HashSet::new();
-        for t in 0..10 {
-            assert!(seen.insert(m.proc_of(t)));
-        }
-    }
-
-    #[test]
     fn matches_analytic_expectation_on_torus() {
         // Paper §5.2.1: random placement hops-per-byte ≈ √p/2. Average a
         // few seeds on a 16x16 torus (p=256, expected 8).

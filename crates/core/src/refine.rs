@@ -70,21 +70,20 @@ use crate::obs;
 use crate::par::Parallelism;
 use crate::{Mapper, Mapping};
 use topomap_taskgraph::{TaskGraph, TaskId};
-use topomap_topology::Topology;
+use topomap_topology::{NodeId, Topology};
+
+/// Full sweeps [`RefineTopoLb`] runs at most (each sweep covers all task
+/// pairs).
+pub const MAX_PASSES: usize = 8;
 
 /// Pairwise-swap hop-byte refiner wrapping an inner mapper.
 pub struct RefineTopoLb<M> {
     inner: M,
-    /// Maximum full sweeps (each sweep covers all task pairs).
-    pub max_passes: usize,
 }
 
 impl<M: Mapper> RefineTopoLb<M> {
     pub fn new(inner: M) -> Self {
-        RefineTopoLb {
-            inner,
-            max_passes: 8,
-        }
+        RefineTopoLb { inner }
     }
 
     /// [`RefineTopoLb::new`]: the sweep is serial, so `par` is accepted
@@ -139,21 +138,39 @@ pub(crate) fn move_delta(
     delta
 }
 
-/// A sweep candidate in serial enumeration order: for each task `a`, all
-/// swaps `(a, b)` with `b > a`, then (when `p > n`) all moves `(a, q)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Candidate {
+/// One exchange of processors: the sweep's candidates (in serial
+/// enumeration order: for each task `a`, all swaps `(a, b)` with `b > a`,
+/// then, when `p > n`, all moves `(a, q)`) and `ContentionRefine`'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum Exchange {
+    /// Swap the processors of two tasks (normalized: lower task first).
     Swap(TaskId, TaskId),
-    Move(TaskId, usize),
+    /// Migrate a task to a free processor.
+    Move(TaskId, NodeId),
+}
+
+impl Exchange {
+    pub(crate) fn apply(self, m: &mut Mapping) {
+        match self {
+            Exchange::Swap(a, b) => m.swap_tasks(a, b),
+            Exchange::Move(t, q) => m.move_task(t, q),
+        }
+    }
+
+    /// Change in hop-bytes if applied to `m` (negative = improvement).
+    pub(crate) fn delta(self, tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping) -> f64 {
+        match self {
+            Exchange::Swap(a, b) => swap_delta(tasks, topo, m, a, b),
+            Exchange::Move(t, q) => move_delta(tasks, topo, m, t, q),
+        }
+    }
 }
 
 /// Whether the serial sweep would accept `c` under the current mapping.
-fn improves(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, c: Candidate) -> bool {
+fn improves(tasks: &TaskGraph, topo: &dyn Topology, m: &Mapping, c: Exchange) -> bool {
     match c {
-        Candidate::Swap(a, b) => swap_delta(tasks, topo, m, a, b) < -1e-12,
-        Candidate::Move(a, q) => {
-            m.task_on(q).is_none() && move_delta(tasks, topo, m, a, q) < -1e-12
-        }
+        Exchange::Move(_, q) if m.task_on(q).is_some() => false,
+        _ => c.delta(tasks, topo, m) < -1e-12,
     }
 }
 
@@ -238,17 +255,14 @@ impl EdgeState {
     }
 
     /// Apply an accepted candidate to `m` and bring the state up to date.
-    fn apply(&mut self, tasks: &TaskGraph, topo: &dyn Topology, m: &mut Mapping, c: Candidate) {
+    fn apply(&mut self, tasks: &TaskGraph, topo: &dyn Topology, m: &mut Mapping, c: Exchange) {
+        c.apply(m);
         match c {
-            Candidate::Swap(a, b) => {
-                m.swap_tasks(a, b);
+            Exchange::Swap(a, b) => {
                 self.refresh(tasks, topo, m, a);
                 self.refresh(tasks, topo, m, b);
             }
-            Candidate::Move(a, q) => {
-                m.move_task(a, q);
-                self.refresh(tasks, topo, m, a);
-            }
+            Exchange::Move(a, _) => self.refresh(tasks, topo, m, a),
         }
     }
 
@@ -514,7 +528,7 @@ pub fn refine_mapping(
                     } else {
                         state.swap_delta(tasks, topo, m, a, k)
                     };
-                    (Candidate::Swap(a, k), delta)
+                    (Exchange::Swap(a, k), delta)
                 } else {
                     let q = k - n;
                     let delta = if m.task_on(q).is_some() {
@@ -524,7 +538,7 @@ pub fn refine_mapping(
                     } else {
                         state.move_delta(tasks, topo, m, a, q)
                     };
-                    (Candidate::Move(a, q), delta)
+                    (Exchange::Move(a, q), delta)
                 };
                 k += 1;
                 if delta >= -1e-12 {
@@ -536,8 +550,8 @@ pub fn refine_mapping(
                     obs::series_push("refine.delta_hb", delta);
                 }
                 match c {
-                    Candidate::Swap(a, b) => dirty.record_swap(tasks, a, b),
-                    Candidate::Move(a, q) => dirty.record_move(tasks, a, m.proc_of(a), q),
+                    Exchange::Swap(a, b) => dirty.record_swap(tasks, a, b),
+                    Exchange::Move(a, q) => dirty.record_move(tasks, a, m.proc_of(a), q),
                 }
                 state.apply(tasks, topo, m, c);
                 // The exchange moved `a`: its row is dirty, its looseness
@@ -595,7 +609,7 @@ pub fn refine_mapping_naive(
         let mut improved = false;
         for a in 0..n {
             for b in (a + 1)..n {
-                if improves(tasks, topo, m, Candidate::Swap(a, b)) {
+                if improves(tasks, topo, m, Exchange::Swap(a, b)) {
                     m.swap_tasks(a, b);
                     accepted += 1;
                     improved = true;
@@ -603,7 +617,7 @@ pub fn refine_mapping_naive(
             }
             if moves {
                 for q in 0..p {
-                    if improves(tasks, topo, m, Candidate::Move(a, q)) {
+                    if improves(tasks, topo, m, Exchange::Move(a, q)) {
                         m.move_task(a, q);
                         accepted += 1;
                         improved = true;
@@ -625,7 +639,7 @@ impl<M: Mapper> Mapper for RefineTopoLb<M> {
             let _initial_span = obs::span("refine.initial");
             self.inner.map(tasks, topo)
         };
-        refine_mapping(tasks, topo, &mut m, self.max_passes);
+        refine_mapping(tasks, topo, &mut m, MAX_PASSES);
         m
     }
 
@@ -855,17 +869,17 @@ mod tests {
 
     /// A random exchange the mapping admits: a swap, or (when a processor
     /// is free) a move.
-    fn random_exchange(rng: &mut StdRng, m: &Mapping) -> Candidate {
+    fn random_exchange(rng: &mut StdRng, m: &Mapping) -> Exchange {
         let n = m.num_tasks();
         let free: Vec<usize> = (0..m.num_procs())
             .filter(|&q| m.task_on(q).is_none())
             .collect();
         if !free.is_empty() && rng.gen_bool(0.5) {
-            Candidate::Move(rng.gen_range(0..n), free[rng.gen_range(0..free.len())])
+            Exchange::Move(rng.gen_range(0..n), free[rng.gen_range(0..free.len())])
         } else {
             let a = rng.gen_range(0..n);
             let b = (a + rng.gen_range(1..n)) % n;
-            Candidate::Swap(a.min(b), a.max(b))
+            Exchange::Swap(a.min(b), a.max(b))
         }
     }
 

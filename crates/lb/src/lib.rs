@@ -1,7 +1,7 @@
 //! # topomap-lb
 //!
-//! A Charm++-style dynamic load-balancing framework — the runtime substrate
-//! the paper's strategies plug into (§1, §5.1).
+//! The Charm++ load-balancing database and its dump files: the data the
+//! paper's strategies consume (§1, §5.1).
 //!
 //! The Charm++ model: the application is over-decomposed into migratable
 //! objects; the runtime *measures* per-object loads and communication
@@ -12,18 +12,21 @@
 //! [`LbDatabase::to_task_graph`] with any `Partitioner` and any `Mapper`;
 //! its `task_placement()` is the assignment.
 //!
-//! This crate reproduces the pieces the paper relies on:
+//! This crate reproduces the two pieces the paper's evaluation relies on:
 //!
-//! - [`LbDatabase`] — per-object measured loads + communication records
-//!   (the "load information" of §5.1).
+//! - [`LbDatabase`] — per-object loads + communication records (the
+//!   "load information" of §5.1). It is also the wire schema of a
+//!   served map request.
 //! - [`dump`] — the `+LBDump` mechanism: write the database of selected
 //!   steps to JSON files for offline study. `+LBSim` is
 //!   [`dump::read_step`] followed by `two_phase` on the loaded database,
 //!   so "different strategies can be compared on exactly the same load
 //!   scenarios, which is not possible in actual execution" (§5.1).
-//! - [`runtime`] — an instrumented threaded mini-runtime that actually
-//!   executes communicating objects and produces a measured database
-//!   (the measurement-based LB model; object migration included).
+//!
+//! A database is built from a task graph's weights
+//! ([`LbDatabase::from_task_graph`]) or recorded one object and one
+//! message at a time ([`LbDatabase::record_load`],
+//! [`LbDatabase::record_comm`]).
 //!
 //! ```
 //! use topomap_core::{pipeline::two_phase, TopoLb};
@@ -32,8 +35,6 @@
 //! use topomap_taskgraph::gen;
 //! use topomap_topology::Torus;
 //!
-//! // Build a database from a known workload (or measure one with
-//! // `runtime::Runtime`).
 //! let g = gen::stencil2d(16, 16, 4096.0, false);
 //! let db = LbDatabase::from_task_graph(&g);
 //! let topo = Torus::torus_2d(8, 8);
@@ -45,6 +46,5 @@
 
 pub(crate) mod database;
 pub mod dump;
-pub mod runtime;
 
 pub use database::{CommRecord, LbDatabase};

@@ -1,8 +1,8 @@
 //! Dependency-free LRU cache.
 //!
-//! The server amortizes two expensive artifacts across requests: the
-//! O(p²) distance-oracle matrix of each topology and the hierarchy
-//! factorization of each (topology, hierarchy) pair. Both are keyed by
+//! The server amortizes two artifacts across requests: the parsed
+//! machine of each topology spec and the hierarchy factorization of each
+//! (topology, hierarchy) pair. Both are keyed by
 //! the trimmed spec strings themselves (`crate::oracle`).
 //!
 //! The cache is a plain `HashMap` plus a monotonic recency stamp;
@@ -85,10 +85,8 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Evict the least-recently-used entry if the cache is at capacity,
-    /// so that a new key can go in without another eviction. Called
-    /// *before* building a heavy value, it lets the victim's memory be
-    /// freed (and reused) ahead of the allocation that replaces it.
-    pub(crate) fn make_room(&mut self) {
+    /// so that a new key can go in without another eviction.
+    fn make_room(&mut self) {
         if self.cap > 0 && self.map.len() >= self.cap {
             if let Some(victim) = self
                 .map

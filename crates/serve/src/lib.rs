@@ -1,22 +1,21 @@
 //! # topomap-serve
 //!
 //! Mapping-as-a-service: a persistent, concurrent mapping server with
-//! oracle caching and backpressure (DESIGN.md §9).
+//! machine caching and backpressure (DESIGN.md §9).
 //!
 //! A long-running mapping daemon beats one-shot CLI invocations for the
-//! load-balancer use case the paper targets: the expensive, purely
-//! machine-dependent artifacts — the O(p²) all-pairs distance oracle and
-//! the hierarchy factorization — are computed once and amortized across
-//! every rebalancing step, while the workload (an
-//! [`topomap_lb::LbDatabase`]) changes per request.
+//! load-balancer use case the paper targets: the purely machine-dependent
+//! artifacts — the parsed machine with its distance tables, and the
+//! hierarchy factorization — are built once and amortized across every
+//! rebalancing step, while the workload (an [`topomap_lb::LbDatabase`])
+//! changes per request.
 //!
 //! The crate splits into:
 //!
 //! - [`proto`] — length-prefixed JSON frames, the request/response
 //!   schema, and the structured error taxonomy;
 //! - [`cache`] — a dependency-free LRU with hit/miss counters;
-//! - [`oracle`] — the cached distance oracles (`oracle::DistOracle`)
-//!   and hierarchy plans;
+//! - [`oracle`] — the cached machines and hierarchy plans;
 //! - [`specs`] — the single parser for topology/pattern/mapper/hierarchy
 //!   spec strings, shared with the CLI (which re-exports it);
 //! - [`server`] — the bounded-queue worker-pool daemon with graceful

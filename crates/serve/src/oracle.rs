@@ -1,31 +1,29 @@
-//! Cached topology distance oracles and hierarchy factorizations.
+//! Cached machines and hierarchy factorizations.
 //!
-//! Every map request names its machine by spec string. Parsing the spec
-//! is cheap, but the mapping kernels then issue O(p²)–O(p³) distance
-//! queries, and a hierarchy request additionally pays an O(p·levels)
-//! factorization. [`OracleCaches`] amortizes both across requests:
+//! Every map request names its machine by spec string. Building the
+//! machine costs O(p) or more (a torus tabulates its coordinates, a
+//! graph machine runs one BFS per node), and a hierarchy request
+//! additionally pays an O(p·levels) factorization. [`OracleCaches`]
+//! amortizes both across requests:
 //!
-//! * a `DistOracle` — the dense all-pairs distance matrix of the parsed
-//!   machine — keyed by the trimmed topology spec;
+//! * the parsed machine, keyed by the trimmed topology spec. Every
+//!   family the spec parser builds answers `distance` from its own
+//!   tables or a closed form, so the entry is the machine itself, not a
+//!   p × p copy of it;
 //! * a [`HierPlan`] (validated hierarchy + machine block layout) keyed by
 //!   the trimmed (topology, hierarchy, dist) specs.
 //!
 //! The specs are the keys themselves, not a hash of them, so two machines
 //! can never share an entry. Both caches hand out `Arc`s, so a hit costs
-//! a pointer bump while the matrix itself is shared between all in-flight
-//! requests.
+//! a pointer bump while the machine itself is shared between all
+//! in-flight requests.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use topomap_topology::{CachedTopology, Topology};
+use topomap_topology::Topology;
 
 use crate::cache::LruCache;
 use crate::specs::{parse_hier_plan, parse_topology, HierPlan};
-
-/// The all-pairs distance oracle of a parsed machine: `distance`,
-/// `sum_distance_from`, `diameter` and `distances_into` are table
-/// lookups; name and node coordinates come from the machine itself.
-pub(crate) type DistOracle = CachedTopology<Box<dyn Topology>>;
 
 /// Key of a hierarchy plan: trimmed (topology, hierarchy, dist) specs.
 /// An omitted spec is `None`, distinct from every explicit spelling — an
@@ -37,15 +35,14 @@ type PlanKey = (String, Option<String>, Option<String>);
 /// the build, so concurrent requests for the same cold key build once
 /// and the rest hit.
 pub struct OracleCaches {
-    oracles: Mutex<LruCache<String, Arc<DistOracle>>>,
+    oracles: Mutex<LruCache<String, Arc<dyn Topology>>>,
     plans: Mutex<LruCache<PlanKey, Arc<HierPlan>>>,
 }
 
 /// Lock one of the caches, taking it back from a poisoned mutex. A build
 /// that panics under the lock leaves the LRU consistent: every fallible
-/// step (spec parse, oracle or plan build) runs before the LRU is written,
-/// so the worst left behind is a counted miss and, for the oracle, a
-/// victim evicted ahead of an insert that never came. Without it, one
+/// step (spec parse, machine or plan build) runs before the LRU is
+/// written, so the worst left behind is a counted miss. Without it, one
 /// panicking build would fail every later request.
 fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
     cache.lock().unwrap_or_else(PoisonError::into_inner)
@@ -70,32 +67,23 @@ impl OracleCaches {
         }
     }
 
-    /// Fetch (or parse + build) the distance oracle for a topology spec.
-    /// Returns the oracle and whether it was a cache hit. A malformed
+    /// Fetch (or parse and build) the machine for a topology spec.
+    /// Returns the machine and whether it was a cache hit. A malformed
     /// spec caches nothing and fails with the parser's message.
-    pub fn oracle(&self, topo_spec: &str) -> Result<(Arc<DistOracle>, bool), String> {
-        let spec = topo_spec.trim().to_string();
+    pub fn oracle(&self, topo_spec: &str) -> Result<(Arc<dyn Topology>, bool), String> {
         let mut oracles = lock(&self.oracles);
-        if let Some(hit) = oracles.get(&spec) {
-            return Ok((hit, true));
-        }
-        // The parse is the only step that can fail, and it comes first: a
-        // bad spec evicts nothing. The victim then goes before the new
-        // matrix is allocated, so the cache never holds `cap + 1` of them
-        // and the allocator can hand the freed block straight back.
-        let machine = parse_topology(&spec)?.into_topology();
-        oracles.make_room();
-        let oracle = Arc::new(DistOracle::new(machine));
-        oracles.insert(spec, Arc::clone(&oracle));
-        Ok((oracle, false))
+        oracles.try_get_or_insert_with(topo_spec.trim().to_string(), |spec| {
+            Ok(Arc::from(parse_topology(spec)?.into_topology()))
+        })
     }
 
     /// Fetch (or derive) the hierarchy plan for a (topology, hierarchy,
-    /// dist) spec triple, factoring over the given oracle's metric.
+    /// dist) spec triple, factoring over the machine [`Self::oracle`]
+    /// returned for that topology spec.
     pub fn hier_plan(
         &self,
         topo_spec: &str,
-        oracle: &DistOracle,
+        machine: &Arc<dyn Topology>,
         hier_spec: Option<&str>,
         dist_spec: Option<&str>,
     ) -> Result<(Arc<HierPlan>, bool), String> {
@@ -103,7 +91,7 @@ impl OracleCaches {
         let key = (own(topo_spec), hier_spec.map(own), dist_spec.map(own));
         let mut plans = lock(&self.plans);
         plans.try_get_or_insert_with(key, |(topo, hier, dist)| {
-            let plan = parse_hier_plan(topo, oracle, hier.as_deref(), dist.as_deref())?;
+            let plan = parse_hier_plan(topo, machine.as_ref(), hier.as_deref(), dist.as_deref())?;
             Ok(Arc::new(plan))
         })
     }
@@ -129,7 +117,7 @@ mod tests {
     fn oracle_matches_source_topology() {
         let parsed = parse_topology("torus:4x4").unwrap();
         let t = parsed.as_topology();
-        let o = DistOracle::new(parse_topology("torus:4x4").unwrap().into_topology());
+        let (o, _) = OracleCaches::new(8).oracle("torus:4x4").unwrap();
         assert_eq!(o.num_nodes(), 16);
         assert_eq!(o.name(), t.name());
         assert_eq!(o.diameter(), t.diameter());
@@ -139,8 +127,7 @@ mod tests {
                 assert_eq!(o.distance(a, b), t.distance(a, b), "d({a},{b})");
             }
         }
-        assert_eq!(o.cache_bytes(), 16 * 16 * 4 + 16 * 8);
-        // Geometry must survive the oracle: SFC/RCB mappers read node
+        // Geometry must survive the cache: SFC/RCB mappers read node
         // coordinates through the same `Topology` handle.
         for a in 0..16 {
             assert_eq!(o.node_coords(a), t.node_coords(a), "coords({a})");
@@ -150,8 +137,25 @@ mod tests {
 
     #[test]
     fn oracle_reports_no_coords_when_machine_has_none() {
-        let o = DistOracle::new(parse_topology("fattree:2:3").unwrap().into_topology());
+        let (o, _) = OracleCaches::new(8).oracle("fattree:2:3").unwrap();
         assert_eq!(o.node_coords(0), None);
+    }
+
+    /// The largest machine a spec may name is served from its own tables:
+    /// the lookup allocates O(p), not a p × p matrix (1 GiB here).
+    #[test]
+    fn largest_torus_answers_like_its_closed_form() {
+        let (o, hit) = OracleCaches::new(8).oracle("torus:128x128").unwrap();
+        assert!(!hit);
+        let t = topomap_topology::Torus::torus_2d(128, 128);
+        assert_eq!(o.num_nodes(), 16_384);
+        assert_eq!(o.diameter(), t.diameter());
+        let mut x = 1u64;
+        for _ in 0..1000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let (a, b) = ((x >> 33) as usize % 16_384, (x >> 7) as usize % 16_384);
+            assert_eq!(o.distance(a, b), t.distance(a, b), "d({a},{b})");
+        }
     }
 
     #[test]
@@ -160,7 +164,7 @@ mod tests {
         let (o1, hit1) = caches.oracle("fattree:2:3").unwrap();
         let (o2, hit2) = caches.oracle("fattree:2:3").unwrap();
         assert!(!hit1 && hit2);
-        assert!(Arc::ptr_eq(&o1, &o2), "hit must share the same matrix");
+        assert!(Arc::ptr_eq(&o1, &o2), "hit must share the same machine");
         // Whitespace-insensitive keying.
         let (_, hit3) = caches.oracle("  fattree:2:3 ").unwrap();
         assert!(hit3);

@@ -1,6 +1,6 @@
 //! The mapping server: a persistent daemon that accepts framed JSON
 //! requests, batches mapping jobs through a bounded queue and a fixed
-//! worker pool, and amortizes topology oracles and hierarchy
+//! worker pool, and amortizes parsed machines and hierarchy
 //! factorizations across requests.
 //!
 //! ## Concurrency model
@@ -33,7 +33,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use topomap_core::{metrics, obs, Curve, Mapper, Parallelism, SfcMap};
-use topomap_topology::Topology;
 
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;

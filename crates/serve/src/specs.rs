@@ -78,8 +78,9 @@ impl ParsedTopology {
 }
 
 /// The largest machine a topology spec may describe: `torus:128x128`, the
-/// biggest machine any workload, experiment or test maps, whose distance
-/// oracle (a p × p matrix of `u32`) takes 1 GiB.
+/// biggest machine any workload, experiment or test maps. The graph
+/// families (`ring`, `star`, `crossbar`) hold p × p distance and next-hop
+/// tables of `u32`, 2 GiB at this size.
 pub(crate) const MAX_PROCESSORS: usize = 16_384;
 
 /// Refuse a machine of `count` processors (`None` = the product

@@ -50,12 +50,6 @@ impl<T: Topology> CachedTopology<T> {
     pub fn into_matrix(self) -> Vec<u32> {
         self.dist
     }
-
-    /// Memory held by the cache, in bytes.
-    pub fn cache_bytes(&self) -> usize {
-        self.dist.len() * std::mem::size_of::<u32>()
-            + self.row_sums.len() * std::mem::size_of::<u64>()
-    }
 }
 
 impl<T: Topology> Topology for CachedTopology<T> {
@@ -136,7 +130,6 @@ mod tests {
         let c = CachedTopology::new(f);
         assert_eq!(c.num_nodes(), 27);
         assert_eq!(c.distance(0, 26), 6);
-        assert_eq!(c.cache_bytes(), 27 * 27 * 4 + 27 * 8);
     }
 
     #[test]

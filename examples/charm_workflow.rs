@@ -1,17 +1,17 @@
-//! The Charm++ measurement-based load-balancing workflow, end to end:
+//! The Charm++ load-balancing workflow the paper evaluates with (§5.1):
 //!
-//! 1. run communicating objects on worker threads with instrumentation,
-//! 2. dump the measured LB database to disk (`+LBDump`),
+//! 1. build the LB database of an over-decomposed application (object
+//!    loads and communication records; here from its task graph),
+//! 2. dump it to disk (`+LBDump`),
 //! 3. replay the dump offline through the paper's two-phase pipeline
 //!    (`+LBSim`), one row per (partitioner, mapper) pair — every row sees
-//!    the identical load scenario,
-//! 4. migrate the live runtime to the winning assignment and keep going.
+//!    the identical load scenario — and report the winner.
 //!
 //! Run: `cargo run --release --example charm_workflow`
 
 use topomap::core::pipeline::two_phase;
 use topomap::lb::dump::{read_step, write_step, LbDump};
-use topomap::lb::runtime::Runtime;
+use topomap::lb::LbDatabase;
 use topomap::partition::RandomPartition;
 use topomap::prelude::*;
 use topomap::serve::specs::parse_mapper;
@@ -20,20 +20,16 @@ fn main() {
     let machine = Torus::torus_2d(4, 4);
     let p = machine.num_nodes();
 
-    // An over-decomposed application: 128 objects on 16 "processors"
-    // (worker threads), communicating in a 2D stencil.
+    // An over-decomposed application: 128 objects for 16 processors,
+    // communicating in a 2D stencil.
     let app = topomap::taskgraph::gen::stencil2d(16, 8, 2048.0, false);
-    let mut runtime = Runtime::from_task_graph(&app, p, 200.0);
 
-    // --- 1. instrumented execution ---
+    // --- 1. the LB database ---
+    let db = LbDatabase::from_task_graph(&app);
     println!(
-        "running {} objects on {p} workers (instrumented)...",
-        app.num_tasks()
-    );
-    let db = runtime.run_instrumented(3);
-    println!(
-        "measured: total load {:.1} ms, {} comm records, {:.1} KiB traffic\n",
-        db.total_load() * 1e3,
+        "{} objects: total load {:.1}, {} comm records, {:.1} KiB traffic\n",
+        db.num_objects(),
+        db.total_load(),
         db.comm.len(),
         db.total_bytes() / 1024.0
     );
@@ -83,23 +79,14 @@ fn main() {
             r.partition.imbalance_for(&objects),
             hop_bytes / 1024.0
         );
-        if best.as_ref().is_none_or(|(_, h, _)| hop_bytes < *h) {
-            best = Some((format!("{phase1} + {phase2}"), hop_bytes, r));
+        if best.as_ref().is_none_or(|(_, h)| hop_bytes < *h) {
+            best = Some((format!("{phase1} + {phase2}"), hop_bytes));
         }
     }
-    let (winner, hop_bytes, result) = best.expect("at least one row");
+    let (winner, hop_bytes) = best.expect("at least one row");
     println!(
         "\nwinner: {winner} (hop-bytes {:.1} KB)",
         hop_bytes / 1024.0
-    );
-
-    // --- 4. migrate and continue ---
-    runtime.migrate(&result.task_placement());
-    let db2 = runtime.run_instrumented(2);
-    println!(
-        "resumed after migration: {} comm records re-measured, still {} objects",
-        db2.comm.len(),
-        db2.num_objects()
     );
     std::fs::remove_file(&path).ok();
 }

@@ -16,14 +16,14 @@
 //! - [`core`] — the paper's contribution: TopoLB (three estimation
 //!   orders), TopoCentLB, RefineTopoLB, hop-byte metrics, and the
 //!   two-phase pipeline.
-//! - [`lb`] — the Charm++-style LB framework: measured database,
-//!   `+LBDump` step files (replayed through `core::pipeline::two_phase`),
-//!   threaded mini-runtime.
+//! - [`lb`] — the Charm++-style LB database (object loads and
+//!   communication records) and its `+LBDump` step files, replayed
+//!   through `core::pipeline::two_phase`.
 //! - [`netsim`] — a discrete-event packet-level network simulator
 //!   (BigNetSim substitute) with wormhole/cut-through switching.
 //! - [`serve`] — mapping-as-a-service: a persistent mapping daemon with
-//!   cached distance oracles, bounded queues with `Busy` backpressure,
-//!   and a minimal blocking client.
+//!   cached machines and hierarchy plans, bounded queues with `Busy`
+//!   backpressure, and a minimal blocking client.
 //!
 //! ## Quickstart
 //!

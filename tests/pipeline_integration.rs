@@ -3,15 +3,14 @@
 
 use topomap::core::pipeline::two_phase;
 use topomap::lb::dump::{read_step, step_path, write_step, LbDump};
-use topomap::lb::runtime::Runtime;
 use topomap::lb::LbDatabase;
 use topomap::netsim::{trace, Trace, TraceOp};
 use topomap::partition::RandomPartition;
 use topomap::prelude::*;
 use topomap::taskgraph::gen;
 
-/// Generate → measure in the mini-runtime → strategize → map → simulate:
-/// the full life of an application under this library.
+/// Generate → LB database → strategize → map → simulate: the full life
+/// of an application under this library.
 #[test]
 fn full_stack_life_cycle() {
     let machine = Torus::torus_2d(3, 3);
@@ -20,21 +19,19 @@ fn full_stack_life_cycle() {
     // 1. The application: a 9x4 stencil over-decomposed 4x.
     let app = gen::stencil2d(9, 4, 1024.0, false);
 
-    // 2. Measure it in the instrumented runtime.
-    let mut runtime = Runtime::from_task_graph(&app, p, 50.0);
-    let db = runtime.run_instrumented(2);
+    // 2. Its LB database, as the load balancer would hand it over.
+    let db = LbDatabase::from_task_graph(&app);
     assert_eq!(db.num_objects(), 36);
     assert!(db.total_load() > 0.0);
 
-    // 3. Run the paper's pipeline on the measured database.
-    let measured = db.to_task_graph();
+    // 3. Run the paper's pipeline on the database.
+    let objects = db.to_task_graph();
     let ml = MultilevelKWay::default();
-    let topolb = two_phase(&measured, &machine, &ml, &TopoLb::default());
-    runtime.migrate(&topolb.task_placement());
+    let topolb = two_phase(&objects, &machine, &ml, &TopoLb::default());
 
-    // 4. Verify the placement beats random on the measured comm graph.
+    // 4. Verify the placement beats random on the database's comm graph.
     let random = two_phase(
-        &measured,
+        &objects,
         &machine,
         &RandomPartition::new(0x5eed),
         &RandomMap::new(0x5eed),
